@@ -11,8 +11,16 @@ Three variants produce a per-pixel fused representation from a label set:
   d x d affine + GeLU layers, then the same token average.
 * ``naive_concat``: plain channel concatenation in label order.
 
-Merging is embarrassingly parallel over pixels; the grid can be split into
-row chunks processed concurrently with bit-identical results.
+Merging is embarrassingly parallel over pixels: attention never crosses
+pixels, so any row split of the grid gives bit-identical results.  One tiler
+serves every caller that splits a grid, merging and training alike:
+``row_spans`` cuts the rows, ``masked_rows`` slices the masked inputs of a
+span and ``map_spans`` runs spans on a thread pool in span order.
+
+``map_params`` walks every tensor of a ``MergerParams`` under its canonical
+name (``proj.<label>.A``, ``enc.<label>``, ``block<m>.`` plus the block's
+field stems, ``clam.<label>.<i>.A``); listing, lifting, saving and loading
+all go through it.
 """
 
 from __future__ import annotations
@@ -20,13 +28,21 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import nn_ops, tape
 from .label_model import LabelSet, validate_label_set
-from .nn_ops import AttentionParams, BlockParams, init_block_params, xavier_uniform
+from .nn_ops import (
+    BlockParams,
+    blank,
+    check_shape,
+    init_block_params,
+    init_tensors,
+    map_tensors,
+    tensor,
+)
 from .tape import Var, no_grad
 from .tensor_core import Rng, load_tensor, save_tensor
 
@@ -43,8 +59,8 @@ DEFAULT_HEADS = 3
 class LabelProjection:
     """Per-label affine map into the embedding space: A (d, C_k), b (d,)."""
 
-    A: object
-    b: object
+    A: object = tensor("A", "d", "c")
+    b: object = tensor("b", "d")
 
 
 @dataclass
@@ -66,55 +82,28 @@ class MergerParams:
             return len(stacks)
         return len(self.blocks)
 
-    def label_names(self) -> list[str]:
-        return list(self.projections.keys())
 
-    def lifted(self) -> "MergerParams":
-        lift = tape.as_var
-        return MergerParams(
-            variant=self.variant,
-            d=self.d,
-            heads=self.heads,
-            projections={
-                k: LabelProjection(lift(p.A), lift(p.b)) for k, p in self.projections.items()
-            },
-            encodings={k: lift(e) for k, e in self.encodings.items()},
-            blocks=[bp.lifted() for bp in self.blocks],
-            clam_stacks={
-                k: [LabelProjection(lift(p.A), lift(p.b)) for p in stack]
-                for k, stack in self.clam_stacks.items()
-            },
-        )
-
-
-def param_items(p: MergerParams):
-    """Yield (canonical name, tensor) for every parameter, in definition order.
+def map_params(p: MergerParams, fn) -> MergerParams:
+    """A copy of ``p`` with each tensor t replaced by ``fn(name, t)``, called
+    in definition order (projections, encodings, blocks, clam stacks).
 
     The names double as serialization file stems and parameter-store keys.
     """
-    for name, proj in p.projections.items():
-        yield f"proj.{name}.A", proj.A
-        yield f"proj.{name}.b", proj.b
-    for name, enc in p.encodings.items():
-        yield f"enc.{name}", enc
-    for m, bp in enumerate(p.blocks):
-        yield f"block{m}.ln1.gamma", bp.ln1_gamma
-        yield f"block{m}.ln1.beta", bp.ln1_beta
-        yield f"block{m}.attn.Wq", bp.attn.wq
-        yield f"block{m}.attn.Wk", bp.attn.wk
-        yield f"block{m}.attn.Wv", bp.attn.wv
-        yield f"block{m}.attn.Wo", bp.attn.wo
-        yield f"block{m}.attn.bo", bp.attn.bo
-        yield f"block{m}.ln2.gamma", bp.ln2_gamma
-        yield f"block{m}.ln2.beta", bp.ln2_beta
-        yield f"block{m}.mlp.W1", bp.w1
-        yield f"block{m}.mlp.b1", bp.b1
-        yield f"block{m}.mlp.W2", bp.w2
-        yield f"block{m}.mlp.b2", bp.b2
-    for name, stack in p.clam_stacks.items():
-        for i, proj in enumerate(stack):
-            yield f"clam.{name}.{i}.A", proj.A
-            yield f"clam.{name}.{i}.b", proj.b
+    projections = {k: map_tensors(q, fn, f"proj.{k}.") for k, q in p.projections.items()}
+    encodings = {k: fn(f"enc.{k}", e) for k, e in p.encodings.items()}
+    blocks = [map_tensors(bp, fn, f"block{m}.") for m, bp in enumerate(p.blocks)]
+    stacks = {
+        k: [map_tensors(q, fn, f"clam.{k}.{i}.") for i, q in enumerate(stack)]
+        for k, stack in p.clam_stacks.items()
+    }
+    return replace(p, projections=projections, encodings=encodings, blocks=blocks, clam_stacks=stacks)
+
+
+def param_items(p: MergerParams) -> list:
+    """(canonical name, tensor) for every parameter, in definition order."""
+    items = []
+    map_params(p, lambda name, t: items.append((name, t)))
+    return items
 
 
 def init_merger_params(
@@ -147,9 +136,7 @@ def init_merger_params(
     if d % heads != 0:
         raise ValueError(f"embedding width {d} not divisible by {heads} heads")
     for name, c in spec:
-        p.projections[name] = LabelProjection(
-            A=xavier_uniform(rng, (d, c), c, d), b=np.zeros(d)
-        )
+        p.projections[name] = init_tensors(blank(LabelProjection, d=d, c=c), rng)
     for name, _ in spec:
         p.encodings[name] = 0.02 * np.array([rng.normal() for _ in range(d)])
     if variant == TLAM:
@@ -157,8 +144,7 @@ def init_merger_params(
     else:
         for name, _ in spec:
             p.clam_stacks[name] = [
-                LabelProjection(A=xavier_uniform(rng, (d, d), d, d), b=np.zeros(d))
-                for _ in range(n_blocks)
+                init_tensors(blank(LabelProjection, d=d, c=d), rng) for _ in range(n_blocks)
             ]
     return p
 
@@ -188,13 +174,29 @@ def _bind_check(s: LabelSet, p: MergerParams) -> None:
             raise ValueError(f"merger params have no stack for label {lab.name!r}")
 
 
-def masked_inputs(s: LabelSet) -> list[np.ndarray]:
-    """Per label, the (H*W, C_k) float64 values with absent pixels exactly zero."""
-    out = []
-    for lab in s:
-        x = np.where(lab.mask[..., None] != 0, lab.values.astype(np.float64), 0.0)
-        out.append(x.reshape(-1, lab.channels))
-    return out
+def row_spans(h: int, chunks: int) -> list[tuple[int, int]]:
+    """Rows [0, h) cut into at most ``chunks`` non-empty, near-equal spans."""
+    chunks = max(1, min(int(chunks), h))
+    bounds = [round(i * h / chunks) for i in range(chunks + 1)]
+    return [(bounds[i], bounds[i + 1]) for i in range(chunks) if bounds[i] < bounds[i + 1]]
+
+
+def masked_rows(s: LabelSet, r0: int, r1: int) -> list[np.ndarray]:
+    """Per label, rows [r0, r1) as (pixels, C_k) float64 with absent pixels exactly zero."""
+    return [
+        np.where(lab.mask[r0:r1, :, None] != 0, lab.values[r0:r1].astype(np.float64), 0.0)
+        .reshape(-1, lab.channels)
+        for lab in s
+    ]
+
+
+def map_spans(fn, spans: list, threads: int) -> list:
+    """``[fn(r0, r1) for r0, r1 in spans]``, on up to ``threads`` threads;
+    results keep span order."""
+    if threads <= 1 or len(spans) <= 1:
+        return [fn(*span) for span in spans]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda span: fn(*span), spans))
 
 
 def _projected_tokens(xs: list[Var], names: list[str], p: MergerParams) -> list[Var]:
@@ -235,36 +237,18 @@ def clam_graph(xs: list[Var], names: list[str], p: MergerParams) -> Var:
     return _token_average(tape.stack(out, axis=1))
 
 
-def _merge_rows(s: LabelSet, p: MergerParams, graph, row0: int, row1: int) -> np.ndarray:
-    w = s.width
-    names = [lab.name for lab in s]
-    xs = []
-    for lab in s:
-        vals = lab.values[row0:row1].astype(np.float64)
-        x = np.where(lab.mask[row0:row1, :, None] != 0, vals, 0.0)
-        xs.append(x.reshape(-1, lab.channels))
-    with no_grad():
-        out = graph([Var(x) for x in xs], names, p.lifted()).value
-    return out.reshape(row1 - row0, w, p.d)
-
-
 def _run_chunked(s: LabelSet, p: MergerParams, graph, threads: int, chunks: int | None) -> np.ndarray:
-    h, w = s.height, s.width
     threads = max(1, int(threads))
-    if chunks is None:
-        chunks = threads
-    chunks = max(1, min(int(chunks), h))
-    bounds = [round(i * h / chunks) for i in range(chunks + 1)]
-    spans = [(bounds[i], bounds[i + 1]) for i in range(chunks) if bounds[i] < bounds[i + 1]]
-    out = np.empty((h, w, p.d), dtype=np.float64)
-    if threads == 1 or len(spans) == 1:
-        for r0, r1 in spans:
-            out[r0:r1] = _merge_rows(s, p, graph, r0, r1)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(lambda span: _merge_rows(s, p, graph, *span), spans)
-            for (r0, r1), block in zip(spans, results):
-                out[r0:r1] = block
+    names = [lab.name for lab in s]
+    lifted = map_params(p, lambda _name, t: tape.as_var(t))
+    out = np.empty((s.height, s.width, p.d), dtype=np.float64)
+
+    def tile(r0, r1):
+        with no_grad():
+            z = graph([Var(x) for x in masked_rows(s, r0, r1)], names, lifted).value
+        out[r0:r1] = z.reshape(r1 - r0, s.width, p.d)
+
+    map_spans(tile, row_spans(s.height, threads if chunks is None else chunks), threads)
     if not np.isfinite(out).all():
         raise FloatingPointError("merge produced non-finite values")
     return out
@@ -329,49 +313,30 @@ def save_merger_params(p: MergerParams, dirpath) -> None:
 
 
 def load_merger_params(dirpath) -> MergerParams:
-    meta_path = os.path.join(dirpath, "params.json")
-    with open(meta_path) as f:
+    """Read a params directory written by ``save_merger_params``; every
+    tensor's shape is checked against ``params.json``."""
+    with open(os.path.join(dirpath, "params.json")) as f:
         doc = json.load(f)
-    variant, d, heads = doc["variant"], doc["d"], doc["heads"]
-    n_blocks = doc["n_blocks"]
-    p = MergerParams(variant=variant, d=d, heads=heads)
-    if variant == NAIVE:
+    p = MergerParams(variant=doc["variant"], d=doc["d"], heads=doc["heads"])
+    if p.variant == NAIVE:
         return p
-    load = lambda stem: load_tensor(os.path.join(dirpath, stem + ".tlt"))
-    for entry in doc["labels"]:
-        name = entry["name"]
-        p.projections[name] = LabelProjection(A=load(f"proj.{name}.A"), b=load(f"proj.{name}.b"))
-    for entry in doc["labels"]:
-        name = entry["name"]
-        p.encodings[name] = load(f"enc.{name}")
-    if variant == TLAM:
-        for m in range(n_blocks):
-            attn = AttentionParams(
-                heads=heads,
-                wq=load(f"block{m}.attn.Wq"),
-                wk=load(f"block{m}.attn.Wk"),
-                wv=load(f"block{m}.attn.Wv"),
-                wo=load(f"block{m}.attn.Wo"),
-                bo=load(f"block{m}.attn.bo"),
-            )
-            p.blocks.append(
-                BlockParams(
-                    ln1_gamma=load(f"block{m}.ln1.gamma"),
-                    ln1_beta=load(f"block{m}.ln1.beta"),
-                    attn=attn,
-                    ln2_gamma=load(f"block{m}.ln2.gamma"),
-                    ln2_beta=load(f"block{m}.ln2.beta"),
-                    w1=load(f"block{m}.mlp.W1"),
-                    b1=load(f"block{m}.mlp.b1"),
-                    w2=load(f"block{m}.mlp.W2"),
-                    b2=load(f"block{m}.mlp.b2"),
-                )
-            )
+    dims = {"d": p.d, "heads": p.heads}
+    channels = {e["name"]: e["channels"] for e in doc["labels"]}
+    p.projections = {k: blank(LabelProjection, c=c, **dims) for k, c in channels.items()}
+    p.encodings = {k: (p.d,) for k in channels}
+    if p.variant == TLAM:
+        p.blocks = [blank(BlockParams, **dims)] * doc["n_blocks"]
     else:
-        for entry in doc["labels"]:
-            name = entry["name"]
-            p.clam_stacks[name] = [
-                LabelProjection(A=load(f"clam.{name}.{i}.A"), b=load(f"clam.{name}.{i}.b"))
-                for i in range(n_blocks)
-            ]
-    return p
+        p.clam_stacks = {k: [blank(LabelProjection, c=p.d, **dims)] * doc["n_blocks"] for k in channels}
+    return map_params(p, _tlt_loader(dirpath, {}))
+
+
+def _tlt_loader(dirpath, dims: dict):
+    """``load(name, shape)``: read ``<dirpath>/<name>.tlt`` and check its
+    shape under ``dims`` (see ``nn_ops.check_shape``)."""
+
+    def load(name, shape):
+        path = os.path.join(dirpath, name + ".tlt")
+        return check_shape(path, load_tensor(path), shape, dims)
+
+    return load

@@ -4,14 +4,22 @@ tokens, and the two pre-norm residual blocks.
 
 Every public op accepts either plain numpy arrays (evaluated without
 recording) or tape Vars (recorded for reverse-mode differentiation), and
-returns the matching kind.  Token matrices are (N, d) for one pixel or
-(B, N, d) for a batch of pixels; all math is per pixel either way.
+returns the matching kind; one helper, ``_apply``, makes that choice for all
+of them.  Token matrices are (N, d) for one pixel or (B, N, d) for a batch of
+pixels; all math is per pixel either way.
+
+The parameter dataclasses declare, per tensor field, its file stem and its
+symbolic shape (``tensor``).  ``map_tensors`` walks those fields in
+declaration order; initialization (``blank`` then ``init_tensors``), lifting
+to Vars, registering in a parameter store, serialization and loading with
+shape checks (``check_shape``) all go through it, so the names, their order
+and the shapes live only in the field declarations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -39,8 +47,10 @@ class MacCounter:
 attention_mac_counter = MacCounter()
 
 
-def _has_vars(*objs) -> bool:
-    return any(isinstance(o, Var) for o in objs)
+def tensor(stem: str, *shape, **kw):
+    """A params-dataclass field holding one tensor: its file stem and its
+    symbolic shape, whose axes are ints or names (see ``_resolve_shape``)."""
+    return field(metadata={"stem": stem, "shape": shape}, **kw)
 
 
 @dataclass
@@ -52,58 +62,102 @@ class AttentionParams:
     """
 
     heads: int
-    wq: object
-    wk: object
-    wv: object
-    wo: object
-    bo: object
-
-    def tensors(self):
-        return [self.wq, self.wk, self.wv, self.wo, self.bo]
-
-    def lifted(self) -> "AttentionParams":
-        return AttentionParams(self.heads, *[as_var(t) for t in self.tensors()])
+    wq: object = tensor("Wq", "heads", "d", "d/heads")
+    wk: object = tensor("Wk", "heads", "d", "d/heads")
+    wv: object = tensor("Wv", "heads", "d", "d/heads")
+    wo: object = tensor("Wo", "d", "d")
+    bo: object = tensor("bo", "d")
 
 
 @dataclass
 class BlockParams:
     """One transformer block: pre-norm attention then pre-norm MLP."""
 
-    ln1_gamma: object
-    ln1_beta: object
-    attn: AttentionParams
-    ln2_gamma: object
-    ln2_beta: object
-    w1: object
-    b1: object
-    w2: object
-    b2: object
+    ln1_gamma: object = tensor("ln1.gamma", "d")
+    ln1_beta: object = tensor("ln1.beta", "d")
+    # a nested params dataclass: its stems are prefixed with "attn."
+    attn: AttentionParams = field(metadata={"stem": "attn.", "part": AttentionParams})
+    ln2_gamma: object = tensor("ln2.gamma", "d")
+    ln2_beta: object = tensor("ln2.beta", "d")
+    w1: object = tensor("mlp.W1", "d", "4d")
+    b1: object = tensor("mlp.b1", "4d")
+    w2: object = tensor("mlp.W2", "4d", "d")
+    b2: object = tensor("mlp.b2", "d")
 
-    def tensors(self):
-        return [
-            self.ln1_gamma,
-            self.ln1_beta,
-            *self.attn.tensors(),
-            self.ln2_gamma,
-            self.ln2_beta,
-            self.w1,
-            self.b1,
-            self.w2,
-            self.b2,
-        ]
 
-    def lifted(self) -> "BlockParams":
-        return BlockParams(
-            as_var(self.ln1_gamma),
-            as_var(self.ln1_beta),
-            self.attn.lifted(),
-            as_var(self.ln2_gamma),
-            as_var(self.ln2_beta),
-            as_var(self.w1),
-            as_var(self.b1),
-            as_var(self.w2),
-            as_var(self.b2),
-        )
+def map_tensors(obj, fn, prefix: str = ""):
+    """A copy of params dataclass ``obj`` with each tensor t replaced by
+    ``fn(prefix + stem, t)``, called in field declaration order (nested
+    params depth first).  Fields holding None are left as they are."""
+    changes = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if "part" in f.metadata:
+            changes[f.name] = map_tensors(value, fn, prefix + f.metadata["stem"])
+        elif "stem" in f.metadata and value is not None:
+            changes[f.name] = fn(prefix + f.metadata["stem"], value)
+    return replace(obj, **changes)
+
+
+def _head_width(dims: dict) -> int:
+    d, heads = dims["d"], dims["heads"]
+    if heads < 1 or d % heads:
+        raise ValueError(f"token width {d} not divisible by {heads} heads")
+    return d // heads
+
+
+# shape names computed from others; every other name (d, heads, the label
+# channels c, the head widths d_g and d_c) is given or read off a tensor
+_DERIVED = {
+    "d/heads": _head_width,
+    "4d": lambda dims: 4 * dims["d"],
+    "d+3": lambda dims: dims["d"] + 3,
+}
+
+
+def _resolve_shape(shape: tuple, dims: dict, got: tuple = ()) -> tuple:
+    """Substitute ``dims`` into a symbolic shape.
+
+    A name that is neither in ``dims`` nor derivable from it is bound in
+    ``dims`` to the matching axis of ``got`` when the ranks agree, and is
+    left symbolic otherwise.
+    """
+    if len(got) == len(shape):
+        for sym, n in zip(shape, got):
+            if isinstance(sym, str) and sym not in _DERIVED:
+                dims.setdefault(sym, n)
+
+    def axis(sym):
+        try:
+            return _DERIVED[sym](dims) if sym in _DERIVED else dims.get(sym, sym)
+        except KeyError:
+            return sym
+
+    return tuple(axis(sym) for sym in shape)
+
+
+def check_shape(name: str, t, shape: tuple, dims: dict):
+    """Return ``t`` if its shape matches symbolic ``shape`` under ``dims``
+    (binding names seen for the first time); raise ValueError otherwise."""
+    got = np.shape(t)
+    want = _resolve_shape(shape, dims, got)
+    if got != want:
+        raise ValueError(f"{name} has shape {got}, expected {want}")
+    return t
+
+
+def blank(cls, **dims):
+    """A ``cls`` whose tensor fields hold their shapes, resolved as far as
+    ``dims`` allows, and whose other fields are taken from ``dims``."""
+
+    def value(f):
+        if "part" in f.metadata:
+            return blank(f.metadata["part"], **dims)
+        if "shape" in f.metadata:
+            return _resolve_shape(f.metadata["shape"], dims)
+        return dims[f.name]
+
+    return cls(**{f.name: value(f) for f in fields(cls)})
 
 
 def xavier_uniform(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -114,49 +168,56 @@ def xavier_uniform(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
     return ((2.0 * flat - 1.0) * bound).reshape(shape)
 
 
+def init_tensors(params, rng):
+    """Fill a ``blank`` with fresh tensors, drawn in field order: matrices
+    Xavier-uniform over their last two axes, layer-norm gains (stems ending
+    in gamma) one, every other vector zero."""
+
+    def draw(name, shape):
+        if len(shape) > 1:
+            return xavier_uniform(rng, shape, shape[-2], shape[-1])
+        return np.ones(shape) if name.endswith("gamma") else np.zeros(shape)
+
+    return map_tensors(params, draw)
+
+
 def init_attention_params(d: int, heads: int, rng) -> AttentionParams:
-    if d % heads != 0:
-        raise ValueError(f"token width {d} not divisible by {heads} heads")
-    dh = d // heads
-    wq = xavier_uniform(rng, (heads, d, dh), d, dh)
-    wk = xavier_uniform(rng, (heads, d, dh), d, dh)
-    wv = xavier_uniform(rng, (heads, d, dh), d, dh)
-    wo = xavier_uniform(rng, (d, d), d, d)
-    bo = np.zeros(d)
-    return AttentionParams(heads, wq, wk, wv, wo, bo)
+    return init_tensors(blank(AttentionParams, d=d, heads=heads), rng)
 
 
 def init_block_params(d: int, heads: int, rng) -> BlockParams:
-    d_ff = 4 * d
-    return BlockParams(
-        ln1_gamma=np.ones(d),
-        ln1_beta=np.zeros(d),
-        attn=init_attention_params(d, heads, rng),
-        ln2_gamma=np.ones(d),
-        ln2_beta=np.zeros(d),
-        w1=xavier_uniform(rng, (d, d_ff), d, d_ff),
-        b1=np.zeros(d_ff),
-        w2=xavier_uniform(rng, (d_ff, d), d_ff, d),
-        b2=np.zeros(d),
-    )
+    return init_tensors(blank(BlockParams, d=d, heads=heads), rng)
+
+
+def _apply(op, *args):
+    """Run tape ``op`` on ``args``: arrays, Vars or params dataclasses.
+
+    With a Var anywhere among them the call is recorded and returns a Var;
+    otherwise it runs without recording and returns the array.
+    """
+    recorded = False
+
+    def lift(_name, t):
+        nonlocal recorded
+        recorded = recorded or isinstance(t, Var)
+        return as_var(t)
+
+    lifted = [map_tensors(a, lift) if is_dataclass(a) else lift(None, a) for a in args]
+    if recorded:
+        return op(*lifted)
+    with no_grad():
+        return op(*lifted).value
 
 
 def gelu(x):
     """GeLU, tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
-    if isinstance(x, Var):
-        return tape.gelu(x)
-    arr = np.asarray(x, dtype=np.float64)
-    with no_grad():
-        out = tape.gelu(Var(arr)).value
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    out = _apply(tape.gelu, x)
+    return float(out) if isinstance(out, np.ndarray) and out.ndim == 0 else out
 
 
 def linear(x, A, b):
     """Affine map A @ x + b for a vector x (C,) or a batch (..., C)."""
-    if _has_vars(x, A, b):
-        return _linear(as_var(x), as_var(A), as_var(b))
-    with no_grad():
-        return _linear(as_var(x), as_var(A), as_var(b)).value
+    return _apply(_linear, x, A, b)
 
 
 def _linear(x: Var, A: Var, b: Var) -> Var:
@@ -172,18 +233,12 @@ def _linear(x: Var, A: Var, b: Var) -> Var:
 
 def layer_norm(x, gamma, beta, eps: float = LN_EPS):
     """Per-token normalization over the last axis (biased variance)."""
-    if _has_vars(x, gamma, beta):
-        return tape.layer_norm(as_var(x), as_var(gamma), as_var(beta), eps)
-    with no_grad():
-        return tape.layer_norm(as_var(x), as_var(gamma), as_var(beta), eps).value
+    return _apply(lambda *xgb: tape.layer_norm(*xgb, eps), x, gamma, beta)
 
 
 def softmax(v):
     """Stable softmax over the last axis; rows sum to 1."""
-    if isinstance(v, Var):
-        return tape.softmax(v)
-    with no_grad():
-        return tape.softmax(as_var(v)).value
+    return _apply(tape.softmax, v)
 
 
 def multi_head_self_attention(Z, p: AttentionParams):
@@ -192,10 +247,7 @@ def multi_head_self_attention(Z, p: AttentionParams):
     Per head j: Q = Z Wq_j, K = Z Wk_j, V = Z Wv_j, A = softmax(Q K^T / sqrt(d_h)),
     head_j = A V; heads are concatenated and mapped through Wo with bias bo.
     """
-    if _has_vars(Z, *p.tensors()):
-        return _mhsa(as_var(Z), p.lifted())
-    with no_grad():
-        return _mhsa(as_var(Z), p.lifted()).value
+    return _apply(_mhsa, Z, p)
 
 
 def _mhsa(Z: Var, p: AttentionParams) -> Var:
@@ -224,10 +276,7 @@ def _mhsa(Z: Var, p: AttentionParams) -> Var:
 
 def msa_block(Z, p: BlockParams):
     """Pre-norm attention with residual: MSA(LN(Z)) + Z."""
-    if _has_vars(Z, *p.tensors()):
-        return _msa_block(as_var(Z), p.lifted())
-    with no_grad():
-        return _msa_block(as_var(Z), p.lifted()).value
+    return _apply(_msa_block, Z, p)
 
 
 def _msa_block(Z: Var, p: BlockParams) -> Var:
@@ -237,10 +286,7 @@ def _msa_block(Z: Var, p: BlockParams) -> Var:
 
 def mlp_block(Z, p: BlockParams):
     """Pre-norm token-wise MLP with residual: MLP(LN(Z)) + Z."""
-    if _has_vars(Z, *p.tensors()):
-        return _mlp_block(as_var(Z), p.lifted())
-    with no_grad():
-        return _mlp_block(as_var(Z), p.lifted()).value
+    return _apply(_mlp_block, Z, p)
 
 
 def _mlp_block(Z: Var, p: BlockParams) -> Var:
@@ -251,10 +297,7 @@ def _mlp_block(Z: Var, p: BlockParams) -> Var:
 
 def transformer_block(Z, p: BlockParams):
     """One full block: the attention sub-block followed by the MLP sub-block."""
-    if _has_vars(Z, *p.tensors()):
-        return _transformer_block(as_var(Z), p.lifted())
-    with no_grad():
-        return _transformer_block(as_var(Z), p.lifted()).value
+    return _apply(_transformer_block, Z, p)
 
 
 def _transformer_block(Z: Var, p: BlockParams) -> Var:

@@ -10,13 +10,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import fusion, tape
-from .fusion import MergerParams, param_items, tlam_graph
+from .fusion import MergerParams, masked_rows, tlam_graph
 from .label_model import (
     LabelSet,
     apply_masks,
@@ -24,9 +23,9 @@ from .label_model import (
     mask_out_label,
     synth_scene,
 )
-from .nn_ops import AttentionParams, BlockParams, init_block_params, xavier_uniform
+from .nn_ops import blank, init_block_params, init_tensors, map_tensors, tensor
 from .tape import Var, backward, no_grad
-from .tensor_core import Rng, load_tensor, save_tensor
+from .tensor_core import Rng, save_tensor
 
 
 class ParamStore:
@@ -80,127 +79,47 @@ def lift_merger_params(p: MergerParams, register) -> MergerParams:
     ``register(name, tensor) -> Var`` receives the canonical parameter names
     (the same stems used by the on-disk serialization).
     """
-    reg: dict[str, Var] = {}
-    for name, t in param_items(p):
-        arr = t.value if isinstance(t, Var) else t
-        reg[name] = register(name, arr)
-
-    def proj(prefix, names):
-        return {
-            n: fusion.LabelProjection(A=reg[f"{prefix}.{n}.A"], b=reg[f"{prefix}.{n}.b"])
-            for n in names
-        }
-
-    names = p.label_names()
-    blocks = []
-    for m in range(len(p.blocks)):
-        blocks.append(
-            BlockParams(
-                ln1_gamma=reg[f"block{m}.ln1.gamma"],
-                ln1_beta=reg[f"block{m}.ln1.beta"],
-                attn=AttentionParams(
-                    heads=p.heads,
-                    wq=reg[f"block{m}.attn.Wq"],
-                    wk=reg[f"block{m}.attn.Wk"],
-                    wv=reg[f"block{m}.attn.Wv"],
-                    wo=reg[f"block{m}.attn.Wo"],
-                    bo=reg[f"block{m}.attn.bo"],
-                ),
-                ln2_gamma=reg[f"block{m}.ln2.gamma"],
-                ln2_beta=reg[f"block{m}.ln2.beta"],
-                w1=reg[f"block{m}.mlp.W1"],
-                b1=reg[f"block{m}.mlp.b1"],
-                w2=reg[f"block{m}.mlp.W2"],
-                b2=reg[f"block{m}.mlp.b2"],
-            )
-        )
-    stacks = {
-        n: [
-            fusion.LabelProjection(A=reg[f"clam.{n}.{i}.A"], b=reg[f"clam.{n}.{i}.b"])
-            for i in range(len(stack))
-        ]
-        for n, stack in p.clam_stacks.items()
-    }
-    return MergerParams(
-        variant=p.variant,
-        d=p.d,
-        heads=p.heads,
-        projections=proj("proj", names),
-        encodings={n: reg[f"enc.{n}"] for n in p.encodings},
-        blocks=blocks,
-        clam_stacks=stacks,
-    )
+    return fusion.map_params(p, lambda name, t: register(name, fusion._raw(t)))
 
 
 @dataclass
 class HeadParams:
     """Per-pixel MLP heads: generator d -> d_g -> 3, discriminator (d+3) -> d_c -> 1."""
 
-    gen_w1: object
-    gen_b1: object
-    gen_w2: object
-    gen_b2: object
-    disc_w1: object = None
-    disc_b1: object = None
-    disc_w2: object = None
-    disc_b2: object = None
+    gen_w1: object = tensor("gen.W1", "d", "d_g")
+    gen_b1: object = tensor("gen.b1", "d_g")
+    gen_w2: object = tensor("gen.W2", "d_g", 3)
+    gen_b2: object = tensor("gen.b2", 3)
+    disc_w1: object = tensor("disc.W1", "d+3", "d_c", default=None)
+    disc_b1: object = tensor("disc.b1", "d_c", default=None)
+    disc_w2: object = tensor("disc.W2", "d_c", 1, default=None)
+    disc_b2: object = tensor("disc.b2", 1, default=None)
 
     @property
     def has_discriminator(self) -> bool:
         return self.disc_w1 is not None
 
 
-def head_items(hp: HeadParams):
-    yield "gen.W1", hp.gen_w1
-    yield "gen.b1", hp.gen_b1
-    yield "gen.W2", hp.gen_w2
-    yield "gen.b2", hp.gen_b2
-    if hp.has_discriminator:
-        yield "disc.W1", hp.disc_w1
-        yield "disc.b1", hp.disc_b1
-        yield "disc.W2", hp.disc_w2
-        yield "disc.b2", hp.disc_b2
+def head_items(hp: HeadParams) -> list:
+    """(file stem, tensor) for every head parameter, in declaration order."""
+    items = []
+    map_tensors(hp, lambda name, t: items.append((name, t)))
+    return items
 
 
-def init_head_params(d: int, rng: Rng, d_g: int = 64, d_c: int = 64, discriminator: bool = False) -> HeadParams:
-    hp = HeadParams(
-        gen_w1=xavier_uniform(rng, (d, d_g), d, d_g),
-        gen_b1=np.zeros(d_g),
-        gen_w2=xavier_uniform(rng, (d_g, 3), d_g, 3),
-        gen_b2=np.zeros(3),
-    )
-    if discriminator:
-        hp.disc_w1 = xavier_uniform(rng, (d + 3, d_c), d + 3, d_c)
-        hp.disc_b1 = np.zeros(d_c)
-        hp.disc_w2 = xavier_uniform(rng, (d_c, 1), d_c, 1)
-        hp.disc_b2 = np.zeros(1)
+def _blank_heads(discriminator: bool, **dims) -> HeadParams:
+    hp = blank(HeadParams, **dims)
+    if not discriminator:
+        hp.disc_w1 = hp.disc_b1 = hp.disc_w2 = hp.disc_b2 = None
     return hp
 
 
+def init_head_params(d: int, rng: Rng, d_g: int = 64, d_c: int = 64, discriminator: bool = False) -> HeadParams:
+    return init_tensors(_blank_heads(discriminator, d=d, d_g=d_g, d_c=d_c), rng)
+
+
 def lift_head_params(hp: HeadParams, register) -> HeadParams:
-    reg = {}
-    for name, t in head_items(hp):
-        arr = t.value if isinstance(t, Var) else t
-        reg[name] = register(name, arr)
-    return HeadParams(
-        gen_w1=reg["gen.W1"],
-        gen_b1=reg["gen.b1"],
-        gen_w2=reg["gen.W2"],
-        gen_b2=reg["gen.b2"],
-        disc_w1=reg.get("disc.W1"),
-        disc_b1=reg.get("disc.b1"),
-        disc_w2=reg.get("disc.W2"),
-        disc_b2=reg.get("disc.b2"),
-    )
-
-
-def _fresh_register(collector: dict):
-    def register(name, arr):
-        v = Var(arr)
-        collector[name] = v
-        return v
-
-    return register
+    return map_tensors(hp, lambda name, t: register(name, fusion._raw(t)))
 
 
 def generate_graph(z: Var, hp: HeadParams) -> Var:
@@ -383,7 +302,7 @@ def finite_diff_check(
         targets = sorted(chosen)
 
     failures: list[FdFailure] = []
-    per_param_max: dict[str, float] = {n: 0.0 for n in names}
+    per_param_max: dict[str, float] = {}  # only parameters with a checked element
     max_rel = 0.0
     max_roundoff = 0.0
     for name, idx in targets:
@@ -403,7 +322,7 @@ def finite_diff_check(
         rel = excess / max(1e-8, abs(analytic) + abs(numeric))
         max_rel = max(max_rel, rel)
         max_roundoff = max(max_roundoff, roundoff)
-        per_param_max[name] = max(per_param_max[name], rel)
+        per_param_max[name] = max(per_param_max.get(name, 0.0), rel)
         if rel > tol:
             failures.append(FdFailure(name, idx, analytic, numeric, rel, roundoff))
     return FdReport(
@@ -439,28 +358,17 @@ class ToyTrainConfig:
     eval_repeats: int = 8
 
 
-def _row_spans(h: int, chunks: int) -> list[tuple[int, int]]:
-    chunks = max(1, min(chunks, h))
-    bounds = [round(i * h / chunks) for i in range(chunks + 1)]
-    return [(bounds[i], bounds[i + 1]) for i in range(chunks) if bounds[i] < bounds[i + 1]]
-
-
-def _slice_inputs(masked: LabelSet, r0: int, r1: int) -> tuple[list[Var], list[str]]:
-    xs, names = [], []
-    for lab in masked:
-        vals = lab.values[r0:r1].astype(np.float64)
-        x = np.where(lab.mask[r0:r1, :, None] != 0, vals, 0.0)
-        xs.append(Var(x.reshape(-1, lab.channels)))
-        names.append(lab.name)
-    return xs, names
+def _merge_graph(masked: LabelSet, merger: MergerParams, r0: int, r1: int) -> Var:
+    """tlam_graph over rows [r0, r1) of a masked label set."""
+    xs = [Var(x) for x in masked_rows(masked, r0, r1)]
+    return tlam_graph(xs, [lab.name for lab in masked], merger)
 
 
 def l2_loss_graph(masked: LabelSet, target: np.ndarray, merger: MergerParams, heads: HeadParams, r0: int = 0, r1: int | None = None) -> Var:
     """tlam merge -> generator head -> mean squared error, over a row span."""
     if r1 is None:
         r1 = masked.height
-    xs, names = _slice_inputs(masked, r0, r1)
-    z = tlam_graph(xs, names, merger)
+    z = _merge_graph(masked, merger, r0, r1)
     img = generate_graph(z, heads)
     t = Var(target[r0:r1].astype(np.float64).reshape(-1, 3))
     return l2_loss(img, t)
@@ -470,23 +378,23 @@ def _chunked_l2_grads(masked, target, merger_arrays, heads_arrays, threads):
     """Forward/backward per row chunk with per-chunk gradient buffers, reduced
     in ascending chunk order (so parallel runs are reproducible)."""
     h = masked.height
-    spans = _row_spans(h, threads)
+    spans = fusion.row_spans(h, threads)
     weights = [(r1 - r0) / h for r0, r1 in spans]
 
-    def run(span):
+    def run(r0, r1):
         leaves: dict[str, Var] = {}
-        reg = _fresh_register(leaves)
-        merger = lift_merger_params(merger_arrays, reg)
-        heads = lift_head_params(heads_arrays, reg)
-        loss = l2_loss_graph(masked, target, merger, heads, *span)
+
+        def register(name, arr):
+            leaves[name] = Var(arr)
+            return leaves[name]
+
+        merger = lift_merger_params(merger_arrays, register)
+        heads = lift_head_params(heads_arrays, register)
+        loss = l2_loss_graph(masked, target, merger, heads, r0, r1)
         backward(loss)
         return float(loss.value), {n: v.grad for n, v in leaves.items()}
 
-    if len(spans) == 1:
-        results = [run(spans[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, spans))
+    results = fusion.map_spans(run, spans, threads)
 
     total = 0.0
     grads: dict[str, np.ndarray] = {}
@@ -503,8 +411,7 @@ def _chunked_l2_grads(masked, target, merger_arrays, heads_arrays, threads):
 
 
 def adv_d_loss_graph(masked, target, merger, heads) -> Var:
-    xs, names = _slice_inputs(masked, 0, masked.height)
-    z = tlam_graph(xs, names, merger)
+    z = _merge_graph(masked, merger, 0, masked.height)
     fake = generate_graph(z, heads)
     t = Var(target.astype(np.float64).reshape(-1, 3))
     real_score = discriminator_graph(z, t, heads)
@@ -513,8 +420,7 @@ def adv_d_loss_graph(masked, target, merger, heads) -> Var:
 
 
 def adv_g_loss_graph(masked, target, merger, heads, l2_weight) -> Var:
-    xs, names = _slice_inputs(masked, 0, masked.height)
-    z = tlam_graph(xs, names, merger)
+    z = _merge_graph(masked, merger, 0, masked.height)
     fake = generate_graph(z, heads)
     t = Var(target.astype(np.float64).reshape(-1, 3))
     fake_score = discriminator_graph(z, fake, heads)
@@ -673,26 +579,7 @@ def _normal_param(store, rng, name, shape):
 def block_store(store: ParamStore, rng: Rng, d: int, heads: int, n: int):
     """Register a transformer block, an (n, d) input Z and fixed (n, d) loss
     weights in ``store``, drawn from ``rng`` in that order."""
-    bp_arrays = init_block_params(d, heads, rng)
-    reg = store.add
-    bp = BlockParams(
-        ln1_gamma=reg("ln1.gamma", bp_arrays.ln1_gamma),
-        ln1_beta=reg("ln1.beta", bp_arrays.ln1_beta),
-        attn=AttentionParams(
-            heads=heads,
-            wq=reg("attn.Wq", bp_arrays.attn.wq),
-            wk=reg("attn.Wk", bp_arrays.attn.wk),
-            wv=reg("attn.Wv", bp_arrays.attn.wv),
-            wo=reg("attn.Wo", bp_arrays.attn.wo),
-            bo=reg("attn.bo", bp_arrays.attn.bo),
-        ),
-        ln2_gamma=reg("ln2.gamma", bp_arrays.ln2_gamma),
-        ln2_beta=reg("ln2.beta", bp_arrays.ln2_beta),
-        w1=reg("mlp.W1", bp_arrays.w1),
-        b1=reg("mlp.b1", bp_arrays.b1),
-        w2=reg("mlp.W2", bp_arrays.w2),
-        b2=reg("mlp.b2", bp_arrays.b2),
-    )
+    bp = map_tensors(init_block_params(d, heads, rng), store.add)
     z = _normal_param(store, rng, "Z", (n, d))
     c = np.array([[rng.normal() for _ in range(d)] for _ in range(n)])
     return bp, z, c
@@ -770,11 +657,7 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
             ).reshape(-1, 3)
             # precompute the masked inputs once; only the graph is rebuilt per eval
             names = [lab.name for lab in labels]
-            xs_np = [
-                np.where(lab.mask[..., None] != 0, lab.values.astype(np.float64), 0.0)
-                .reshape(-1, lab.channels)
-                for lab in labels
-            ]
+            xs_np = masked_rows(labels, 0, h)
 
             def loss_fn():
                 z = tlam_graph([Var(x) for x in xs_np], names, merger)
@@ -816,20 +699,13 @@ def save_head_params(hp: HeadParams, dirpath) -> None:
         json.dump(meta, f, indent=2)
         f.write("\n")
     for name, t in head_items(hp):
-        arr = t.value if isinstance(t, Var) else np.asarray(t)
-        save_tensor(os.path.join(dirpath, name + ".tlt"), arr.astype(np.float64))
+        save_tensor(os.path.join(dirpath, name + ".tlt"), fusion._raw(t).astype(np.float64))
 
 
 def load_head_params(dirpath) -> HeadParams:
+    """Read heads written by ``save_head_params``.  The widths d, d_g and d_c
+    are read off the first tensor that has them and every later shape is
+    checked against them."""
     with open(os.path.join(dirpath, "heads.json")) as f:
         meta = json.load(f)
-    load = lambda stem: load_tensor(os.path.join(dirpath, stem + ".tlt"))
-    hp = HeadParams(
-        gen_w1=load("gen.W1"), gen_b1=load("gen.b1"), gen_w2=load("gen.W2"), gen_b2=load("gen.b2")
-    )
-    if meta.get("discriminator"):
-        hp.disc_w1 = load("disc.W1")
-        hp.disc_b1 = load("disc.b1")
-        hp.disc_w2 = load("disc.W2")
-        hp.disc_b2 = load("disc.b2")
-    return hp
+    return map_tensors(_blank_heads(meta.get("discriminator")), fusion._tlt_loader(dirpath, {}))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from labelfuse.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from labelfuse.tensor_core import load_tensor
+from labelfuse.tensor_core import load_tensor, save_tensor
 
 
 def run(*argv):
@@ -57,6 +57,14 @@ class TestMerge:
                    "--params", str(params), "--variant", "clam",
                    "--out", str(tmp_path / "z.tlt"))
         assert code == EXIT_USAGE
+
+    def test_wrong_tensor_shape_exits_1(self, tmp_path, scene, params, capsys):
+        save_tensor(params / "block0.mlp.b1.tlt", np.zeros(1))
+        code = run("merge", "--manifest", str(scene / "manifest.json"),
+                   "--params", str(params), "--variant", "tlam",
+                   "--out", str(tmp_path / "z.tlt"))
+        assert code == EXIT_USAGE
+        assert "block0.mlp.b1.tlt" in capsys.readouterr().err
 
     def test_threads_reproducible(self, tmp_path, scene, params):
         a, b = tmp_path / "a.tlt", tmp_path / "b.tlt"

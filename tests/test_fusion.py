@@ -13,6 +13,7 @@ from labelfuse.fusion import (
     tlam_merge,
 )
 from labelfuse.label_model import LabelSet, make_label
+from labelfuse.tensor_core import load_tensor, save_tensor
 from labelfuse.train_harness import make_random_label_set
 
 from oracles import gelu_scalar
@@ -255,6 +256,49 @@ class TestParamsSerialization:
         z1 = (tlam_merge if variant == fusion.TLAM else clam_merge)(labels, p)
         z2 = (tlam_merge if variant == fusion.TLAM else clam_merge)(labels, q)
         assert z1.tobytes() == z2.tobytes()
+        saved = [(n, np.asarray(t).tobytes()) for n, t in fusion.param_items(p)]
+        loaded = [(n, np.asarray(t).tobytes()) for n, t in fusion.param_items(q)]
+        assert loaded == saved
+
+    @pytest.mark.parametrize(
+        "variant, block_stems",
+        [
+            (
+                fusion.TLAM,
+                [
+                    "block0." + s
+                    for s in (
+                        "ln1.gamma", "ln1.beta", "attn.Wq", "attn.Wk", "attn.Wv", "attn.Wo",
+                        "attn.bo", "ln2.gamma", "ln2.beta", "mlp.W1", "mlp.b1", "mlp.W2", "mlp.b2",
+                    )
+                ],
+            ),
+            (fusion.CLAM, ["clam.lab0.0.A", "clam.lab0.0.b", "clam.lab1.0.A", "clam.lab1.0.b"]),
+        ],
+    )
+    def test_file_stems_pinned(self, tmp_path, variant, block_stems):
+        # existing params directories rely on these exact names, in this order
+        p = init_merger_params(tiny_set(n=2), variant, d=4, n_blocks=1, heads=2, seed=1)
+        stems = ["proj.lab0.A", "proj.lab0.b", "proj.lab1.A", "proj.lab1.b", "enc.lab0", "enc.lab1"]
+        assert [n for n, _ in fusion.param_items(p)] == stems + block_stems
+        save_merger_params(p, tmp_path / "params")
+        files = sorted(f.name for f in (tmp_path / "params").iterdir())
+        assert files == sorted(["params.json"] + [s + ".tlt" for s in stems + block_stems])
+
+    @pytest.mark.parametrize(
+        "stem, bad_shape",
+        [("block0.mlp.b1", (1,)), ("block0.ln1.gamma", (1,)), ("proj.lab1.A", (6, 3)), ("enc.lab0", (5,))],
+    )
+    def test_wrong_tensor_shape_rejected(self, tmp_path, stem, bad_shape):
+        # a (1,) bias or gamma would broadcast and merge without error
+        p = init_merger_params(tiny_set(n=2), fusion.TLAM, d=6, n_blocks=1, heads=2, seed=2)
+        save_merger_params(p, tmp_path / "params")
+        good = load_tensor(tmp_path / "params" / f"{stem}.tlt").shape
+        save_tensor(tmp_path / "params" / f"{stem}.tlt", np.ones(bad_shape))
+        with pytest.raises(ValueError) as err:
+            load_merger_params(tmp_path / "params")
+        msg = str(err.value)
+        assert f"{stem}.tlt" in msg and str(bad_shape) in msg and str(good) in msg
 
     def test_deterministic_init(self):
         labels = tiny_set(n=2)

@@ -6,7 +6,6 @@ import pytest
 from labelfuse import nn_ops, train_harness
 from labelfuse.nn_ops import (
     AttentionParams,
-    BlockParams,
     attention_mac_counter,
     gelu,
     init_block_params,
@@ -261,30 +260,8 @@ class TestGradients:
         from labelfuse.train_harness import ParamStore, finite_diff_check
 
         heads = 1 if d == 2 else 2
-        rng = Rng(n * 17 + d)
         store = ParamStore()
-        bp_arrays = init_block_params(d, heads, rng)
-        reg = store.add
-        bp = BlockParams(
-            ln1_gamma=reg("ln1.gamma", bp_arrays.ln1_gamma),
-            ln1_beta=reg("ln1.beta", bp_arrays.ln1_beta),
-            attn=AttentionParams(
-                heads=heads,
-                wq=reg("attn.Wq", bp_arrays.attn.wq),
-                wk=reg("attn.Wk", bp_arrays.attn.wk),
-                wv=reg("attn.Wv", bp_arrays.attn.wv),
-                wo=reg("attn.Wo", bp_arrays.attn.wo),
-                bo=reg("attn.bo", bp_arrays.attn.bo),
-            ),
-            ln2_gamma=reg("ln2.gamma", bp_arrays.ln2_gamma),
-            ln2_beta=reg("ln2.beta", bp_arrays.ln2_beta),
-            w1=reg("mlp.W1", bp_arrays.w1),
-            b1=reg("mlp.b1", bp_arrays.b1),
-            w2=reg("mlp.W2", bp_arrays.w2),
-            b2=reg("mlp.b2", bp_arrays.b2),
-        )
-        z = store.add("Z", np.array([[rng.normal() for _ in range(d)] for _ in range(n)]))
-        weights = np.array([[rng.normal() for _ in range(d)] for _ in range(n)])
+        bp, z, weights = train_harness.block_store(store, Rng(n * 17 + d), d, heads, n)
         loss_fn = lambda: tape.mean_all(nn_ops._transformer_block(z, bp) * weights)
         report = finite_diff_check(store, loss_fn, step=1e-5, tol=1e-4)
         assert report.passed, f"N={n} d={d}: max rel err {report.max_rel_err}"

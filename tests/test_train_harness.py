@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from labelfuse import fusion, nn_ops, tape, train_harness as th
 from labelfuse.tape import Var, backward
-from labelfuse.tensor_core import Rng
+from labelfuse.tensor_core import Rng, save_tensor
 
 from oracles import adam_recurrence, gelu_scalar
 
@@ -161,6 +162,18 @@ class TestFiniteDiff:
         assert 0.0 < fail.roundoff == report.max_roundoff
         assert abs(fail.analytic - fail.numeric) > 20 * fail.roundoff
         assert fail.rel_err > 0.3
+
+    def test_subsample_lists_only_checked_params(self):
+        # a 1-element parameter no draw lands on must not read as a pass (0.0)
+        store = th.ParamStore()
+        big = store.add("big", np.random.default_rng(0).standard_normal(20_001))
+        small = store.add("small", np.array([0.7]))
+        w = np.random.default_rng(1).standard_normal(20_001)
+        report = th.finite_diff_check(
+            store, lambda: tape.sum_all(big * w) + tape.sum_all(small * 3.0), corrupt_scale=0.5
+        )
+        assert set(report.per_param_max) == {"big"}
+        assert report.per_param_max["big"] == pytest.approx(0.2)
 
     def test_corruption_detected_at_pinned_d2_block(self):
         # the N=2, d=2, one-head block of the pinned-size gradient test, where
@@ -329,6 +342,15 @@ class TestEndToEndGradcheck:
             store, lambda: th.adv_g_loss_graph(labels, target, merger, heads, 10.0)
         )
         assert report.passed, report.max_rel_err
+
+
+@pytest.mark.parametrize("stem, bad_shape", [("gen.b1", (1,)), ("disc.W1", (6, 5))])
+def test_head_params_wrong_shape_rejected(tmp_path, stem, bad_shape):
+    # the widths are read off gen.W1 (d=4, d_g=6) and disc.W1 (d_c=5)
+    th.save_head_params(heads_with_disc(seed=9), tmp_path / "heads")
+    save_tensor(tmp_path / "heads" / f"{stem}.tlt", np.ones(bad_shape))
+    with pytest.raises(ValueError, match=re.escape(f"{stem}.tlt has shape {bad_shape}")):
+        th.load_head_params(tmp_path / "heads")
 
 
 def test_head_params_serialization_roundtrip(tmp_path):
