@@ -12,10 +12,12 @@ Three variants produce a per-pixel fused representation from a label set:
 * ``naive_concat``: plain channel concatenation in label order.
 
 Merging is embarrassingly parallel over pixels: attention never crosses
-pixels, so any row split of the grid gives bit-identical results.  One tiler
-serves every caller that splits a grid, merging and training alike:
-``row_spans`` cuts the rows, ``masked_rows`` slices the masked inputs of a
-span and ``map_spans`` runs spans on a thread pool in span order.
+pixels.  One tiling rule serves every caller that splits a grid, merging and
+training alike: ``row_spans`` cuts the rows into tiles of at most
+``TILE_PIXELS`` pixels (at least one row each), ``masked_rows`` slices the
+masked inputs of a tile and ``map_spans`` runs tiles on a thread pool in tile
+order.  The tiles depend only on the grid, never on the thread count, so
+results do not depend on the thread count either.
 
 ``map_params`` walks every tensor of a ``MergerParams`` under its canonical
 name (``proj.<label>.A``, ``enc.<label>``, ``block<m>.`` plus the block's
@@ -133,8 +135,7 @@ def init_merger_params(
     p = MergerParams(variant=variant, d=d, heads=heads)
     if variant == NAIVE:
         return p
-    if d % heads != 0:
-        raise ValueError(f"embedding width {d} not divisible by {heads} heads")
+    nn_ops._head_width({"d": d, "heads": heads})
     for name, c in spec:
         p.projections[name] = init_tensors(blank(LabelProjection, d=d, c=c), rng)
     for name, _ in spec:
@@ -174,11 +175,18 @@ def _bind_check(s: LabelSet, p: MergerParams) -> None:
             raise ValueError(f"merger params have no stack for label {lab.name!r}")
 
 
-def row_spans(h: int, chunks: int) -> list[tuple[int, int]]:
-    """Rows [0, h) cut into at most ``chunks`` non-empty, near-equal spans."""
-    chunks = max(1, min(int(chunks), h))
-    bounds = [round(i * h / chunks) for i in range(chunks + 1)]
-    return [(bounds[i], bounds[i + 1]) for i in range(chunks) if bounds[i] < bounds[i + 1]]
+# Pixels per merge or training tile.  It bounds one tile's intermediates:
+# about 90 KB per pixel at N=5, d=96, so ~90 MB a tile whatever the grid.
+# Not smaller: at 512 the allocator trimmed the heap after each small merge
+# and faulted it back in on the next (15k minor faults a 256-pixel merge).
+TILE_PIXELS = 1024
+
+
+def row_spans(h: int, w: int) -> list[tuple[int, int]]:
+    """Rows [0, h) of an h x w grid cut, in order, into spans of
+    ``max(1, TILE_PIXELS // w)`` rows (the last may be shorter)."""
+    rows = max(1, TILE_PIXELS // w)
+    return [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
 
 
 def masked_rows(s: LabelSet, r0: int, r1: int) -> list[np.ndarray]:
@@ -237,8 +245,11 @@ def clam_graph(xs: list[Var], names: list[str], p: MergerParams) -> Var:
     return _token_average(tape.stack(out, axis=1))
 
 
-def _run_chunked(s: LabelSet, p: MergerParams, graph, threads: int, chunks: int | None) -> np.ndarray:
-    threads = max(1, int(threads))
+def _run_tiled(s: LabelSet, p: MergerParams, variant: str, threads: int) -> np.ndarray:
+    if p.variant != variant:
+        raise ValueError(f"params are for variant {p.variant!r}, expected {variant!r}")
+    _bind_check(s, p)
+    graph = tlam_graph if variant == TLAM else clam_graph
     names = [lab.name for lab in s]
     lifted = map_params(p, lambda _name, t: tape.as_var(t))
     out = np.empty((s.height, s.width, p.d), dtype=np.float64)
@@ -248,27 +259,21 @@ def _run_chunked(s: LabelSet, p: MergerParams, graph, threads: int, chunks: int 
             z = graph([Var(x) for x in masked_rows(s, r0, r1)], names, lifted).value
         out[r0:r1] = z.reshape(r1 - r0, s.width, p.d)
 
-    map_spans(tile, row_spans(s.height, threads if chunks is None else chunks), threads)
+    map_spans(tile, row_spans(s.height, s.width), threads)
     if not np.isfinite(out).all():
         raise FloatingPointError("merge produced non-finite values")
     return out
 
 
-def tlam_merge(s: LabelSet, p: MergerParams, threads: int = 1, chunks: int | None = None) -> np.ndarray:
+def tlam_merge(s: LabelSet, p: MergerParams, threads: int = 1) -> np.ndarray:
     """Transformer label merging; returns the H x W x d concept tensor."""
-    if p.variant != TLAM:
-        raise ValueError(f"params are for variant {p.variant!r}, expected {TLAM!r}")
-    _bind_check(s, p)
     nn_ops.attention_mac_counter.reset()
-    return _run_chunked(s, p, tlam_graph, threads, chunks)
+    return _run_tiled(s, p, TLAM, threads)
 
 
-def clam_merge(s: LabelSet, p: MergerParams, threads: int = 1, chunks: int | None = None) -> np.ndarray:
+def clam_merge(s: LabelSet, p: MergerParams, threads: int = 1) -> np.ndarray:
     """Stacked per-label affine+GeLU merging; returns H x W x d."""
-    if p.variant != CLAM:
-        raise ValueError(f"params are for variant {p.variant!r}, expected {CLAM!r}")
-    _bind_check(s, p)
-    return _run_chunked(s, p, clam_graph, threads, chunks)
+    return _run_tiled(s, p, CLAM, threads)
 
 
 def naive_concat(s: LabelSet) -> np.ndarray:
@@ -282,9 +287,7 @@ def naive_concat(s: LabelSet) -> np.ndarray:
 
 def count_attention_macs(n_labels: int, d: int, h: int, l: int, pixels: int) -> int:
     """Exact multiply-accumulate count of the QK^T and A*V attention products."""
-    if d % h != 0:
-        raise ValueError(f"width {d} not divisible by {h} heads")
-    return pixels * l * h * 2 * n_labels * n_labels * (d // h)
+    return pixels * l * h * 2 * n_labels * n_labels * nn_ops._head_width({"d": d, "heads": h})
 
 
 def _raw(t) -> np.ndarray:

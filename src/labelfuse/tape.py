@@ -363,10 +363,13 @@ class Tape:
         return cls(order)
 
     def backward_from(self, root: Var) -> None:
+        """Accumulate d root / d node into every leaf.  An interior node's
+        gradient is dropped once it has gone to the node's parents."""
         root.accumulate(np.ones_like(root.value))
         for node in reversed(self.nodes):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
 
 def backward(loss: Var) -> Tape:

@@ -83,13 +83,21 @@ def write_tensor(t: np.ndarray, dest: BinaryIO) -> int:
     return written
 
 
+# Largest single read: a header that claims more payload than the stream
+# holds fails when the stream runs out, not by allocating the claimed size.
+_READ_PIECE = 1 << 24
+
+
 def _read_exact(src: BinaryIO, n: int, field: str) -> bytes:
-    data = src.read(n)
-    if len(data) != n:
+    pieces, got = [], 0
+    while got < n and (piece := src.read(min(n - got, _READ_PIECE))):
+        pieces.append(piece)
+        got += len(piece)
+    if got != n:
         raise TensorFormatError(
-            f"truncated stream while reading {field}: wanted {n} bytes, got {len(data)}"
+            f"truncated stream while reading {field}: wanted {n} bytes, got {got}"
         )
-    return data
+    return b"".join(pieces)
 
 
 def read_tensor(src: BinaryIO) -> np.ndarray:

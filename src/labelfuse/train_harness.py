@@ -49,15 +49,6 @@ class ParamStore:
     def var(self, name: str) -> Var:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def total_size(self) -> int:
-        return sum(v.value.size for v in self._params.values())
-
     def zero_grad(self) -> None:
         for v in self._params.values():
             v.grad = None
@@ -68,9 +59,6 @@ class ParamStore:
             name: (v.grad if v.grad is not None else np.zeros_like(v.value))
             for name, v in self._params.items()
         }
-
-    def values(self) -> dict[str, np.ndarray]:
-        return {name: v.value for name, v in self._params.items()}
 
 
 def lift_merger_params(p: MergerParams, register) -> MergerParams:
@@ -353,7 +341,7 @@ class ToyTrainConfig:
     lr_g: float = 1e-4
     lr_d: float = 4e-4
     l2_weight: float = 10.0  # stabilizer added to the adversarial generator loss
-    threads: int = 1
+    threads: int = 1  # schedules row tiles only; results do not depend on it
     eval_sparsities: tuple = (0.0, 0.3, 0.5, 0.7)
     eval_repeats: int = 8
 
@@ -374,42 +362,41 @@ def l2_loss_graph(masked: LabelSet, target: np.ndarray, merger: MergerParams, he
     return l2_loss(img, t)
 
 
-def _chunked_l2_grads(masked, target, merger_arrays, heads_arrays, threads):
-    """Forward/backward per row chunk with per-chunk gradient buffers, reduced
-    in ascending chunk order (so parallel runs are reproducible)."""
+def tiled_l2_grads(masked, target, merger_arrays, heads_arrays, threads: int = 1):
+    """The l2 loss and its gradients, by row tile (``fusion.row_spans``).
+
+    Each tile has its own leaves and may run on its own thread; tile losses
+    and gradients are weighted by the tile's share of rows and summed in
+    ascending tile order, so nothing depends on ``threads``.  A tile's graph
+    is dropped once its gradients are taken, except the last one to finish:
+    returns ``(loss, grads, last_tile_loss)``.
+    """
     h = masked.height
-    spans = fusion.row_spans(h, threads)
-    weights = [(r1 - r0) / h for r0, r1 in spans]
+    spans = fusion.row_spans(h, masked.width)
+    last = [None]
 
     def run(r0, r1):
         leaves: dict[str, Var] = {}
-
-        def register(name, arr):
-            leaves[name] = Var(arr)
-            return leaves[name]
-
+        register = lambda name, arr: leaves.setdefault(name, Var(arr))
         merger = lift_merger_params(merger_arrays, register)
         heads = lift_head_params(heads_arrays, register)
         loss = l2_loss_graph(masked, target, merger, heads, r0, r1)
         backward(loss)
-        return float(loss.value), {n: v.grad for n, v in leaves.items()}
-
-    results = fusion.map_spans(run, spans, threads)
+        last[0] = loss
+        return float(loss.value), {n: v.grad for n, v in leaves.items() if v.grad is not None}
 
     total = 0.0
     grads: dict[str, np.ndarray] = {}
-    for w, (value, chunk_grads) in zip(weights, results):
+    for (r0, r1), (value, tile_grads) in zip(spans, fusion.map_spans(run, spans, threads)):
+        w = (r1 - r0) / h
         total += w * value
-        for n, g in chunk_grads.items():
-            if g is None:
-                continue
-            if n in grads:
-                grads[n] += w * g
-            else:
-                grads[n] = w * g
-    return total, grads
+        for n, g in tile_grads.items():
+            grads[n] = grads[n] + w * g if n in grads else w * g
+    return total, grads, last[0]
 
 
+# The adversarial losses stay whole-grid: the hinge acts on the discriminator's
+# mean score over all pixels, which does not split into a sum over tiles.
 def adv_d_loss_graph(masked, target, merger, heads) -> Var:
     z = _merge_graph(masked, merger, 0, masked.height)
     fake = generate_graph(z, heads)
@@ -427,11 +414,11 @@ def adv_g_loss_graph(masked, target, merger, heads, l2_weight) -> Var:
     return hinge_g_loss(fake_score) + l2_weight * l2_loss(fake, t)
 
 
-def _eval_l2(labels, inst, target, merger, heads, sparsity, seeds) -> float:
+def _eval_l2(labels, inst, target, merger, heads, sparsity, seeds, threads) -> float:
     vals = []
     for seed in seeds:
         masked = apply_masks(labels, generate_sparse_masks(inst, labels, sparsity, seed))
-        z = fusion.tlam_merge(masked, merger)
+        z = fusion.tlam_merge(masked, merger, threads)
         img = forward_generate(z, heads)
         vals.append(l2_loss(img, target.astype(np.float64)))
     return float(np.mean(vals))
@@ -489,13 +476,9 @@ def train_toy_with_params(cfg: ToyTrainConfig):
         mseed = mask_rng.next_u64()
         masked = apply_masks(labels, generate_sparse_masks(inst, labels, cfg.sparsity, mseed))
         if cfg.mode == "l2":
-            if cfg.threads > 1:
-                value, grads = _chunked_l2_grads(masked, target64, merger, heads, cfg.threads)
-            else:
-                store.zero_grad()
-                loss = l2_loss_graph(masked, target64, merger, heads)
-                backward(loss)
-                value, grads = float(loss.value), store.grads()
+            # ``held`` (one tile's graph) is rebound only once the next step's
+            # graphs exist, so the heap is not trimmed and faulted back in
+            value, grads, held = tiled_l2_grads(masked, target64, merger, heads, cfg.threads)
             adam_step(opt, grads)
         else:
             store.zero_grad()
@@ -519,13 +502,13 @@ def train_toy_with_params(cfg: ToyTrainConfig):
             for s in cfg.eval_sparsities
         }
         evals = {
-            f"s{s:.1f}": _eval_l2(labels, inst, target64, merger, heads, s, eval_seeds[s])
+            f"s{s:.1f}": _eval_l2(labels, inst, target64, merger, heads, s, eval_seeds[s], cfg.threads)
             for s in cfg.eval_sparsities
         }
         ablation = {}
         for lab in labels:
             dropped = mask_out_label(labels, lab.name)
-            z = fusion.tlam_merge(dropped, merger)
+            z = fusion.tlam_merge(dropped, merger, cfg.threads)
             img = forward_generate(z, heads)
             ablation[lab.name] = l2_loss(img, target64)
     else:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from labelfuse import fusion
 from labelfuse.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from labelfuse.tensor_core import load_tensor, save_tensor
 
@@ -73,6 +74,29 @@ class TestMerge:
                        "--params", str(params), "--variant", "tlam",
                        "--out", str(out), "--threads", "1") == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_output_independent_of_threads(self, tmp_path):
+        scene = tmp_path / "wide"
+        assert run("synth-scene", "--size", f"{fusion.TILE_PIXELS // 8 + 8}x8", "--regions", "3",
+                   "--seed", "9", "--out-dir", str(scene)) == EXIT_OK
+        assert run("init-params", "--manifest", str(scene / "manifest.json"),
+                   "--variant", "tlam", "--d", "8", "--blocks", "1", "--heads", "2",
+                   "--out", str(tmp_path / "p")) == EXIT_OK
+        a, b = tmp_path / "a.tlt", tmp_path / "b.tlt"
+        for out, threads in ((a, "1"), (b, "2")):
+            assert run("merge", "--manifest", str(scene / "manifest.json"),
+                       "--params", str(tmp_path / "p"), "--variant", "tlam",
+                       "--out", str(out), "--threads", threads) == EXIT_OK
+        assert len(fusion.row_spans(*load_tensor(a).shape[:2])) >= 2
+        assert a.read_bytes() == b.read_bytes()
+
+
+class TestInitParams:
+    def test_zero_heads_exits_1(self, tmp_path, scene, capsys):
+        code = run("init-params", "--manifest", str(scene / "manifest.json"),
+                   "--heads", "0", "--out", str(tmp_path / "p"))
+        assert code == EXIT_USAGE
+        assert "0 heads" in capsys.readouterr().err
 
 
 class TestSparsify:
@@ -165,8 +189,22 @@ class TestBench:
         assert "MAC ratio 2.0" in out
         assert "min" in out and "median" in out
 
+    def test_bench_labels_attention_macs(self, capsys):
+        assert run("bench", "--labels", "2", "--size", "4x4", "--d", "4",
+                   "--blocks", "1", "--heads", "1", "--repeat", "1",
+                   "--threads", "1") == EXIT_OK
+        out = capsys.readouterr().out
+        assert "attention MACs: " in out and "attention MACs/sec: " in out
+
 
 class TestVisualize:
+    def test_oversized_header_exits_1(self, tmp_path, capsys):
+        concept = tmp_path / "huge.tlt"
+        concept.write_bytes(b"TLT1\x03" + b"\xff\xff\x00\x00" * 3 + b"\x01" + b"\0" * 5)
+        code = run("visualize", "--concept", str(concept), "--out", str(tmp_path / "z.ppm"))
+        assert code == EXIT_USAGE
+        assert "truncated" in capsys.readouterr().err
+
     def test_roundtrip_dims(self, tmp_path, scene, params):
         z = tmp_path / "z.tlt"
         run("merge", "--manifest", str(scene / "manifest.json"), "--params", str(params),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from labelfuse import fusion, nn_ops
+from labelfuse import fusion, nn_ops, tape
 from labelfuse.fusion import (
     clam_merge,
     count_attention_macs,
@@ -149,18 +149,45 @@ class TestTlamMerge:
             tlam_merge(labels, p)
 
     def test_chunked_parallel_matches_sequential_bitwise(self):
-        labels = tiny_set(h=8, w=8, seed=11, sparsity=0.3)
-        p = init_merger_params(labels, fusion.TLAM, d=8, n_blocks=2, heads=2, seed=12)
-        seq = tlam_merge(labels, p, threads=1, chunks=4)
-        par = tlam_merge(labels, p, threads=4, chunks=4)
-        assert seq.tobytes() == par.tobytes()
+        h, w = 2 * fusion.TILE_PIXELS // 8 + 3, 8
+        assert len(fusion.row_spans(h, w)) >= 2
+        labels = tiny_set(h=h, w=w, seed=11, sparsity=0.3)
+        for variant, merge in ((fusion.TLAM, tlam_merge), (fusion.CLAM, clam_merge)):
+            p = init_merger_params(labels, variant, d=8, n_blocks=2, heads=2, seed=12)
+            seq = merge(labels, p, threads=1)
+            par = merge(labels, p, threads=4)
+            assert seq.tobytes() == par.tobytes()
 
     def test_chunking_matches_full_batch(self):
-        labels = tiny_set(h=8, w=8, seed=13, sparsity=0.3)
+        h, w = fusion.TILE_PIXELS // 8 + 5, 8
+        assert len(fusion.row_spans(h, w)) >= 2
+        labels = tiny_set(h=h, w=w, seed=13, sparsity=0.3)
         p = init_merger_params(labels, fusion.TLAM, d=8, n_blocks=1, heads=2, seed=14)
-        full = tlam_merge(labels, p)
-        chunked = tlam_merge(labels, p, threads=1, chunks=5)
-        assert np.abs(full - chunked).max() <= 1e-12
+        lifted = fusion.map_params(p, lambda _name, t: tape.as_var(t))
+        xs = [tape.Var(x) for x in fusion.masked_rows(labels, 0, h)]
+        with tape.no_grad():
+            full = fusion.tlam_graph(xs, [lab.name for lab in labels], lifted).value
+        tiled = tlam_merge(labels, p)
+        assert np.abs(full.reshape(h, w, 8) - tiled).max() <= 1e-12
+
+
+class TestRowSpans:
+    @pytest.mark.parametrize(
+        "h,w",
+        [(1, 1), (4, 4), (7, 5), (64, 8), (65, 8), (100, 8), (300, 3),
+         (3, fusion.TILE_PIXELS), (3, fusion.TILE_PIXELS + 1), (2, 3 * fusion.TILE_PIXELS)],
+    )
+    def test_cover_rows_in_order_within_budget(self, h, w):
+        spans = fusion.row_spans(h, w)
+        assert spans[0][0] == 0 and spans[-1][1] == h
+        assert all(a1 == b0 for (_, a1), (b0, _) in zip(spans, spans[1:]))
+        assert all(0 < (r1 - r0) * w <= max(fusion.TILE_PIXELS, w) for r0, r1 in spans)
+
+    def test_small_grid_is_one_tile(self):
+        assert fusion.row_spans(7, 5) == [(0, 7)]
+
+    def test_wide_grid_gets_one_row_per_tile(self):
+        assert fusion.row_spans(3, fusion.TILE_PIXELS + 1) == [(0, 1), (1, 2), (2, 3)]
 
 
 class TestClamAndNaive:
@@ -243,6 +270,13 @@ class TestMacCounting:
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             count_attention_macs(2, 7, 2, 1, 4)
+
+    def test_zero_heads_rejected(self):
+        with pytest.raises(ValueError, match="0 heads"):
+            count_attention_macs(2, 8, 0, 1, 4)
+        for variant in (fusion.TLAM, fusion.CLAM):
+            with pytest.raises(ValueError, match="0 heads"):
+                init_merger_params(tiny_set(), variant, d=8, n_blocks=1, heads=0)
 
 
 class TestParamsSerialization:

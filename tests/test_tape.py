@@ -44,6 +44,16 @@ class TestBackwardBasics:
         t.backward_from(loss)
         assert x.grad == 8.0  # d(2x^2)/dx
 
+    def test_only_leaves_keep_grads(self):
+        x, w = Var(np.array([1.0, -2.0])), Var(np.array([3.0, 0.5]))
+        y = tape.gelu(x * w)
+        loss = tape.sum_all(y + x)
+        t = backward(loss)
+        assert x.grad is not None and w.grad is not None
+        interior = [node for node in t.nodes if node._backward is not None]
+        assert y in interior and loss in interior
+        assert all(node.grad is None for node in interior)
+
     def test_fresh_graphs_accumulate_on_shared_leaves(self):
         x = Var(np.array(1.0))
         backward(x * 3.0)

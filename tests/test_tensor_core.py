@@ -1,5 +1,6 @@
 import io
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelfuse.tensor_core import (
+    MAGIC,
     Rng,
     TensorFormatError,
     check_tensor,
@@ -82,6 +84,32 @@ class TestFormat:
         # keep the header claiming 10 elements but only 5 elements of payload
         with pytest.raises(TensorFormatError, match="payload"):
             read_tensor(io.BytesIO(data[: 4 + 1 + 4 + 1 + 5 * 4]))
+
+    def test_oversized_dims_claim_rejected_without_allocating(self, tmp_path):
+        # 23 bytes whose header claims 65535^3 float64 elements (~2 PB)
+        path = tmp_path / "huge.tlt"
+        path.write_bytes(MAGIC + bytes([3]) + struct.pack("<3I", 65535, 65535, 65535) + bytes([1]) + b"\0" * 5)
+        assert path.stat().st_size == 23
+        with pytest.raises(TensorFormatError, match="payload"):
+            load_tensor(path)
+
+    @given(
+        rest=st.binary(max_size=64)
+        | st.builds(
+            lambda dims, tag, tail: bytes([len(dims)]) + struct.pack(f"<{len(dims)}I", *dims) + bytes([tag]) + tail,
+            st.lists(st.integers(0, 4) | st.integers(0, 2 ** 32 - 1), min_size=1, max_size=4),
+            st.integers(0, 3),
+            st.binary(max_size=64),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_after_magic_gives_tensor_or_format_error(self, rest):
+        # a buffered reader, as for a file: it allocates what a read asks for
+        try:
+            t = read_tensor(io.BufferedReader(io.BytesIO(MAGIC + rest)))
+        except TensorFormatError:
+            return
+        assert isinstance(t, np.ndarray) and t.size >= 1
 
     def test_unknown_dtype_tag(self):
         buf = io.BytesIO()

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from labelfuse import fusion, nn_ops, tape, train_harness as th
+from labelfuse import fusion, label_model, nn_ops, tape, train_harness as th
 from labelfuse.tape import Var, backward
 from labelfuse.tensor_core import Rng, save_tensor
 
@@ -282,11 +282,35 @@ class TestTrainToy:
         assert report["loss"][-1] < report["loss"][0]
 
     def test_parallel_mode_matches_within_tolerance(self):
-        a = th.train_toy(self.small_cfg(iters=12, threads=1))
-        b = th.train_toy(self.small_cfg(iters=12, threads=3))
-        la, lb = np.array(a["loss"]), np.array(b["loss"])
-        rel = np.abs(la - lb) / np.maximum(np.abs(la), 1e-12)
-        assert rel.max() <= 1e-5
+        h, w = fusion.TILE_PIXELS // 8 + 8, 8
+        assert len(fusion.row_spans(h, w)) >= 2
+        a = th.train_toy(self.small_cfg(iters=12, threads=1, height=h, width=w))
+        b = th.train_toy(self.small_cfg(iters=12, threads=3, height=h, width=w))
+        assert a["loss"] == b["loss"]
+        assert a["eval"] == b["eval"] and a["per_label_ablation"] == b["per_label_ablation"]
+
+    def test_tiled_l2_grads_match_whole_grid(self):
+        h, w = fusion.TILE_PIXELS // 8 + 8, 8
+        assert len(fusion.row_spans(h, w)) >= 2
+        labels, inst, target = label_model.synth_scene(h, w, 3, 5)
+        masked = label_model.apply_masks(labels, label_model.generate_sparse_masks(inst, labels, 0.5, 6))
+        target = target.astype(np.float64)
+        rng = Rng(7)
+        merger0 = fusion.init_merger_params(masked, fusion.TLAM, d=8, n_blocks=1, heads=2, rng=rng)
+        heads0 = th.init_head_params(8, rng, d_g=8)
+        value, grads, held = th.tiled_l2_grads(masked, target, merger0, heads0, threads=2)
+        # only one tile's graph outlives the step
+        assert max(n.value.shape[0] for n in tape.Tape.from_root(held).nodes if n.value.ndim) <= fusion.TILE_PIXELS
+        store = th.ParamStore()
+        merger = th.lift_merger_params(merger0, store.add)
+        heads = th.lift_head_params(heads0, store.add)
+        loss = th.l2_loss_graph(masked, target, merger, heads)
+        backward(loss)
+        assert abs(value - float(loss.value)) <= 1e-12
+        whole = store.grads()
+        assert sorted(grads) == sorted(whole)
+        for name, g in whole.items():
+            assert np.abs(grads[name] - g).max() <= 1e-12, name
 
     def test_parallel_mode_deterministic(self):
         a = th.train_toy(self.small_cfg(iters=6, threads=3))
