@@ -97,21 +97,19 @@ def validate_label_set(s: LabelSet) -> None:
     """Raise ValueError unless all LabelSet invariants hold."""
     if len(s.labels) == 0:
         raise ValueError("label set is empty (need N >= 1 labels)")
-    h, w = s.labels[0].values.shape[:2]
+    dims = s.labels[0].values.shape[:2]  # a tuple: rank is checked per label below
     seen: set[str] = set()
     for lab in s.labels:
         if lab.kind not in (DISCRETE, CONTINUOUS):
             raise ValueError(f"label {lab.name!r}: unknown kind {lab.kind!r}")
         if lab.values.ndim != 3:
             raise ValueError(f"label {lab.name!r}: values must be rank 3")
-        if lab.values.shape[:2] != (h, w):
+        if lab.values.shape[:2] != dims:
             raise ValueError(
-                f"label {lab.name!r}: dims {lab.values.shape[:2]} differ from ({h}, {w})"
+                f"label {lab.name!r}: dims {lab.values.shape[:2]} differ from {dims}"
             )
-        if lab.mask.shape != (h, w):
-            raise ValueError(
-                f"label {lab.name!r}: mask dims {lab.mask.shape} differ from ({h}, {w})"
-            )
+        if lab.mask.shape != dims:
+            raise ValueError(f"label {lab.name!r}: mask dims {lab.mask.shape} differ from {dims}")
         if lab.name in seen:
             raise ValueError(f"duplicate label name {lab.name!r}")
         seen.add(lab.name)
@@ -310,12 +308,38 @@ def save_label_set(s: LabelSet, manifest_path) -> None:
         f.write("\n")
 
 
+def _manifest_entries(doc) -> list[dict]:
+    """The label entries of a parsed manifest, after checking its structure:
+    an object with integer ``height`` and ``width`` and a ``labels`` list of
+    objects whose ``name``, ``kind``, ``values`` and ``mask`` are strings."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"manifest must be a JSON object, not {type(doc).__name__}")
+    for key in ("height", "width"):
+        if type(doc.get(key)) is not int:
+            raise ValueError(f"manifest {key!r} must be an integer")
+    entries = doc.get("labels")
+    if not isinstance(entries, list):
+        raise ValueError("manifest 'labels' must be a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"manifest label {i} must be an object")
+        for key in ("name", "kind", "values", "mask"):
+            if not isinstance(entry.get(key), str):
+                raise ValueError(f"manifest label {i}: {key!r} must be a string")
+    return entries
+
+
 def load_label_set(manifest_path) -> LabelSet:
+    """Read a manifest written by ``save_label_set``; any malformed manifest
+    or tensor raises ValueError (or OSError for a missing file)."""
     with open(manifest_path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except RecursionError:
+            raise ValueError("manifest JSON nests too deeply") from None
     base = os.path.dirname(os.path.abspath(manifest_path))
     labels = []
-    for entry in doc["labels"]:
+    for entry in _manifest_entries(doc):
         values = load_tensor(os.path.join(base, entry["values"]))
         mask = load_tensor(os.path.join(base, entry["mask"]))
         labels.append(

@@ -19,6 +19,7 @@ and the shapes live only in the field declarations.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -30,18 +31,24 @@ LN_EPS = 1e-5
 
 
 class MacCounter:
-    """Running count of attention multiply-accumulates (QK^T and A*V only)."""
+    """Running count of attention multiply-accumulates (QK^T and A*V only).
 
-    __slots__ = ("count",)
+    Merge tiles add to it from worker threads, so ``add`` holds a lock: an
+    unguarded ``+=`` can lose an update between its read and its write."""
+
+    __slots__ = ("count", "_lock")
 
     def __init__(self):
         self.count = 0
+        self._lock = threading.Lock()
 
     def reset(self) -> None:
-        self.count = 0
+        with self._lock:
+            self.count = 0
 
     def add(self, n: int) -> None:
-        self.count += n
+        with self._lock:
+            self.count += n
 
 
 attention_mac_counter = MacCounter()

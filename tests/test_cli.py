@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelfuse import fusion
 from labelfuse.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -29,6 +33,62 @@ def params(tmp_path, scene):
                "--variant", "tlam", "--d", "12", "--blocks", "1", "--heads", "2",
                "--seed", "5", "--out", str(out)) == EXIT_OK
     return out
+
+
+@pytest.fixture
+def wide_scene(tmp_path):
+    """A scene of two merge tiles and tlam params for it."""
+    scene = tmp_path / "wide"
+    assert run("synth-scene", "--size", f"{fusion.TILE_PIXELS // 8 + 8}x8", "--regions", "3",
+               "--seed", "9", "--out-dir", str(scene)) == EXIT_OK
+    assert run("init-params", "--manifest", str(scene / "manifest.json"),
+               "--variant", "tlam", "--d", "8", "--blocks", "1", "--heads", "2",
+               "--out", str(tmp_path / "p")) == EXIT_OK
+    return scene, tmp_path / "p"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A synthetic scene whose tensor files the fuzzed manifests may name."""
+    out = tmp_path_factory.mktemp("fuzz")
+    assert run("synth-scene", "--size", "4x4", "--regions", "2", "--seed", "3",
+               "--out-dir", str(out)) == EXIT_OK
+    return out
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 10) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_files = st.sampled_from([
+    "depth.values.tlt", "depth.mask.tlt", "normals.values.tlt", "semantics.mask.tlt",
+    "instances.tlt", "target.tlt", "manifest.json", "missing.tlt", ".", "",
+])
+_scene_entries = [
+    {"name": name, "kind": kind, "channels": c, "values": f"{name}.values.tlt", "mask": f"{name}.mask.tlt"}
+    for name, kind, c in (("semantics", "discrete", 2), ("depth", "continuous", 1), ("normals", "continuous", 3))
+]
+
+
+@st.composite
+def _manifest_docs(draw):
+    """Any JSON, or a manifest of the fuzz scene with up to two of its parts
+    replaced by other JSON or another file name, or dropped."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_json)
+    entries = [dict(e) for e in draw(st.lists(st.sampled_from(_scene_entries), min_size=1, max_size=3,
+                                              unique_by=lambda e: e["name"]))]
+    doc = {"height": 4, "width": 4, "labels": entries}
+    parts = [(doc, key) for key in doc] + [(e, key) for e in entries for key in e]
+    for i, value in draw(st.lists(st.tuples(st.integers(0, len(parts) - 1), st.none() | _files | _json),
+                                  max_size=2)):
+        obj, key = parts[i]
+        if value is None:
+            obj.pop(key, None)
+        else:
+            obj[key] = value
+    return doc
 
 
 class TestMerge:
@@ -67,28 +127,51 @@ class TestMerge:
         assert code == EXIT_USAGE
         assert "block0.mlp.b1.tlt" in capsys.readouterr().err
 
-    def test_threads_reproducible(self, tmp_path, scene, params):
+    def test_threads_reproducible(self, tmp_path, wide_scene):
+        scene, params = wide_scene
         a, b = tmp_path / "a.tlt", tmp_path / "b.tlt"
         for out in (a, b):
             assert run("merge", "--manifest", str(scene / "manifest.json"),
                        "--params", str(params), "--variant", "tlam",
-                       "--out", str(out), "--threads", "1") == EXIT_OK
+                       "--out", str(out), "--threads", "2") == EXIT_OK
+        assert len(fusion.row_spans(*load_tensor(a).shape[:2])) >= 2
         assert a.read_bytes() == b.read_bytes()
 
-    def test_output_independent_of_threads(self, tmp_path):
-        scene = tmp_path / "wide"
-        assert run("synth-scene", "--size", f"{fusion.TILE_PIXELS // 8 + 8}x8", "--regions", "3",
-                   "--seed", "9", "--out-dir", str(scene)) == EXIT_OK
-        assert run("init-params", "--manifest", str(scene / "manifest.json"),
-                   "--variant", "tlam", "--d", "8", "--blocks", "1", "--heads", "2",
-                   "--out", str(tmp_path / "p")) == EXIT_OK
+    def test_output_independent_of_threads(self, tmp_path, wide_scene):
+        scene, params = wide_scene
         a, b = tmp_path / "a.tlt", tmp_path / "b.tlt"
         for out, threads in ((a, "1"), (b, "2")):
             assert run("merge", "--manifest", str(scene / "manifest.json"),
-                       "--params", str(tmp_path / "p"), "--variant", "tlam",
+                       "--params", str(params), "--variant", "tlam",
                        "--out", str(out), "--threads", threads) == EXIT_OK
         assert len(fusion.row_spans(*load_tensor(a).shape[:2])) >= 2
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestManifestInput:
+    @pytest.mark.parametrize(
+        "doc",
+        [[1], {"labels": 5, "height": 8, "width": 8}, {"labels": [7], "height": 8, "width": 8}],
+    )
+    def test_malformed_manifest_exits_1(self, tmp_path, doc, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        code = run("merge", "--manifest", str(manifest), "--variant", "naive",
+                   "--out", str(tmp_path / "z.tlt"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: manifest")
+
+    @given(doc=_manifest_docs())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzz_any_json_exits_0_or_1(self, fuzz_dir, doc):
+        manifest = fuzz_dir / "fuzz.json"
+        manifest.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run("merge", "--manifest", str(manifest), "--variant", "naive",
+                       "--out", str(fuzz_dir / "z.tlt"))
+        assert code in (EXIT_OK, EXIT_USAGE)
+        assert (code == EXIT_USAGE) == err.getvalue().startswith("error: ")
 
 
 class TestInitParams:

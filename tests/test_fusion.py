@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,23 @@ class TestMacCounting:
             assert nn_ops.attention_mac_counter.count == count_attention_macs(
                 n, d, heads, blocks, h * w
             )
+
+    def test_counter_exact_with_worker_threads(self):
+        # four workers over eight tiles with frequent thread switches: a lost
+        # counter update would show as a short count
+        h, w = 8 * (fusion.TILE_PIXELS // 8), 8
+        assert len(fusion.row_spans(h, w)) >= 4
+        labels = tiny_set(h=h, w=w, seed=15, n=2)
+        p = init_merger_params(labels, fusion.TLAM, d=4, n_blocks=2, heads=2, seed=16)
+        expect = count_attention_macs(2, 4, 2, 2, h * w)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                tlam_merge(labels, p, threads=4)
+                assert nn_ops.attention_mac_counter.count == expect
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_l0_counts_zero(self):
         labels = tiny_set()

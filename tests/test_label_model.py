@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,37 @@ class TestManifest:
             assert a.kind == b.kind
             assert a.values.tobytes() == b.values.tobytes()
             assert np.array_equal(a.mask, b.mask)
+
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ([1], "JSON object"),
+            ({"height": 8, "width": 8}, "'labels' must be a list"),
+            ({"labels": 5, "height": 8, "width": 8}, "'labels' must be a list"),
+            ({"labels": [7], "height": 8, "width": 8}, "label 0 must be an object"),
+            ({"labels": [{"name": "a", "kind": "discrete", "values": 3, "mask": "m"}],
+              "height": 8, "width": 8}, "'values' must be a string"),
+            ({"labels": [], "width": 8}, "'height' must be an integer"),
+            ({"labels": [], "height": 8, "width": True}, "'width' must be an integer"),
+        ],
+    )
+    def test_malformed_manifest_rejected(self, tmp_path, doc, match):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            load_label_set(manifest)
+
+    def test_deeply_nested_manifest_rejected(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError, match="nests too deeply"):
+            load_label_set(manifest)
+
+    def test_low_rank_values_rejected(self):
+        lab = make_label("depth", "continuous", np.zeros((8, 8, 1)))
+        lab.values = np.zeros(8, dtype=np.float32)
+        with pytest.raises(ValueError, match="rank 3"):
+            validate_label_set(LabelSet(labels=[lab]))
 
     def test_instance_map_roundtrip(self, tmp_path):
         _, inst, _ = synth_scene(8, 8, 4, seed=7)

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from labelfuse import tape
+from labelfuse import nn_ops, tape
 from labelfuse.tape import Tape, Var, backward, no_grad
+from labelfuse.train_harness import ParamStore, finite_diff_check
+from oracles import gelu_scalar
 
 
 class TestBackwardBasics:
@@ -94,6 +99,56 @@ class TestNoGrad:
         with no_grad():
             plain = tape.gelu(a).value
         assert np.array_equal(rec, plain)
+
+
+class TestGelu:
+    def test_input_bytes_unchanged(self):
+        base = np.random.default_rng(3).uniform(-8.0, 8.0, (5, 7))
+        before = base.tobytes()
+        for value in (base, base.T, base[::2, 1:]):  # contiguous and strided views
+            x = Var(value)
+            with no_grad():
+                tape.gelu(x)
+            assert base.tobytes() == before
+            y = tape.gelu(x)
+            assert base.tobytes() == before
+            backward(tape.sum_all(y * 1.5))
+            assert base.tobytes() == before
+            assert x.grad.shape == value.shape
+
+    @pytest.mark.parametrize("x", [-7.0, -3.0, -1.0, -0.5, 0.0, 0.25, 1.0, 2.5, 7.0])
+    def test_zero_d_and_scalar_inputs_match_oracle(self, x):
+        expect = gelu_scalar(x)
+        for value in (np.array(x), np.float64(x), x):
+            v = Var(value)
+            assert v.value.ndim == 0
+            assert tape.gelu(v).item() == pytest.approx(expect, rel=1e-12, abs=1e-15)
+            backward(tape.gelu(v))
+            assert v.grad.shape == () and np.isfinite(v.grad)
+        assert nn_ops.gelu(x) == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4),
+            elements=st.floats(-20.0, 20.0),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_and_finite_differences(self, x):
+        y = tape.gelu(Var(x)).value
+        assert y.shape == x.shape
+        for xi, yi in zip(x.flat, y.flat):
+            assert yi == pytest.approx(gelu_scalar(float(xi)), rel=1e-12, abs=1e-15)
+        # in the negative tail gelu(x) = 0.5 x (1 + tanh(...)) cancels, so its
+        # rounding is about eps*|x|, not eps*|gelu(x)|; the "+ v" term puts that
+        # scale into the loss, where finite_diff_check's round-off allowance
+        # sees it (without it x = -6 fails at the parent too)
+        store = ParamStore()
+        v = store.add("x", x.copy())
+        w = np.linspace(0.5, 1.5, x.size).reshape(x.shape)
+        report = finite_diff_check(store, lambda: tape.sum_all((tape.gelu(v) + v) * w))
+        assert report.passed, report.failures[:3]
 
 
 class TestBroadcasting:

@@ -313,8 +313,10 @@ class TestTrainToy:
             assert np.abs(grads[name] - g).max() <= 1e-12, name
 
     def test_parallel_mode_deterministic(self):
-        a = th.train_toy(self.small_cfg(iters=6, threads=3))
-        b = th.train_toy(self.small_cfg(iters=6, threads=3))
+        h, w = fusion.TILE_PIXELS // 8 + 8, 8
+        assert len(fusion.row_spans(h, w)) >= 2
+        a = th.train_toy(self.small_cfg(iters=6, threads=3, height=h, width=w))
+        b = th.train_toy(self.small_cfg(iters=6, threads=3, height=h, width=w))
         assert a["loss"] == b["loss"]
 
     def test_adversarial_mode_runs(self):
