@@ -22,7 +22,9 @@ results do not depend on the thread count either.
 ``map_params`` walks every tensor of a ``MergerParams`` under its canonical
 name (``proj.<label>.A``, ``enc.<label>``, ``block<m>.`` plus the block's
 field stems, ``clam.<label>.<i>.A``); listing, lifting, saving and loading
-all go through it.
+all go through it.  Only ``tlam`` has label encodings: ``clam`` neither draws
+nor writes them, and loading ignores the ``enc.*`` files of older ``clam``
+directories.
 """
 
 from __future__ import annotations
@@ -120,9 +122,9 @@ def init_merger_params(
     """Fresh parameters bound to a label set (or a list of (name, channels)).
 
     Weight matrices are Xavier-uniform, biases zero, layer-norm gamma/beta
-    1/0, and label encodings are 0.02-scaled normal draws; the draw order is
-    fixed (projections, encodings, then blocks or stacks) so a seed pins the
-    parameters bit-exactly.
+    1/0, and the ``tlam`` label encodings are 0.02-scaled normal draws; the
+    draw order is fixed (projections, then encodings and blocks for ``tlam``
+    or stacks for ``clam``) so a seed pins the parameters bit-exactly.
     """
     if variant not in (TLAM, CLAM, NAIVE):
         raise ValueError(f"unknown merger variant {variant!r}")
@@ -138,9 +140,9 @@ def init_merger_params(
     nn_ops._head_width({"d": d, "heads": heads})
     for name, c in spec:
         p.projections[name] = init_tensors(blank(LabelProjection, d=d, c=c), rng)
-    for name, _ in spec:
-        p.encodings[name] = 0.02 * np.array([rng.normal() for _ in range(d)])
     if variant == TLAM:
+        for name, _ in spec:
+            p.encodings[name] = 0.02 * np.array([rng.normal() for _ in range(d)])
         p.blocks = [init_block_params(d, heads, rng) for _ in range(n_blocks)]
     else:
         for name, _ in spec:
@@ -164,7 +166,7 @@ def _bind_check(s: LabelSet, p: MergerParams) -> None:
         proj = p.projections.get(lab.name)
         if proj is None:
             raise ValueError(f"merger params have no projection for label {lab.name!r}")
-        a = proj.A.value if isinstance(proj.A, Var) else proj.A
+        a = _raw(proj.A)
         if a.shape[1] != lab.channels:
             raise ValueError(
                 f"label {lab.name!r} has {lab.channels} channels, projection expects {a.shape[1]}"
@@ -326,8 +328,8 @@ def load_merger_params(dirpath) -> MergerParams:
     dims = {"d": p.d, "heads": p.heads}
     channels = {e["name"]: e["channels"] for e in doc["labels"]}
     p.projections = {k: blank(LabelProjection, c=c, **dims) for k, c in channels.items()}
-    p.encodings = {k: (p.d,) for k in channels}
     if p.variant == TLAM:
+        p.encodings = {k: (p.d,) for k in channels}
         p.blocks = [blank(BlockParams, **dims)] * doc["n_blocks"]
     else:
         p.clam_stacks = {k: [blank(LabelProjection, c=p.d, **dims)] * doc["n_blocks"] for k in channels}

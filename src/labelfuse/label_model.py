@@ -311,7 +311,8 @@ def save_label_set(s: LabelSet, manifest_path) -> None:
 def _manifest_entries(doc) -> list[dict]:
     """The label entries of a parsed manifest, after checking its structure:
     an object with integer ``height`` and ``width`` and a ``labels`` list of
-    objects whose ``name``, ``kind``, ``values`` and ``mask`` are strings."""
+    objects whose ``name``, ``kind``, ``values`` and ``mask`` are strings and
+    whose ``channels`` is an integer."""
     if not isinstance(doc, dict):
         raise ValueError(f"manifest must be a JSON object, not {type(doc).__name__}")
     for key in ("height", "width"):
@@ -326,6 +327,8 @@ def _manifest_entries(doc) -> list[dict]:
         for key in ("name", "kind", "values", "mask"):
             if not isinstance(entry.get(key), str):
                 raise ValueError(f"manifest label {i}: {key!r} must be a string")
+        if type(entry.get("channels")) is not int:
+            raise ValueError(f"manifest label {i}: 'channels' must be an integer")
     return entries
 
 
@@ -338,8 +341,9 @@ def load_label_set(manifest_path) -> LabelSet:
         except RecursionError:
             raise ValueError("manifest JSON nests too deeply") from None
     base = os.path.dirname(os.path.abspath(manifest_path))
+    entries = _manifest_entries(doc)
     labels = []
-    for entry in _manifest_entries(doc):
+    for entry in entries:
         values = load_tensor(os.path.join(base, entry["values"]))
         mask = load_tensor(os.path.join(base, entry["mask"]))
         labels.append(
@@ -354,6 +358,11 @@ def load_label_set(manifest_path) -> LabelSet:
     validate_label_set(s)
     if (s.height, s.width) != (doc["height"], doc["width"]):
         raise ValueError("manifest height/width disagree with tensor dims")
+    for i, (entry, lab) in enumerate(zip(entries, s)):
+        if entry["channels"] != lab.channels:
+            raise ValueError(
+                f"manifest label {i}: 'channels' is {entry['channels']}, values have {lab.channels}"
+            )
     return s
 
 

@@ -70,7 +70,9 @@ def jacobi_eigh(sym: np.ndarray, rel_tol: float = 1e-10, max_sweeps: int = 100):
 
     Sweeps stop once the off-diagonal Frobenius norm drops to rel_tol times
     the trace of the input (its total variance when it is a covariance).
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted.
+    Returns (eigenvalues, eigenvectors-as-columns), unsorted.  Raises
+    RuntimeError if that is not reached in ``max_sweeps`` sweeps, and at
+    once if the norm or the trace is NaN.
     """
     a = np.array(sym, dtype=np.float64)
     d = a.shape[0]
@@ -81,8 +83,9 @@ def jacobi_eigh(sym: np.ndarray, rel_tol: float = 1e-10, max_sweeps: int = 100):
     threshold = rel_tol * trace
     if trace <= 0.0:
         return np.diag(a).copy(), v
+    off = _off_norm(a)
     for _ in range(max_sweeps):
-        if _off_norm(a) <= threshold:
+        if not off > threshold:  # converged, or NaN
             break
         for p in range(d - 1):
             for q in range(p + 1, d):
@@ -103,9 +106,9 @@ def jacobi_eigh(sym: np.ndarray, rel_tol: float = 1e-10, max_sweeps: int = 100):
                 vp, vq = v[:, p].copy(), v[:, q].copy()
                 v[:, p] = c * vp - s * vq
                 v[:, q] = s * vp + c * vq
-    else:
-        if _off_norm(a) > threshold:
-            raise RuntimeError("Jacobi sweeps did not converge")
+        off = _off_norm(a)
+    if not off <= threshold:
+        raise RuntimeError("Jacobi sweeps did not converge")
     return np.diag(a).copy(), v
 
 
@@ -131,7 +134,9 @@ def pca_project_3(z: np.ndarray):
     is diagonalized with cyclic Jacobi rotations, component signs are fixed
     so each one's largest-magnitude entry is positive, and every output
     channel is min-max rescaled to [0, 1].  Channels whose component carries
-    (numerically) no variance map to the constant 0.5.
+    (numerically) no variance map to the constant 0.5.  Raises ValueError
+    for a tensor with NaN or inf entries and FloatingPointError when the
+    covariance of finite entries overflows.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 3:
@@ -141,10 +146,15 @@ def pca_project_3(z: np.ndarray):
         raise ValueError(f"need at least 3 channels to project, got d={d}")
     if h * w < 4:
         raise ValueError("need at least 4 pixels")
+    if not np.isfinite(z).all():
+        raise ValueError("concept tensor has non-finite values")
     x = z.reshape(-1, d)
-    mean = x.mean(axis=0)
-    xc = x - mean
-    cov = (xc.T @ xc) / (h * w - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        xc = x - mean
+        cov = (xc.T @ xc) / (h * w - 1)
+    if not np.isfinite(cov).all():
+        raise FloatingPointError("covariance of the concept tensor is not finite")
     vals, vecs = jacobi_eigh(cov)
     order = np.argsort(vals)[::-1][:3]
     components = vecs[:, order].T.copy()

@@ -5,8 +5,9 @@ tokens, and the two pre-norm residual blocks.
 Every public op accepts either plain numpy arrays (evaluated without
 recording) or tape Vars (recorded for reverse-mode differentiation), and
 returns the matching kind; one helper, ``_apply``, makes that choice for all
-of them.  Token matrices are (N, d) for one pixel or (B, N, d) for a batch of
-pixels; all math is per pixel either way.
+of them and for the training losses of ``train_harness``.  Token matrices
+are (N, d) for one pixel or (B, N, d) for a batch of pixels; all math is per
+pixel either way.
 
 The parameter dataclasses declare, per tensor field, its file stem and its
 symbolic shape (``tensor``).  ``map_tensors`` walks those fields in
@@ -197,10 +198,11 @@ def init_block_params(d: int, heads: int, rng) -> BlockParams:
 
 
 def _apply(op, *args):
-    """Run tape ``op`` on ``args``: arrays, Vars or params dataclasses.
+    """Run tape ``op`` on ``args``: arrays, floats, Vars or params dataclasses.
 
     With a Var anywhere among them the call is recorded and returns a Var;
-    otherwise it runs without recording and returns the array.
+    otherwise it runs without recording and returns the array, or a Python
+    float if the result is 0-d.
     """
     recorded = False
 
@@ -213,13 +215,13 @@ def _apply(op, *args):
     if recorded:
         return op(*lifted)
     with no_grad():
-        return op(*lifted).value
+        out = op(*lifted).value
+    return float(out) if out.ndim == 0 else out
 
 
 def gelu(x):
     """GeLU, tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
-    out = _apply(tape.gelu, x)
-    return float(out) if isinstance(out, np.ndarray) and out.ndim == 0 else out
+    return _apply(tape.gelu, x)
 
 
 def linear(x, A, b):

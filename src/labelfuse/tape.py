@@ -1,11 +1,13 @@
 """A minimal reverse-mode tape over numpy float64 arrays.
 
-Operations execute eagerly.  While gradients are enabled every result node
-remembers its parents and a closure that pushes the output gradient back to
-them; ``Tape.from_root(loss)`` collects the nodes reachable from a scalar
-loss in topological order and ``backward`` visits each exactly once in
-reverse.  Inside ``no_grad()`` the same functions run without recording,
-which is what the plain (non-training) forward paths use.
+Operations execute eagerly.  Each op computes its value, defines a closure
+that pushes the output gradient back to its inputs, and returns
+``Var(value, parents, backward)``; the ``Var`` constructor alone decides
+whether that is recorded.  While gradients are enabled the node keeps its
+parents and closure; inside ``no_grad()`` it keeps neither, which is what
+the plain (non-training) forward paths use.  ``Tape.from_root(loss)``
+collects the nodes reachable from a scalar loss in topological order and
+``backward`` visits each exactly once in reverse.
 """
 
 from __future__ import annotations
@@ -36,7 +38,11 @@ def no_grad():
 
 
 class Var:
-    """A float64 array plus an accumulated gradient of the same shape."""
+    """A float64 array plus an accumulated gradient of the same shape.
+
+    A node keeps ``parents`` and ``backward`` only if it has a parent and
+    gradients are enabled; otherwise it is a constant or an unrecorded result.
+    """
 
     __slots__ = ("value", "grad", "parents", "_backward")
 
@@ -46,7 +52,7 @@ class Var:
         else:
             self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        if not parents or grad_enabled():
+        if parents and grad_enabled():
             self.parents = parents
             self._backward = backward
         else:
@@ -110,106 +116,76 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Var, b: Var) -> Var:
-    out = Var(a.value + b.value, (a, b))
-
     def backward(g):
         a.accumulate(_unbroadcast(g, a.value.shape))
         b.accumulate(_unbroadcast(g, b.value.shape))
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var(a.value + b.value, (a, b), backward)
 
 
 def sub(a: Var, b: Var) -> Var:
-    out = Var(a.value - b.value, (a, b))
-
     def backward(g):
         a.accumulate(_unbroadcast(g, a.value.shape))
         b.accumulate(_unbroadcast(-g, b.value.shape))
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var(a.value - b.value, (a, b), backward)
 
 
 def mul(a: Var, b: Var) -> Var:
-    out = Var(a.value * b.value, (a, b))
-
     def backward(g):
         a.accumulate(_unbroadcast(g * b.value, a.value.shape))
         b.accumulate(_unbroadcast(g * a.value, b.value.shape))
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var(a.value * b.value, (a, b), backward)
 
 
 def neg(a: Var) -> Var:
-    out = Var(-a.value, (a,))
-
     def backward(g):
         a.accumulate(-g)
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var(-a.value, (a,), backward)
 
 
 def matmul(a: Var, b: Var) -> Var:
     """Batched matrix product with numpy broadcasting over leading axes."""
     if a.value.ndim < 2 or b.value.ndim < 2:
         raise ValueError("matmul operands must have rank >= 2")
-    out = Var(a.value @ b.value, (a, b))
 
     def backward(g):
         a.accumulate(_unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape))
         b.accumulate(_unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape))
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var(a.value @ b.value, (a, b), backward)
 
 
 def transpose(a: Var, axes: tuple) -> Var:
-    out = Var(np.transpose(a.value, axes), (a,))
     inverse = tuple(np.argsort(axes))
 
     def backward(g):
         a.accumulate(np.transpose(g, inverse))
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var(np.transpose(a.value, axes), (a,), backward)
 
 
 def reshape(a: Var, shape: tuple) -> Var:
-    out = Var(a.value.reshape(shape), (a,))
-
     def backward(g):
         a.accumulate(g.reshape(a.value.shape))
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var(a.value.reshape(shape), (a,), backward)
 
 
 def stack(vars_: list, axis: int) -> Var:
     vars_ = [as_var(v) for v in vars_]
-    out = Var(np.stack([v.value for v in vars_], axis=axis), tuple(vars_))
 
     def backward(g):
         for i, v in enumerate(vars_):
             v.accumulate(np.take(g, i, axis=axis))
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var(np.stack([v.value for v in vars_], axis=axis), tuple(vars_), backward)
 
 
 def concat(vars_: list, axis: int) -> Var:
     vars_ = [as_var(v) for v in vars_]
-    out = Var(np.concatenate([v.value for v in vars_], axis=axis), tuple(vars_))
     sizes = [v.value.shape[axis] for v in vars_]
 
     def backward(g):
@@ -220,14 +196,11 @@ def concat(vars_: list, axis: int) -> Var:
             v.accumulate(g[tuple(index)])
             start += size
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var(np.concatenate([v.value for v in vars_], axis=axis), tuple(vars_), backward)
 
 
 def take_index(a: Var, i: int, axis: int) -> Var:
     """Select index ``i`` along ``axis`` (drops that axis)."""
-    out = Var(np.take(a.value, i, axis=axis), (a,))
 
     def backward(g):
         full = np.zeros_like(a.value)
@@ -236,43 +209,30 @@ def take_index(a: Var, i: int, axis: int) -> Var:
         full[tuple(index)] = g
         a.accumulate(full)
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var(np.take(a.value, i, axis=axis), (a,), backward)
 
 
 def sum_all(a: Var) -> Var:
-    out = Var(a.value.sum(), (a,))
-
     def backward(g):
         a.accumulate(np.broadcast_to(g, a.value.shape).copy())
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var(a.value.sum(), (a,), backward)
 
 
 def mean_all(a: Var) -> Var:
     n = a.value.size
-    out = Var(a.value.mean(), (a,))
 
     def backward(g):
         a.accumulate(np.broadcast_to(g / n, a.value.shape).copy())
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var(a.value.mean(), (a,), backward)
 
 
 def relu(a: Var) -> Var:
-    out = Var(np.maximum(a.value, 0.0), (a,))
-
     def backward(g):
         a.accumulate(g * (a.value > 0.0))
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var(np.maximum(a.value, 0.0), (a,), backward)
 
 
 _GELU_K = math.sqrt(2.0 / math.pi)
@@ -293,16 +253,13 @@ def gelu(a: Var) -> Var:
     t += x
     t *= _GELU_K
     np.tanh(t, out=t)
-    out = Var((1.0 + t) * (0.5 * x), (a,))
 
     def backward(g):
         dinner = _GELU_K * (1.0 + 3.0 * _GELU_C * x ** 2)
         local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
         a.accumulate(g * local)
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var((1.0 + t) * (0.5 * x), (a,), backward)
 
 
 def softmax(a: Var) -> Var:
@@ -310,15 +267,12 @@ def softmax(a: Var) -> Var:
     shifted = a.value - a.value.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
-    out = Var(s, (a,))
 
     def backward(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
         a.accumulate(s * (g - dot))
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var(s, (a,), backward)
 
 
 def layer_norm(a: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
@@ -330,7 +284,6 @@ def layer_norm(a: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
     var = (xc ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xh = xc * inv
-    out = Var(gamma.value * xh + beta.value, (a, gamma, beta))
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
@@ -340,9 +293,7 @@ def layer_norm(a: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
         term = dxh.sum(axis=-1, keepdims=True) + xh * (dxh * xh).sum(axis=-1, keepdims=True)
         a.accumulate(inv / d * (d * dxh - term))
 
-    if out.parents:
-        out._backward = backward
-    return out
+    return Var(gamma.value * xh + beta.value, (a, gamma, beta), backward)
 
 
 class Tape:

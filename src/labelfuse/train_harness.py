@@ -23,7 +23,7 @@ from .label_model import (
     mask_out_label,
     synth_scene,
 )
-from .nn_ops import blank, init_block_params, init_tensors, map_tensors, tensor
+from .nn_ops import _apply, blank, init_block_params, init_tensors, map_tensors, tensor
 from .tape import Var, backward, no_grad
 from .tensor_core import Rng, save_tensor
 
@@ -70,6 +70,19 @@ def lift_merger_params(p: MergerParams, register) -> MergerParams:
     return fusion.map_params(p, lambda name, t: register(name, fusion._raw(t)))
 
 
+# toy-training constants: hidden widths of the generator and discriminator
+# heads; adversarial-mode learning rates and the weight of the l2 stabilizer
+# added to its generator loss; the final evals' sparsity levels and the mask
+# draws averaged at each
+D_G = 64
+D_C = 64
+LR_G = 1e-4
+LR_D = 4e-4
+L2_WEIGHT = 10.0
+EVAL_SPARSITIES = (0.0, 0.3, 0.5, 0.7)
+EVAL_REPEATS = 8
+
+
 @dataclass
 class HeadParams:
     """Per-pixel MLP heads: generator d -> d_g -> 3, discriminator (d+3) -> d_c -> 1."""
@@ -102,7 +115,7 @@ def _blank_heads(discriminator: bool, **dims) -> HeadParams:
     return hp
 
 
-def init_head_params(d: int, rng: Rng, d_g: int = 64, d_c: int = 64, discriminator: bool = False) -> HeadParams:
+def init_head_params(d: int, rng: Rng, d_g: int = D_G, d_c: int = D_C, discriminator: bool = False) -> HeadParams:
     return init_tensors(_blank_heads(discriminator, d=d, d_g=d_g, d_c=d_c), rng)
 
 
@@ -146,11 +159,7 @@ def discriminator_score(z: np.ndarray, img: np.ndarray, hp: HeadParams) -> float
 
 def hinge_d_loss(real_score, fake_score):
     """max(0, 1 - real) + max(0, 1 + fake); zero iff both margins are satisfied."""
-    if isinstance(real_score, Var) or isinstance(fake_score, Var):
-        real = tape.as_var(real_score)
-        fake = tape.as_var(fake_score)
-        return tape.relu(1.0 - real) + tape.relu(1.0 + fake)
-    return max(0.0, 1.0 - real_score) + max(0.0, 1.0 + fake_score)
+    return _apply(lambda real, fake: tape.relu(1.0 - real) + tape.relu(1.0 + fake), real_score, fake_score)
 
 
 def hinge_g_loss(fake_score):
@@ -160,12 +169,12 @@ def hinge_g_loss(fake_score):
 
 def l2_loss(img, target):
     """Mean squared difference over all H*W*3 elements."""
-    if isinstance(img, Var) or isinstance(target, Var):
-        diff = tape.as_var(img) - tape.as_var(target)
-        return tape.mean_all(diff * diff)
-    a = np.asarray(img, dtype=np.float64)
-    b = np.asarray(target, dtype=np.float64)
-    return float(np.mean((a - b) ** 2))
+    return _apply(_l2_loss, img, target)
+
+
+def _l2_loss(img: Var, target: Var) -> Var:
+    diff = img - target
+    return tape.mean_all(diff * diff)
 
 
 @dataclass
@@ -335,15 +344,8 @@ class ToyTrainConfig:
     d: int = 16
     blocks: int = 2
     heads: int = 2
-    d_g: int = 64
-    d_c: int = 64
-    lr: float = 5e-3  # l2 mode; the adversarial mode uses lr_g / lr_d
-    lr_g: float = 1e-4
-    lr_d: float = 4e-4
-    l2_weight: float = 10.0  # stabilizer added to the adversarial generator loss
+    lr: float = 5e-3  # l2 mode; the adversarial mode uses LR_G / LR_D
     threads: int = 1  # schedules row tiles only; results do not depend on it
-    eval_sparsities: tuple = (0.0, 0.3, 0.5, 0.7)
-    eval_repeats: int = 8
 
 
 def _merge_graph(masked: LabelSet, merger: MergerParams, r0: int, r1: int) -> Var:
@@ -453,9 +455,7 @@ def train_toy_with_params(cfg: ToyTrainConfig):
     merger_init = fusion.init_merger_params(
         labels, fusion.TLAM, d=cfg.d, n_blocks=cfg.blocks, heads=cfg.heads, rng=init_rng
     )
-    heads_init = init_head_params(
-        cfg.d, init_rng, d_g=cfg.d_g, d_c=cfg.d_c, discriminator=cfg.mode == "adversarial"
-    )
+    heads_init = init_head_params(cfg.d, init_rng, discriminator=cfg.mode == "adversarial")
 
     store = ParamStore()
     merger = lift_merger_params(merger_init, store.add)
@@ -466,8 +466,8 @@ def train_toy_with_params(cfg: ToyTrainConfig):
     if cfg.mode == "l2":
         opt = make_adam(store, g_names, lr=cfg.lr)
     else:
-        opt_g = make_adam(store, g_names, lr=cfg.lr_g)
-        opt_d = make_adam(store, d_names, lr=cfg.lr_d)
+        opt_g = make_adam(store, g_names, lr=LR_G)
+        opt_d = make_adam(store, d_names, lr=LR_D)
 
     mask_rng = Rng(seed_masks)
     losses: list[float] = []
@@ -486,7 +486,7 @@ def train_toy_with_params(cfg: ToyTrainConfig):
             backward(d_loss)
             adam_step(opt_d, store.grads())
             store.zero_grad()
-            g_loss = adv_g_loss_graph(masked, target64, merger, heads, cfg.l2_weight)
+            g_loss = adv_g_loss_graph(masked, target64, merger, heads, L2_WEIGHT)
             backward(g_loss)
             adam_step(opt_g, store.grads())
             value = float(g_loss.value)
@@ -498,12 +498,12 @@ def train_toy_with_params(cfg: ToyTrainConfig):
     if diverged_at is None:
         eval_rng = Rng(seed_eval)
         eval_seeds = {
-            s: [eval_rng.next_u64() for _ in range(cfg.eval_repeats)]
-            for s in cfg.eval_sparsities
+            s: [eval_rng.next_u64() for _ in range(EVAL_REPEATS)]
+            for s in EVAL_SPARSITIES
         }
         evals = {
             f"s{s:.1f}": _eval_l2(labels, inst, target64, merger, heads, s, eval_seeds[s], cfg.threads)
-            for s in cfg.eval_sparsities
+            for s in EVAL_SPARSITIES
         }
         ablation = {}
         for lab in labels:

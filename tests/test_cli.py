@@ -161,6 +161,18 @@ class TestManifestInput:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: manifest")
 
+    @pytest.mark.parametrize("label, channels, match", [(0, "x", "must be an integer"), (1, 7, "'channels' is 7")])
+    def test_bad_channels_exits_1(self, tmp_path, scene, capsys, label, channels, match):
+        doc = json.loads((scene / "manifest.json").read_text())
+        doc["labels"][label]["channels"] = channels
+        manifest = scene / "bad.json"
+        manifest.write_text(json.dumps(doc))
+        code = run("merge", "--manifest", str(manifest), "--variant", "naive",
+                   "--out", str(tmp_path / "z.tlt"))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest label {label}: 'channels'") and match in err
+
     @given(doc=_manifest_docs())
     @settings(max_examples=200, deadline=None)
     def test_fuzz_any_json_exits_0_or_1(self, fuzz_dir, doc):
@@ -309,6 +321,23 @@ class TestVisualize:
     def test_missing_input(self, tmp_path):
         assert run("visualize", "--concept", str(tmp_path / "nope.tlt"),
                    "--out", str(tmp_path / "o.ppm")) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "bad, code",
+        [(np.nan, EXIT_USAGE), (np.inf, EXIT_USAGE), (1e300, EXIT_NUMERIC)],
+        ids=["nan", "inf", "overflow"],
+    )
+    def test_non_finite_concept_writes_no_image(self, tmp_path, capsys, bad, code):
+        z = np.random.default_rng(3).standard_normal((4, 4, 5))
+        if bad == 1e300:  # finite, but the covariance overflows
+            z = np.where(z < 0.0, -1e300, 1e300)
+        else:
+            z[1, 2, 0] = bad
+        save_tensor(tmp_path / "z.tlt", z)
+        out = tmp_path / "o.ppm"
+        assert run("visualize", "--concept", str(tmp_path / "z.tlt"), "--out", str(out)) == code
+        assert ("covariance" if code == EXIT_NUMERIC else "non-finite") in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsage:

@@ -318,7 +318,8 @@ class TestParamsSerialization:
         [
             (
                 fusion.TLAM,
-                [
+                ["enc.lab0", "enc.lab1"]
+                + [
                     "block0." + s
                     for s in (
                         "ln1.gamma", "ln1.beta", "attn.Wq", "attn.Wk", "attn.Wv", "attn.Wo",
@@ -332,11 +333,24 @@ class TestParamsSerialization:
     def test_file_stems_pinned(self, tmp_path, variant, block_stems):
         # existing params directories rely on these exact names, in this order
         p = init_merger_params(tiny_set(n=2), variant, d=4, n_blocks=1, heads=2, seed=1)
-        stems = ["proj.lab0.A", "proj.lab0.b", "proj.lab1.A", "proj.lab1.b", "enc.lab0", "enc.lab1"]
+        stems = ["proj.lab0.A", "proj.lab0.b", "proj.lab1.A", "proj.lab1.b"]
         assert [n for n, _ in fusion.param_items(p)] == stems + block_stems
         save_merger_params(p, tmp_path / "params")
         files = sorted(f.name for f in (tmp_path / "params").iterdir())
         assert files == sorted(["params.json"] + [s + ".tlt" for s in stems + block_stems])
+
+    def test_clam_dir_with_encodings_loads(self, tmp_path):
+        # clam directories written before clam dropped its encodings hold
+        # enc.<label>.tlt files; loading ignores them
+        labels = tiny_set(n=2)
+        p = init_merger_params(labels, fusion.CLAM, d=6, n_blocks=2, heads=2, seed=22)
+        save_merger_params(p, tmp_path / "params")
+        for name in ("lab0", "lab1"):
+            save_tensor(tmp_path / "params" / f"enc.{name}.tlt", np.full(6, 0.5))
+        q = load_merger_params(tmp_path / "params")
+        assert q.encodings == {}
+        assert [n for n, _ in fusion.param_items(q)] == [n for n, _ in fusion.param_items(p)]
+        assert clam_merge(labels, q).tobytes() == clam_merge(labels, p).tobytes()
 
     @pytest.mark.parametrize(
         "stem, bad_shape",

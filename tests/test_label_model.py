@@ -239,12 +239,24 @@ class TestManifest:
               "height": 8, "width": 8}, "'values' must be a string"),
             ({"labels": [], "width": 8}, "'height' must be an integer"),
             ({"labels": [], "height": 8, "width": True}, "'width' must be an integer"),
+            ({"labels": [{"name": "a", "kind": "discrete", "channels": "x", "values": "v", "mask": "m"}],
+              "height": 8, "width": 8}, "'channels' must be an integer"),
         ],
     )
     def test_malformed_manifest_rejected(self, tmp_path, doc, match):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=match):
+            load_label_set(manifest)
+
+    def test_channels_must_match_values(self, tmp_path):
+        labels, _, _ = synth_scene(8, 8, 3, seed=7)
+        manifest = tmp_path / "scene" / "manifest.json"
+        save_label_set(labels, manifest)
+        doc = json.loads(manifest.read_text())
+        doc["labels"][1]["channels"] = 7
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="manifest label 1: 'channels' is 7, values have"):
             load_label_set(manifest)
 
     def test_deeply_nested_manifest_rejected(self, tmp_path):

@@ -102,6 +102,10 @@ class TestJacobi:
         assert not vals.any()
         assert np.array_equal(vecs, np.eye(4))
 
+    def test_nan_entry_not_converged(self):
+        with pytest.raises(RuntimeError, match="converge"):
+            jacobi_eigh(np.array([[np.nan, 1.0], [1.0, 2.0]]))
+
 
 class TestPca:
     def test_rank_one_data(self):
@@ -162,6 +166,19 @@ class TestPca:
         basis2, _ = pca_project_3(flat[perm].reshape(8, 4, 6))
         assert np.abs(basis1.components - basis2.components).max() <= 1e-8
         assert np.abs(basis1.explained_variance - basis2.explained_variance).max() <= 1e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        z = np.random.default_rng(12).standard_normal((4, 4, 5))
+        z[2, 1, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            pca_project_3(z)
+
+    def test_overflowing_covariance_rejected(self):
+        # finite entries whose products overflow: the covariance is inf/NaN
+        signs = np.where(np.random.default_rng(13).random((4, 4, 5)) < 0.5, 1.0, -1.0)
+        with pytest.raises(FloatingPointError, match="covariance"):
+            pca_project_3(signs * 1e300)
 
     def test_too_few_channels(self):
         with pytest.raises(ValueError, match="d=2"):

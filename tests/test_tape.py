@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,27 @@ from labelfuse import nn_ops, tape
 from labelfuse.tape import Tape, Var, backward, no_grad
 from labelfuse.train_harness import ParamStore, finite_diff_check
 from oracles import gelu_scalar
+
+
+# every tape op, called on (2, 3), (2, 3), (3,), (3,) and (3, 2) Vars
+TAPE_OPS = {
+    "add": lambda a, b, c, d, e: tape.add(a, b),
+    "sub": lambda a, b, c, d, e: tape.sub(a, b),
+    "mul": lambda a, b, c, d, e: tape.mul(a, b),
+    "neg": lambda a, b, c, d, e: tape.neg(a),
+    "matmul": lambda a, b, c, d, e: tape.matmul(a, e),
+    "transpose": lambda a, b, c, d, e: tape.transpose(a, (1, 0)),
+    "reshape": lambda a, b, c, d, e: tape.reshape(a, (6,)),
+    "stack": lambda a, b, c, d, e: tape.stack([a, b], axis=0),
+    "concat": lambda a, b, c, d, e: tape.concat([a, b], axis=1),
+    "take_index": lambda a, b, c, d, e: tape.take_index(a, 1, axis=1),
+    "sum_all": lambda a, b, c, d, e: tape.sum_all(a),
+    "mean_all": lambda a, b, c, d, e: tape.mean_all(a),
+    "relu": lambda a, b, c, d, e: tape.relu(a),
+    "gelu": lambda a, b, c, d, e: tape.gelu(a),
+    "softmax": lambda a, b, c, d, e: tape.softmax(a),
+    "layer_norm": lambda a, b, c, d, e: tape.layer_norm(a, c, d),
+}
 
 
 class TestBackwardBasics:
@@ -99,6 +122,27 @@ class TestNoGrad:
         with no_grad():
             plain = tape.gelu(a).value
         assert np.array_equal(rec, plain)
+
+    def test_every_op_covered(self):
+        ops = {
+            name for name, fn in vars(tape).items()
+            if inspect.isfunction(fn) and fn.__annotations__.get("return") == "Var" and name != "as_var"
+        }
+        assert ops == set(TAPE_OPS)
+
+    @pytest.mark.parametrize("name", sorted(TAPE_OPS))
+    def test_every_op_records_only_while_grad_enabled(self, name):
+        rng = np.random.default_rng(7)
+        args = [Var(rng.standard_normal(shape)) for shape in ((2, 3), (2, 3), (3,), (3,), (3, 2))]
+        plain_args = [Var(a.value.copy()) for a in args]
+        with no_grad():
+            plain = TAPE_OPS[name](*plain_args)
+        assert plain.parents == ()
+        assert plain._backward is None
+        recorded = TAPE_OPS[name](*args)
+        assert recorded.parents and all(any(p is a for a in args) for p in recorded.parents)
+        assert recorded._backward is not None
+        assert recorded.value.tobytes() == plain.value.tobytes()
 
 
 class TestGelu:

@@ -94,6 +94,23 @@ class TestLosses:
         other = np.array([[[2.0, 0.0, 3.0]]])
         assert th.l2_loss(one, other) == pytest.approx((1 + 4 + 0) / 3)
 
+    @pytest.mark.parametrize(
+        "loss, args",
+        [
+            (th.l2_loss, (np.linspace(-1.0, 2.0, 12).reshape(2, 2, 3), np.full((2, 2, 3), 0.25))),
+            (th.l2_loss, (1.5, -0.5)),
+            (th.hinge_d_loss, (0.3, -1.7)),
+            (th.hinge_d_loss, (np.array(0.3), np.array(0.2))),
+        ],
+    )
+    def test_plain_or_recorded_by_argument_kind(self, loss, args):
+        plain = loss(*args)
+        assert type(plain) is float
+        for lifted in ((Var(args[0]), args[1]), (args[0], Var(args[1])), (Var(args[0]), Var(args[1]))):
+            out = loss(*lifted)
+            assert isinstance(out, Var) and out.parents and out._backward is not None
+            assert out.item() == plain
+
     def test_losses_differentiable(self):
         r = Var(np.array(0.3))
         f = Var(np.array(0.2))
