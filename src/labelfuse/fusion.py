@@ -296,9 +296,19 @@ def _raw(t) -> np.ndarray:
     return t.value if isinstance(t, Var) else np.asarray(t)
 
 
+def _save_params_dir(dirpath, json_name: str, doc: dict, items) -> None:
+    """Write ``doc`` to ``<dirpath>/<json_name>`` and each (name, tensor) of
+    ``items`` to ``<dirpath>/<name>.tlt`` as float64."""
+    os.makedirs(dirpath, exist_ok=True)
+    with open(os.path.join(dirpath, json_name), "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+    for name, t in items:
+        save_tensor(os.path.join(dirpath, name + ".tlt"), _raw(t).astype(np.float64))
+
+
 def save_merger_params(p: MergerParams, dirpath) -> None:
     """Serialize to a directory: params.json plus one .tlt file per parameter."""
-    os.makedirs(dirpath, exist_ok=True)
     labels = [
         {"name": name, "channels": int(_raw(proj.A).shape[1])}
         for name, proj in p.projections.items()
@@ -310,18 +320,28 @@ def save_merger_params(p: MergerParams, dirpath) -> None:
         "n_blocks": p.n_blocks,
         "labels": labels,
     }
-    with open(os.path.join(dirpath, "params.json"), "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-    for name, t in param_items(p):
-        save_tensor(os.path.join(dirpath, name + ".tlt"), _raw(t).astype(np.float64))
+    _save_params_dir(dirpath, "params.json", doc, param_items(p))
 
 
 def load_merger_params(dirpath) -> MergerParams:
-    """Read a params directory written by ``save_merger_params``; every
-    tensor's shape is checked against ``params.json``."""
+    """Read a params directory written by ``save_merger_params``.
+
+    ``params.json`` must be an object with a known variant, integers d and
+    heads >= 1 and n_blocks >= 0 (a merger may have no blocks), and a labels
+    list of objects with a string name and an integer channels >= 1; every
+    tensor's shape is checked against it.  Anything else raises ValueError.
+    """
     with open(os.path.join(dirpath, "params.json")) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict) or doc.get("variant") not in (TLAM, CLAM, NAIVE):
+        raise ValueError("params.json must be an object with a known 'variant'")
+    labels = doc.get("labels")
+    if not isinstance(labels, list) or not all(isinstance(e, dict) and isinstance(e.get("name"), str) for e in labels):
+        raise ValueError("params.json 'labels' must be a list of objects with a string 'name'")
+    ints = [(repr(key), doc.get(key), least) for key, least in (("d", 1), ("heads", 1), ("n_blocks", 0))]
+    for what, value, least in ints + [(f"label {i} 'channels'", e.get("channels"), 1) for i, e in enumerate(labels)]:
+        if type(value) is not int or value < least:
+            raise ValueError(f"params.json {what} must be an integer >= {least}")
     p = MergerParams(variant=doc["variant"], d=doc["d"], heads=doc["heads"])
     if p.variant == NAIVE:
         return p

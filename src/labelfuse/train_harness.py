@@ -3,6 +3,11 @@ store over tape leaves, finite-difference gradient verification, Adam with
 the bias-corrected update, hinge adversarial losses, per-pixel
 generator/discriminator heads, and the desk-scale training loop on synthetic
 scenes.
+
+Every training step runs in row tiles (``tiled_grads``): the l2 and the
+adversarial generator losses are means over pixels, so they split exactly
+into row-weighted tile losses.  The discriminator step updates only
+``disc.*``, so it takes the tiled, unrecorded merge as data.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .label_model import (
 )
 from .nn_ops import _apply, blank, init_block_params, init_tensors, map_tensors, tensor
 from .tape import Var, backward, no_grad
-from .tensor_core import Rng, save_tensor
+from .tensor_core import Rng
 
 
 class ParamStore:
@@ -354,19 +359,22 @@ def _merge_graph(masked: LabelSet, merger: MergerParams, r0: int, r1: int) -> Va
     return tlam_graph(xs, [lab.name for lab in masked], merger)
 
 
-def l2_loss_graph(masked: LabelSet, target: np.ndarray, merger: MergerParams, heads: HeadParams, r0: int = 0, r1: int | None = None) -> Var:
-    """tlam merge -> generator head -> mean squared error, over a row span."""
-    if r1 is None:
-        r1 = masked.height
-    z = _merge_graph(masked, merger, r0, r1)
-    img = generate_graph(z, heads)
-    t = Var(target[r0:r1].astype(np.float64).reshape(-1, 3))
-    return l2_loss(img, t)
+def _l2_tile(z: Var, heads: HeadParams, t: Var) -> Var:
+    """The l2 training loss of one tile: generate, then l2 against ``t``."""
+    return l2_loss(generate_graph(z, heads), t)
 
 
-def tiled_l2_grads(masked, target, merger_arrays, heads_arrays, threads: int = 1):
-    """The l2 loss and its gradients, by row tile (``fusion.row_spans``).
+def _adv_g_tile(z: Var, heads: HeadParams, t: Var) -> Var:
+    """The adversarial generator loss of one tile: -D(fake) + L2_WEIGHT * l2."""
+    fake = generate_graph(z, heads)
+    return hinge_g_loss(discriminator_graph(z, fake, heads)) + L2_WEIGHT * l2_loss(fake, t)
 
+
+def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, threads: int = 1):
+    """A per-pixel mean loss and its gradients, by row tile (``fusion.row_spans``).
+
+    ``tile_loss(z, heads, t)`` (``_l2_tile`` or ``_adv_g_tile``) is the loss
+    of a tile's merge ``z`` (B, d) against its target rows ``t`` (B, 3).
     Each tile has its own leaves and may run on its own thread; tile losses
     and gradients are weighted by the tile's share of rows and summed in
     ascending tile order, so nothing depends on ``threads``.  A tile's graph
@@ -382,7 +390,8 @@ def tiled_l2_grads(masked, target, merger_arrays, heads_arrays, threads: int = 1
         register = lambda name, arr: leaves.setdefault(name, Var(arr))
         merger = lift_merger_params(merger_arrays, register)
         heads = lift_head_params(heads_arrays, register)
-        loss = l2_loss_graph(masked, target, merger, heads, r0, r1)
+        t = Var(target[r0:r1].astype(np.float64).reshape(-1, 3))
+        loss = tile_loss(_merge_graph(masked, merger, r0, r1), heads, t)
         backward(loss)
         last[0] = loss
         return float(loss.value), {n: v.grad for n, v in leaves.items() if v.grad is not None}
@@ -397,33 +406,21 @@ def tiled_l2_grads(masked, target, merger_arrays, heads_arrays, threads: int = 1
     return total, grads, last[0]
 
 
-# The adversarial losses stay whole-grid: the hinge acts on the discriminator's
-# mean score over all pixels, which does not split into a sum over tiles.
-def adv_d_loss_graph(masked, target, merger, heads) -> Var:
-    z = _merge_graph(masked, merger, 0, masked.height)
-    fake = generate_graph(z, heads)
-    t = Var(target.astype(np.float64).reshape(-1, 3))
-    real_score = discriminator_graph(z, t, heads)
-    fake_score = discriminator_graph(z, fake, heads)
+def _d_step_loss(masked, target, merger, heads, threads: int = 1) -> Var:
+    """The discriminator's hinge loss, real target against generated image.
+    The merge (tiled) and the image enter as data: the D step updates only
+    ``disc.*``, on which neither depends."""
+    z = fusion.tlam_merge(masked, merger, threads)
+    fake = forward_generate(z, heads)
+    zv = Var(z.reshape(-1, z.shape[-1]))
+    real_score = discriminator_graph(zv, Var(target.reshape(-1, 3)), heads)
+    fake_score = discriminator_graph(zv, Var(fake.reshape(-1, 3)), heads)
     return hinge_d_loss(real_score, fake_score)
 
 
-def adv_g_loss_graph(masked, target, merger, heads, l2_weight) -> Var:
-    z = _merge_graph(masked, merger, 0, masked.height)
-    fake = generate_graph(z, heads)
-    t = Var(target.astype(np.float64).reshape(-1, 3))
-    fake_score = discriminator_graph(z, fake, heads)
-    return hinge_g_loss(fake_score) + l2_weight * l2_loss(fake, t)
-
-
-def _eval_l2(labels, inst, target, merger, heads, sparsity, seeds, threads) -> float:
-    vals = []
-    for seed in seeds:
-        masked = apply_masks(labels, generate_sparse_masks(inst, labels, sparsity, seed))
-        z = fusion.tlam_merge(masked, merger, threads)
-        img = forward_generate(z, heads)
-        vals.append(l2_loss(img, target.astype(np.float64)))
-    return float(np.mean(vals))
+def _recon_l2(s: LabelSet, target, merger, heads, threads: int) -> float:
+    """l2 between ``target`` and the image generated from the merge of ``s``."""
+    return l2_loss(forward_generate(fusion.tlam_merge(s, merger, threads), heads), target)
 
 
 def train_toy(cfg: ToyTrainConfig) -> dict:
@@ -464,10 +461,11 @@ def train_toy_with_params(cfg: ToyTrainConfig):
     d_names = [n for n in store.names() if n.startswith("disc.")]
 
     if cfg.mode == "l2":
-        opt = make_adam(store, g_names, lr=cfg.lr)
+        tile_loss, lr = _l2_tile, cfg.lr
     else:
-        opt_g = make_adam(store, g_names, lr=LR_G)
+        tile_loss, lr = _adv_g_tile, LR_G
         opt_d = make_adam(store, d_names, lr=LR_D)
+    opt = make_adam(store, g_names, lr=lr)
 
     mask_rng = Rng(seed_masks)
     losses: list[float] = []
@@ -475,21 +473,14 @@ def train_toy_with_params(cfg: ToyTrainConfig):
     for it in range(cfg.iters):
         mseed = mask_rng.next_u64()
         masked = apply_masks(labels, generate_sparse_masks(inst, labels, cfg.sparsity, mseed))
-        if cfg.mode == "l2":
-            # ``held`` (one tile's graph) is rebound only once the next step's
-            # graphs exist, so the heap is not trimmed and faulted back in
-            value, grads, held = tiled_l2_grads(masked, target64, merger, heads, cfg.threads)
-            adam_step(opt, grads)
-        else:
+        if cfg.mode == "adversarial":
             store.zero_grad()
-            d_loss = adv_d_loss_graph(masked, target64, merger, heads)
-            backward(d_loss)
+            backward(_d_step_loss(masked, target64, merger, heads, cfg.threads))
             adam_step(opt_d, store.grads())
-            store.zero_grad()
-            g_loss = adv_g_loss_graph(masked, target64, merger, heads, L2_WEIGHT)
-            backward(g_loss)
-            adam_step(opt_g, store.grads())
-            value = float(g_loss.value)
+        # ``held`` (one tile's graph) is rebound only once the next step's
+        # graphs exist, so the heap is not trimmed and faulted back in
+        value, grads, held = tiled_grads(masked, target64, merger, heads, tile_loss, cfg.threads)
+        adam_step(opt, grads)
         losses.append(value)
         if not math.isfinite(value):
             diverged_at = it
@@ -497,20 +488,20 @@ def train_toy_with_params(cfg: ToyTrainConfig):
 
     if diverged_at is None:
         eval_rng = Rng(seed_eval)
-        eval_seeds = {
-            s: [eval_rng.next_u64() for _ in range(EVAL_REPEATS)]
-            for s in EVAL_SPARSITIES
-        }
         evals = {
-            f"s{s:.1f}": _eval_l2(labels, inst, target64, merger, heads, s, eval_seeds[s], cfg.threads)
+            f"s{s:.1f}": float(np.mean([
+                _recon_l2(
+                    apply_masks(labels, generate_sparse_masks(inst, labels, s, eval_rng.next_u64())),
+                    target64, merger, heads, cfg.threads,
+                )
+                for _ in range(EVAL_REPEATS)
+            ]))
             for s in EVAL_SPARSITIES
         }
-        ablation = {}
-        for lab in labels:
-            dropped = mask_out_label(labels, lab.name)
-            z = fusion.tlam_merge(dropped, merger, cfg.threads)
-            img = forward_generate(z, heads)
-            ablation[lab.name] = l2_loss(img, target64)
+        ablation = {
+            lab.name: _recon_l2(mask_out_label(labels, lab.name), target64, merger, heads, cfg.threads)
+            for lab in labels
+        }
     else:
         evals = None
         ablation = None
@@ -635,19 +626,8 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
             heads_init = init_head_params(d, rng, d_g=16)
             merger = lift_merger_params(merger_init, store.add)
             head_vars = lift_head_params(heads_init, store.add)
-            target = np.array(
-                [rng.uniform() for _ in range(h * w * 3)]
-            ).reshape(-1, 3)
-            # precompute the masked inputs once; only the graph is rebuilt per eval
-            names = [lab.name for lab in labels]
-            xs_np = masked_rows(labels, 0, h)
-
-            def loss_fn():
-                z = tlam_graph([Var(x) for x in xs_np], names, merger)
-                img = generate_graph(z, head_vars)
-                return l2_loss(img, Var(target))
-
-            return loss_fn
+            target = Var(np.array([rng.uniform() for _ in range(h * w * 3)]).reshape(-1, 3))
+            return lambda: _l2_tile(_merge_graph(labels, merger, 0, h), head_vars, target)
 
         return build
 
@@ -676,13 +656,7 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
 
 
 def save_head_params(hp: HeadParams, dirpath) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    meta = {"discriminator": hp.has_discriminator}
-    with open(os.path.join(dirpath, "heads.json"), "w") as f:
-        json.dump(meta, f, indent=2)
-        f.write("\n")
-    for name, t in head_items(hp):
-        save_tensor(os.path.join(dirpath, name + ".tlt"), fusion._raw(t).astype(np.float64))
+    fusion._save_params_dir(dirpath, "heads.json", {"discriminator": hp.has_discriminator}, head_items(hp))
 
 
 def load_head_params(dirpath) -> HeadParams:
@@ -691,4 +665,6 @@ def load_head_params(dirpath) -> HeadParams:
     checked against them."""
     with open(os.path.join(dirpath, "heads.json")) as f:
         meta = json.load(f)
-    return map_tensors(_blank_heads(meta.get("discriminator")), fusion._tlt_loader(dirpath, {}))
+    if not isinstance(meta, dict) or type(meta.get("discriminator")) is not bool:
+        raise ValueError("heads.json must be an object with a bool 'discriminator'")
+    return map_tensors(_blank_heads(meta["discriminator"]), fusion._tlt_loader(dirpath, {}))

@@ -2,7 +2,9 @@
 
 Everything here is written as plainly as possible (scalar loops, no shared
 code with the package) so the implementations under test are checked against
-a genuinely separate route.
+a genuinely separate route.  The one exception, ``adv_d_loss_whole_grid``,
+checks a route through the package against another one: it records the
+discriminator loss over the whole grid with the merge in the graph.
 """
 
 import math
@@ -99,3 +101,17 @@ def splitmix64_reference(seed, n):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+def adv_d_loss_whole_grid(masked, target, merger, heads):
+    """The adversarial discriminator hinge loss as one graph over the whole
+    grid: recorded merge, generator, then the real and fake discriminator
+    means.  Its ``disc.*`` gradients are those of the D step."""
+    from labelfuse.fusion import masked_rows, tlam_graph
+    from labelfuse.tape import Var
+    from labelfuse.train_harness import discriminator_graph, generate_graph, hinge_d_loss
+
+    z = tlam_graph([Var(x) for x in masked_rows(masked, 0, masked.height)], [lab.name for lab in masked], merger)
+    fake = generate_graph(z, heads)
+    real = Var(np.asarray(target, dtype=np.float64).reshape(-1, 3))
+    return hinge_d_loss(discriminator_graph(z, real, heads), discriminator_graph(z, fake, heads))

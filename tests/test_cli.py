@@ -127,6 +127,26 @@ class TestMerge:
         assert code == EXIT_USAGE
         assert "block0.mlp.b1.tlt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: {**doc, "labels": 5},
+            lambda doc: [1],
+            lambda doc: {**doc, "d": "8"},
+            lambda doc: {**doc, "n_blocks": "2"},
+            lambda doc: {**doc, "labels": [{**doc["labels"][0], "channels": "7"}] + doc["labels"][1:]},
+        ],
+        ids=["labels-not-list", "document-not-object", "d-string", "n_blocks-string", "channels-string"],
+    )
+    def test_malformed_params_json_exits_1(self, tmp_path, scene, params, capsys, edit):
+        doc = json.loads((params / "params.json").read_text())
+        (params / "params.json").write_text(json.dumps(edit(doc)))
+        code = run("merge", "--manifest", str(scene / "manifest.json"),
+                   "--params", str(params), "--variant", "tlam",
+                   "--out", str(tmp_path / "z.tlt"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: params.json")
+
     def test_threads_reproducible(self, tmp_path, wide_scene):
         scene, params = wide_scene
         a, b = tmp_path / "a.tlt", tmp_path / "b.tlt"

@@ -313,6 +313,17 @@ class TestParamsSerialization:
         loaded = [(n, np.asarray(t).tobytes()) for n, t in fusion.param_items(q)]
         assert loaded == saved
 
+    @pytest.mark.parametrize("variant", [fusion.TLAM, fusion.CLAM])
+    def test_zero_block_roundtrip(self, tmp_path, variant):
+        # a merger with no blocks or stack layers is valid and writes n_blocks 0
+        labels = tiny_set(n=2)
+        p = init_merger_params(labels, variant, d=6, n_blocks=0, heads=2, seed=23)
+        save_merger_params(p, tmp_path / "params")
+        q = load_merger_params(tmp_path / "params")
+        assert q.n_blocks == 0
+        merge = tlam_merge if variant == fusion.TLAM else clam_merge
+        assert merge(labels, q).tobytes() == merge(labels, p).tobytes()
+
     @pytest.mark.parametrize(
         "variant, block_stems",
         [

@@ -8,11 +8,30 @@ from labelfuse import fusion, label_model, nn_ops, tape, train_harness as th
 from labelfuse.tape import Var, backward
 from labelfuse.tensor_core import Rng, save_tensor
 
-from oracles import adam_recurrence, gelu_scalar
+from oracles import adam_recurrence, adv_d_loss_whole_grid, gelu_scalar
 
 
 def heads_with_disc(d=4, seed=0, d_g=6, d_c=5):
     return th.init_head_params(d, Rng(seed), d_g=d_g, d_c=d_c, discriminator=True)
+
+
+def max_rows(root):
+    """The most rows of any array a graph holds."""
+    return max(n.value.shape[0] for n in tape.Tape.from_root(root).nodes if n.value.ndim)
+
+
+@pytest.fixture(scope="module")
+def two_tile_adv():
+    """A masked scene of two or more row tiles, its target, and merger and
+    head (discriminator included) arrays for it."""
+    h, w = fusion.TILE_PIXELS // 8 + 8, 8
+    assert len(fusion.row_spans(h, w)) >= 2
+    labels, inst, target = label_model.synth_scene(h, w, 3, 5)
+    masked = label_model.apply_masks(labels, label_model.generate_sparse_masks(inst, labels, 0.5, 6))
+    rng = Rng(8)
+    merger = fusion.init_merger_params(masked, fusion.TLAM, d=8, n_blocks=1, heads=2, rng=rng)
+    heads = th.init_head_params(8, rng, d_g=8, d_c=4, discriminator=True)
+    return masked, target.astype(np.float64), merger, heads
 
 
 class TestHeads:
@@ -315,19 +334,27 @@ class TestTrainToy:
         rng = Rng(7)
         merger0 = fusion.init_merger_params(masked, fusion.TLAM, d=8, n_blocks=1, heads=2, rng=rng)
         heads0 = th.init_head_params(8, rng, d_g=8)
-        value, grads, held = th.tiled_l2_grads(masked, target, merger0, heads0, threads=2)
+        value, grads, held = th.tiled_grads(masked, target, merger0, heads0, th._l2_tile, threads=2)
         # only one tile's graph outlives the step
-        assert max(n.value.shape[0] for n in tape.Tape.from_root(held).nodes if n.value.ndim) <= fusion.TILE_PIXELS
+        assert max_rows(held) <= fusion.TILE_PIXELS
         store = th.ParamStore()
         merger = th.lift_merger_params(merger0, store.add)
         heads = th.lift_head_params(heads0, store.add)
-        loss = th.l2_loss_graph(masked, target, merger, heads)
+        loss = th._l2_tile(th._merge_graph(masked, merger, 0, h), heads, Var(target.reshape(-1, 3)))
         backward(loss)
         assert abs(value - float(loss.value)) <= 1e-12
         whole = store.grads()
         assert sorted(grads) == sorted(whole)
         for name, g in whole.items():
             assert np.abs(grads[name] - g).max() <= 1e-12, name
+
+    def test_adversarial_report_independent_of_threads(self):
+        h, w = fusion.TILE_PIXELS // 8 + 8, 8
+        assert len(fusion.row_spans(h, w)) >= 2
+        a = th.train_toy(self.small_cfg(mode="adversarial", iters=4, threads=1, height=h, width=w))
+        b = th.train_toy(self.small_cfg(mode="adversarial", iters=4, threads=3, height=h, width=w))
+        del a["config"]["threads"], b["config"]["threads"]
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_parallel_mode_deterministic(self):
         h, w = fusion.TILE_PIXELS // 8 + 8, 8
@@ -363,9 +390,9 @@ class TestEndToEndGradcheck:
             store.add,
         )
         heads = th.lift_head_params(th.init_head_params(8, rng, d_g=8), store.add)
-        target = np.random.default_rng(0).uniform(size=(4, 4, 3))
+        target = Var(np.random.default_rng(0).uniform(size=(16, 3)))
         report = th.finite_diff_check(
-            store, lambda: th.l2_loss_graph(labels, target, merger, heads)
+            store, lambda: th._l2_tile(th._merge_graph(labels, merger, 0, 4), heads, target)
         )
         assert report.passed, report.max_rel_err
 
@@ -380,10 +407,54 @@ class TestEndToEndGradcheck:
         heads = th.lift_head_params(
             th.init_head_params(4, rng, d_g=6, d_c=5, discriminator=True), store.add
         )
-        target = np.random.default_rng(1).uniform(size=(3, 3, 3))
+        target = Var(np.random.default_rng(1).uniform(size=(9, 3)))
         report = th.finite_diff_check(
-            store, lambda: th.adv_g_loss_graph(labels, target, merger, heads, 10.0)
+            store, lambda: th._adv_g_tile(th._merge_graph(labels, merger, 0, 3), heads, target)
         )
+        assert report.passed, report.max_rel_err
+
+
+class TestAdversarialSteps:
+    def test_tiled_g_step_matches_whole_grid(self, two_tile_adv):
+        masked, target, merger0, heads0 = two_tile_adv
+        value, grads, held = th.tiled_grads(masked, target, merger0, heads0, th._adv_g_tile, threads=2)
+        assert max_rows(held) <= fusion.TILE_PIXELS
+        store = th.ParamStore()
+        merger = th.lift_merger_params(merger0, store.add)
+        heads = th.lift_head_params(heads0, store.add)
+        loss = th._adv_g_tile(th._merge_graph(masked, merger, 0, masked.height), heads, Var(target.reshape(-1, 3)))
+        backward(loss)
+        assert abs(value - float(loss.value)) <= 1e-12
+        whole = store.grads()
+        assert sorted(grads) == sorted(whole)
+        for name, g in whole.items():
+            assert np.abs(grads[name] - g).max() <= 1e-12, name
+
+    def test_d_step_matches_whole_grid_graph(self, two_tile_adv):
+        masked, target, merger0, heads0 = two_tile_adv
+        store = th.ParamStore()
+        merger = th.lift_merger_params(merger0, store.add)
+        heads = th.lift_head_params(heads0, store.add)
+        reference = adv_d_loss_whole_grid(masked, target, merger, heads)
+        backward(reference)
+        whole = store.grads()
+        store.zero_grad()
+        loss = th._d_step_loss(masked, target, merger, heads, threads=2)
+        backward(loss)
+        assert abs(float(loss.value) - float(reference.value)) <= 1e-12
+        for name, g in store.grads().items():
+            if name.startswith("disc."):
+                assert np.abs(g - whole[name]).max() <= 1e-12, name
+            else:
+                # the merge and the generator enter the D step as data
+                assert not g.any(), name
+
+    def test_d_step_finite_differences(self, two_tile_adv):
+        masked, target, merger, heads0 = two_tile_adv
+        store = th.ParamStore()
+        heads = th.lift_head_params(heads0, lambda n, t: store.add(n, t) if n.startswith("disc.") else t)
+        assert store.names() == ["disc.W1", "disc.W2", "disc.b1", "disc.b2"]
+        report = th.finite_diff_check(store, lambda: th._d_step_loss(masked, target, merger, heads))
         assert report.passed, report.max_rel_err
 
 
@@ -403,3 +474,11 @@ def test_head_params_serialization_roundtrip(tmp_path):
     for (na, ta), (nb, tb) in zip(th.head_items(hp), th.head_items(back)):
         assert na == nb
         assert np.asarray(ta).tobytes() == np.asarray(tb).tobytes()
+
+
+@pytest.mark.parametrize("meta", [[1], {}, {"discriminator": "yes"}, {"discriminator": 1}])
+def test_malformed_heads_json_rejected(tmp_path, meta):
+    th.save_head_params(heads_with_disc(seed=9), tmp_path / "heads")
+    (tmp_path / "heads" / "heads.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="heads.json"):
+        th.load_head_params(tmp_path / "heads")
