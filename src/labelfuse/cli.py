@@ -23,10 +23,12 @@ EXIT_NUMERIC = 2
 
 def _parse_size(text: str) -> tuple[int, int]:
     try:
-        h, w = text.lower().split("x")
-        return int(h), int(w)
+        h, w = map(int, text.lower().split("x"))
+        if h >= 1 and w >= 1:
+            return h, w
     except ValueError:
-        raise ValueError(f"bad --size {text!r}, expected HxW (e.g. 16x16)") from None
+        pass
+    raise ValueError(f"bad --size {text!r}, expected HxW with both sides >= 1 (e.g. 16x16)")
 
 
 def _require_file(path, what: str):
@@ -49,10 +51,6 @@ def cmd_merge(args) -> int:
         out = fusion.naive_concat(labels)
     else:
         params = fusion.load_merger_params(args.params)
-        if params.variant != args.variant:
-            raise ValueError(
-                f"params dir holds variant {params.variant!r}, requested {args.variant!r}"
-            )
         merge = fusion.tlam_merge if args.variant == fusion.TLAM else fusion.clam_merge
         out = merge(labels, params, threads=args.threads)
     save_tensor(args.out, out)
@@ -79,9 +77,7 @@ def cmd_gradcheck(args) -> int:
     all_ok = True
     print(f"{'group':<16} {'checked':>8} {'max rel err':>14} {'round-off':>11} result")
     for name, store, loss_fn in suite:
-        report = train_harness.finite_diff_check(
-            store, loss_fn, step=1e-5, tol=1e-4, corrupt_scale=corrupt
-        )
+        report = train_harness.finite_diff_check(store, loss_fn, corrupt_scale=corrupt)
         status = "pass" if report.passed else "FAIL"
         all_ok = all_ok and report.passed
         print(
@@ -132,6 +128,8 @@ def cmd_train_toy(args) -> int:
 
 def cmd_bench(args) -> int:
     h, w = _parse_size(args.size)
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
 
     def run(n_labels, height, width):
         labels = train_harness.make_random_label_set(n_labels, height, width, args.seed)
@@ -167,8 +165,9 @@ def cmd_bench(args) -> int:
 
     _, macs_2n, _ = run(2 * args.labels, h, w)
     _, macs_2hw, _ = run(args.labels, 2 * h, w)
-    print(f"N doubled   -> MAC ratio {macs_2n / macs:.1f} (expect 4.0)")
-    print(f"HW doubled  -> MAC ratio {macs_2hw / macs:.1f} (expect 2.0)")
+    for label, doubled, factor in (("N doubled ", macs_2n, 4), ("HW doubled", macs_2hw, 2)):
+        ratio = f"{doubled / macs:.1f}" if macs else "n/a (0 MACs)"
+        print(f"{label}  -> MAC ratio {ratio} (expect {factor:.1f})")
     if macs_2n != 4 * macs or macs_2hw != 2 * macs:
         return EXIT_NUMERIC
     return EXIT_OK

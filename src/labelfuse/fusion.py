@@ -110,8 +110,20 @@ def param_items(p: MergerParams) -> list:
     return items
 
 
+def _check_sizes(d, heads, n_blocks, where: str = "merger") -> None:
+    """Raise ValueError unless d and heads are integers >= 1 and n_blocks an
+    integer >= 0 (a merger may have no blocks); ``where`` starts the message."""
+    for key, value, least in (("d", d, 1), ("heads", heads, 1), ("n_blocks", n_blocks, 0)):
+        _check_int(f"{where} {key!r}", value, least)
+
+
+def _check_int(what: str, value, least: int) -> None:
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}")
+
+
 def init_merger_params(
-    labels,
+    labels: LabelSet,
     variant: str = TLAM,
     d: int = DEFAULT_D,
     n_blocks: int = DEFAULT_BLOCKS,
@@ -119,45 +131,37 @@ def init_merger_params(
     seed: int = 0,
     rng: Rng | None = None,
 ) -> MergerParams:
-    """Fresh parameters bound to a label set (or a list of (name, channels)).
+    """Fresh parameters bound to a label set: per label, a projection sized
+    from its channel count, then a ``tlam`` encoding or a ``clam`` stack.
 
-    Weight matrices are Xavier-uniform, biases zero, layer-norm gamma/beta
-    1/0, and the ``tlam`` label encodings are 0.02-scaled normal draws; the
-    draw order is fixed (projections, then encodings and blocks for ``tlam``
-    or stacks for ``clam``) so a seed pins the parameters bit-exactly.
+    The sizes must pass ``_check_sizes``.  Weight matrices are
+    Xavier-uniform, biases zero, layer-norm gamma/beta 1/0, and the ``tlam``
+    label encodings are 0.02-scaled normal draws; the draw order is fixed
+    (projections, then encodings and blocks for ``tlam`` or stacks for
+    ``clam``) so a seed pins the parameters bit-exactly.
     """
     if variant not in (TLAM, CLAM, NAIVE):
         raise ValueError(f"unknown merger variant {variant!r}")
-    if isinstance(labels, LabelSet):
-        spec = [(lab.name, lab.channels) for lab in labels]
-    else:
-        spec = [(str(n), int(c)) for n, c in labels]
+    if variant != NAIVE:
+        nn_ops._head_width({"d": d, "heads": heads})
+    _check_sizes(d, heads, n_blocks)
     if rng is None:
         rng = Rng(seed)
     p = MergerParams(variant=variant, d=d, heads=heads)
     if variant == NAIVE:
         return p
-    nn_ops._head_width({"d": d, "heads": heads})
-    for name, c in spec:
-        p.projections[name] = init_tensors(blank(LabelProjection, d=d, c=c), rng)
+    for lab in labels:
+        p.projections[lab.name] = init_tensors(blank(LabelProjection, d=d, c=lab.channels), rng)
     if variant == TLAM:
-        for name, _ in spec:
-            p.encodings[name] = 0.02 * np.array([rng.normal() for _ in range(d)])
+        for lab in labels:
+            p.encodings[lab.name] = 0.02 * rng.normals(d)
         p.blocks = [init_block_params(d, heads, rng) for _ in range(n_blocks)]
     else:
-        for name, _ in spec:
-            p.clam_stacks[name] = [
+        for lab in labels:
+            p.clam_stacks[lab.name] = [
                 init_tensors(blank(LabelProjection, d=d, c=d), rng) for _ in range(n_blocks)
             ]
     return p
-
-
-def project_label(x, mask_bit: int, A, b):
-    """Embed one label vector: gelu(A x + b), with absent inputs zeroed first."""
-    x = np.asarray(x, dtype=np.float64)
-    if mask_bit == 0:
-        x = np.zeros_like(x)
-    return nn_ops.gelu(nn_ops.linear(x, np.asarray(A, dtype=np.float64), np.asarray(b, dtype=np.float64)))
 
 
 def _bind_check(s: LabelSet, p: MergerParams) -> None:
@@ -338,10 +342,9 @@ def load_merger_params(dirpath) -> MergerParams:
     labels = doc.get("labels")
     if not isinstance(labels, list) or not all(isinstance(e, dict) and isinstance(e.get("name"), str) for e in labels):
         raise ValueError("params.json 'labels' must be a list of objects with a string 'name'")
-    ints = [(repr(key), doc.get(key), least) for key, least in (("d", 1), ("heads", 1), ("n_blocks", 0))]
-    for what, value, least in ints + [(f"label {i} 'channels'", e.get("channels"), 1) for i, e in enumerate(labels)]:
-        if type(value) is not int or value < least:
-            raise ValueError(f"params.json {what} must be an integer >= {least}")
+    _check_sizes(doc.get("d"), doc.get("heads"), doc.get("n_blocks"), "params.json")
+    for i, e in enumerate(labels):
+        _check_int(f"params.json label {i} 'channels'", e.get("channels"), 1)
     p = MergerParams(variant=doc["variant"], d=doc["d"], heads=doc["heads"])
     if p.variant == NAIVE:
         return p

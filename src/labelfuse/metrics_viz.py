@@ -9,7 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import load_tensor, save_tensor
+from .tensor_core import load_tensor, save_tensor, write_blobs
+
+JACOBI_REL_TOL = 1e-10
+JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass
@@ -65,14 +68,14 @@ def pixel_accuracy(pred: SegMap, gt: SegMap) -> float:
     return float(np.count_nonzero(pred.classes == gt.classes) / gt.classes.size)
 
 
-def jacobi_eigh(sym: np.ndarray, rel_tol: float = 1e-10, max_sweeps: int = 100):
+def jacobi_eigh(sym: np.ndarray):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps stop once the off-diagonal Frobenius norm drops to rel_tol times
-    the trace of the input (its total variance when it is a covariance).
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted.  Raises
-    RuntimeError if that is not reached in ``max_sweeps`` sweeps, and at
-    once if the norm or the trace is NaN.
+    Sweeps stop once the off-diagonal Frobenius norm drops to
+    ``JACOBI_REL_TOL`` times the trace of the input (its total variance when
+    it is a covariance).  Returns (eigenvalues, eigenvectors-as-columns),
+    unsorted.  Raises RuntimeError if that is not reached in
+    ``JACOBI_MAX_SWEEPS`` sweeps, and at once if the norm or the trace is NaN.
     """
     a = np.array(sym, dtype=np.float64)
     d = a.shape[0]
@@ -80,11 +83,11 @@ def jacobi_eigh(sym: np.ndarray, rel_tol: float = 1e-10, max_sweeps: int = 100):
         raise ValueError("matrix must be square")
     v = np.eye(d)
     trace = float(np.trace(a))
-    threshold = rel_tol * trace
+    threshold = JACOBI_REL_TOL * trace
     if trace <= 0.0:
         return np.diag(a).copy(), v
     off = _off_norm(a)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         if not off > threshold:  # converged, or NaN
             break
         for p in range(d - 1):
@@ -186,15 +189,7 @@ def write_ppm(img: np.ndarray, dest) -> int:
     h, w = img.shape[:2]
     data = np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    payload = data.tobytes(order="C")
-    written = 0
-    for blob in (header, payload):
-        try:
-            dest.write(blob)
-        except OSError as e:
-            raise OSError(f"write failed at byte offset {written}: {e}") from e
-        written += len(blob)
-    return written
+    return write_blobs(dest, header, data.tobytes(order="C"))
 
 
 def save_ppm(path, img: np.ndarray) -> int:

@@ -1,6 +1,6 @@
-"""Differentiable primitives of the per-pixel label transformer: GeLU, affine
-maps, layer normalization, softmax, multi-head self-attention over label
-tokens, and the two pre-norm residual blocks.
+"""Differentiable primitives of the per-pixel label transformer: GeLU, layer
+normalization, softmax, multi-head self-attention over label tokens, and the
+two pre-norm residual blocks.
 
 Every public op accepts either plain numpy arrays (evaluated without
 recording) or tape Vars (recorded for reverse-mode differentiation), and
@@ -168,12 +168,11 @@ def blank(cls, **dims):
     return cls(**{f.name: value(f) for f in fields(cls)})
 
 
-def xavier_uniform(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    """Uniform(+-sqrt(6/(fan_in+fan_out))) draws filled in row-major order."""
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    n = int(np.prod(shape))
-    flat = np.array([rng.uniform() for _ in range(n)], dtype=np.float64)
-    return ((2.0 * flat - 1.0) * bound).reshape(shape)
+def xavier_uniform(rng, shape) -> np.ndarray:
+    """Uniform(+-sqrt(6/(fan_in+fan_out))) draws filled in row-major order,
+    with fan_in and fan_out the last two axes of ``shape``."""
+    bound = math.sqrt(6.0 / (shape[-2] + shape[-1]))
+    return (2.0 * rng.uniforms(*shape) - 1.0) * bound
 
 
 def init_tensors(params, rng):
@@ -183,14 +182,10 @@ def init_tensors(params, rng):
 
     def draw(name, shape):
         if len(shape) > 1:
-            return xavier_uniform(rng, shape, shape[-2], shape[-1])
+            return xavier_uniform(rng, shape)
         return np.ones(shape) if name.endswith("gamma") else np.zeros(shape)
 
     return map_tensors(params, draw)
-
-
-def init_attention_params(d: int, heads: int, rng) -> AttentionParams:
-    return init_tensors(blank(AttentionParams, d=d, heads=heads), rng)
 
 
 def init_block_params(d: int, heads: int, rng) -> BlockParams:
@@ -222,22 +217,6 @@ def _apply(op, *args):
 def gelu(x):
     """GeLU, tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
     return _apply(tape.gelu, x)
-
-
-def linear(x, A, b):
-    """Affine map A @ x + b for a vector x (C,) or a batch (..., C)."""
-    return _apply(_linear, x, A, b)
-
-
-def _linear(x: Var, A: Var, b: Var) -> Var:
-    d, c = A.value.shape
-    if x.value.shape[-1] != c:
-        raise ValueError(f"linear: x has {x.value.shape[-1]} channels, A expects {c}")
-    single = x.value.ndim == 1
-    lead = (1,) if single else x.value.shape[:-1]
-    flat = tape.reshape(x, (int(np.prod(lead)), c))
-    out = tape.matmul(flat, tape.transpose(A, (1, 0))) + b
-    return tape.reshape(out, (d,) if single else lead + (d,))
 
 
 def layer_norm(x, gamma, beta, eps: float = LN_EPS):

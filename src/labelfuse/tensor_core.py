@@ -73,8 +73,14 @@ def write_tensor(t: np.ndarray, dest: BinaryIO) -> int:
         + struct.pack("<B", _tag_for(t))
     )
     payload = t.astype(t.dtype.newbyteorder("<"), copy=False).tobytes(order="C")
+    return write_blobs(dest, header, payload)
+
+
+def write_blobs(dest: BinaryIO, *blobs: bytes) -> int:
+    """Write ``blobs`` to a byte sink in order and return the byte count; an
+    OSError from the sink is re-raised with the byte offset it failed at."""
     written = 0
-    for blob in (header, payload):
+    for blob in blobs:
         try:
             dest.write(blob)
         except OSError as e:
@@ -140,6 +146,8 @@ class Rng:
 
     An Rng is a value.  Parallel code must split seeds explicitly
     (``child = Rng(parent.next_u64())``) instead of sharing one stream.
+    Arrays of draws come from ``uniforms`` and ``normals``, which fill them
+    in row-major order, one scalar draw per element.
     """
 
     __slots__ = ("state",)
@@ -164,6 +172,10 @@ class Rng:
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
-    def split(self) -> "Rng":
-        """A fresh independent stream seeded from this one."""
-        return Rng(self.next_u64())
+    def uniforms(self, *shape: int) -> np.ndarray:
+        """An array of ``uniform()`` draws of the given shape, in row-major order."""
+        return np.array([self.uniform() for _ in range(math.prod(shape))]).reshape(shape)
+
+    def normals(self, *shape: int) -> np.ndarray:
+        """An array of ``normal()`` draws of the given shape, in row-major order."""
+        return np.array([self.normal() for _ in range(math.prod(shape))]).reshape(shape)

@@ -1,6 +1,6 @@
 """Reverse-mode training machinery for the toy generation task: a parameter
-store over tape leaves, finite-difference gradient verification, Adam with
-the bias-corrected update, hinge adversarial losses, per-pixel
+store over tape leaves, finite-difference gradient verification, Adam
+(beta1 = 0) with the bias-corrected update, hinge adversarial losses, per-pixel
 generator/discriminator heads, and the desk-scale training loop on synthetic
 scenes.
 
@@ -151,17 +151,6 @@ def forward_generate(z: np.ndarray, hp: HeadParams) -> np.ndarray:
     return rgb.reshape(h, w, 3)
 
 
-def discriminator_score(z: np.ndarray, img: np.ndarray, hp: HeadParams) -> float:
-    z = np.asarray(z, dtype=np.float64)
-    img = np.asarray(img, dtype=np.float64)
-    h, w, d = z.shape
-    with no_grad():
-        s = discriminator_graph(
-            Var(z.reshape(-1, d)), Var(img.reshape(-1, 3)), hp
-        ).value
-    return float(s)
-
-
 def hinge_d_loss(real_score, fake_score):
     """max(0, 1 - real) + max(0, 1 + fake); zero iff both margins are satisfied."""
     return _apply(lambda real, fake: tape.relu(1.0 - real) + tape.relu(1.0 + fake), real_score, fake_score)
@@ -182,6 +171,13 @@ def _l2_loss(img: Var, target: Var) -> Var:
     return tape.mean_all(diff * diff)
 
 
+# Adam's second-moment decay and denominator guard.  The first-moment decay
+# beta1 is 0, so the first moment is the gradient itself and needs no buffer
+# or bias correction.
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam optimizer state over a subset of a parameter store."""
@@ -189,37 +185,29 @@ class AdamState:
     store: ParamStore
     names: list[str]
     lr: float
-    beta1: float = 0.0
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
-    m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.names = sorted(self.names)
         for n in self.names:
-            arr = self.store.var(n).value
-            self.m[n] = np.zeros_like(arr)
-            self.v[n] = np.zeros_like(arr)
+            self.v[n] = np.zeros_like(self.store.var(n).value)
 
 
-def make_adam(store: ParamStore, names=None, lr: float = 1e-4, beta1: float = 0.0, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(store=store, names=list(names if names is not None else store.names()), lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def make_adam(store: ParamStore, names=None, lr: float = 1e-4) -> AdamState:
+    return AdamState(store=store, names=list(names if names is not None else store.names()), lr=lr)
 
 
 def adam_step(state: AdamState, grads: dict) -> None:
-    """One bias-corrected Adam update, applied to the parameters in place."""
+    """One bias-corrected Adam update with beta1 = 0, applied in place:
+    theta -= lr * g / (sqrt(v / (1 - ADAM_BETA2^t)) + ADAM_EPS)."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for n in state.names:
         g = grads[n]
-        state.m[n] = state.beta1 * state.m[n] + (1.0 - state.beta1) * g
-        state.v[n] = state.beta2 * state.v[n] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[n] / bc1
+        state.v[n] = ADAM_BETA2 * state.v[n] + (1.0 - ADAM_BETA2) * (g * g)
         v_hat = state.v[n] / bc2
-        state.store.var(n).value -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.store.var(n).value -= state.lr * g / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -236,7 +224,6 @@ class FdFailure:
 class FdReport:
     max_rel_err: float
     checked: int
-    tol: float
     failures: list
     per_param_max: dict
     max_roundoff: float  # largest round-off allowance r over the checked elements
@@ -246,37 +233,35 @@ class FdReport:
         return not self.failures
 
 
+# Central-difference step, the largest relative error that passes, and the
+# elements sampled (with seed 0) from a store of more than 10^4
+FD_STEP = 1e-5
+FD_TOL = 1e-4
+FD_SAMPLES = 200
 # Each loss evaluation may carry up to this many eps * |f| of rounding error
 # (a few ulps per accumulated stage of a block) before it counts against the
-# gradient; at |f| ~ 1 and step 1e-5 the allowance is ~3.5e-10.
+# gradient; at |f| ~ 1 and FD_STEP the allowance is ~3.5e-10.
 FD_ROUNDOFF_C = 16.0
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def finite_diff_check(
-    store: ParamStore,
-    loss_fn,
-    step: float = 1e-5,
-    tol: float = 1e-4,
-    sample_seed: int = 0,
-    min_samples: int = 200,
-    corrupt_scale: float = 0.0,
-) -> FdReport:
+def finite_diff_check(store: ParamStore, loss_fn, corrupt_scale: float = 0.0) -> FdReport:
     """Compare tape gradients against central differences element by element.
 
     Checks every element when the store holds at most 10^4; otherwise a
-    seeded random subsample of at least ``min_samples`` elements.  The error
-    of analytic gradient a against numeric n is
+    random subsample of ``FD_SAMPLES`` elements, drawn with seed 0.  The
+    error of analytic gradient a against numeric n is
 
         max(0, |a - n| - r) / max(1e-8, |a| + |n|),
-        r = FD_ROUNDOFF_C * eps * max(|f+|, |f-|) / step,
+        r = FD_ROUNDOFF_C * eps * max(|f+|, |f-|) / FD_STEP,
 
     where eps is float64 machine epsilon and f+/f- are the two loss values.
     r is the round-off term of the central-difference error bound: the
-    rounding error of each loss value enters n divided by 2 * step, so a
-    gradient below eps * |f| / step cannot be resolved and is not judged by
-    the relative test.  Any error above r is judged as before; the report
-    records r (``FdReport.max_roundoff``, ``FdFailure.roundoff``).
+    rounding error of each loss value enters n divided by 2 * FD_STEP, so a
+    gradient below eps * |f| / FD_STEP cannot be resolved and is not judged
+    by the relative test.  An element fails when its error exceeds
+    ``FD_TOL``; the report records r (``FdReport.max_roundoff``,
+    ``FdFailure.roundoff``).
     ``corrupt_scale`` inflates the analytic gradients (a debug hook used as
     a negative control).
     """
@@ -294,10 +279,10 @@ def finite_diff_check(
     if total <= 10_000:
         targets = [(n, i) for n, size in zip(names, sizes) for i in range(size)]
     else:
-        rng = Rng(sample_seed)
+        rng = Rng(0)
         chosen: set[tuple[str, int]] = set()
         offsets = np.cumsum([0] + sizes)
-        while len(chosen) < min_samples:
+        while len(chosen) < FD_SAMPLES:
             flat = rng.next_u64() % total
             k = int(np.searchsorted(offsets, flat, side="right") - 1)
             chosen.add((names[k], int(flat - offsets[k])))
@@ -310,27 +295,26 @@ def finite_diff_check(
     for name, idx in targets:
         arr = store.var(name).value
         old = arr.flat[idx]
-        arr.flat[idx] = old + step
+        arr.flat[idx] = old + FD_STEP
         with no_grad():
             f_plus = float(loss_fn().value)
-        arr.flat[idx] = old - step
+        arr.flat[idx] = old - FD_STEP
         with no_grad():
             f_minus = float(loss_fn().value)
         arr.flat[idx] = old
-        numeric = (f_plus - f_minus) / (2.0 * step)
+        numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
         analytic = float(grads[name].flat[idx])
-        roundoff = FD_ROUNDOFF_C * _EPS * max(abs(f_plus), abs(f_minus)) / step
+        roundoff = FD_ROUNDOFF_C * _EPS * max(abs(f_plus), abs(f_minus)) / FD_STEP
         excess = max(0.0, abs(analytic - numeric) - roundoff)
         rel = excess / max(1e-8, abs(analytic) + abs(numeric))
         max_rel = max(max_rel, rel)
         max_roundoff = max(max_roundoff, roundoff)
         per_param_max[name] = max(per_param_max.get(name, 0.0), rel)
-        if rel > tol:
+        if rel > FD_TOL:
             failures.append(FdFailure(name, idx, analytic, numeric, rel, roundoff))
     return FdReport(
         max_rel_err=max_rel,
         checked=len(targets),
-        tol=tol,
         failures=failures,
         per_param_max=per_param_max,
         max_roundoff=max_roundoff,
@@ -427,8 +411,8 @@ def train_toy(cfg: ToyTrainConfig) -> dict:
     """Train the toy merge-and-generate pipeline on one synthetic scene.
 
     Each iteration resamples sparsity masks with a fresh seed, merges via
-    the transformer variant, generates, and Adam-updates (beta1=0,
-    beta2=0.999).  The report carries per-iteration losses, final eval
+    the transformer variant, generates, and Adam-updates (``adam_step``).
+    The report carries per-iteration losses, final eval
     losses at sparsity {0.0, 0.3, 0.5, 0.7} (masks seeded deterministically)
     and a per-label full-ablation eval.
     """
@@ -440,6 +424,8 @@ def train_toy_with_params(cfg: ToyTrainConfig):
     """As train_toy, but also returns the trained merger and head params."""
     if cfg.mode not in ("l2", "adversarial"):
         raise ValueError(f"unknown training mode {cfg.mode!r}")
+    if cfg.iters < 0:
+        raise ValueError(f"iters must be >= 0, got {cfg.iters}")
     labels, inst, target = synth_scene(cfg.height, cfg.width, cfg.regions, cfg.seed)
     target64 = target.astype(np.float64)
 
@@ -530,14 +516,9 @@ def make_random_label_set(
     labels = []
     for k in range(n_labels):
         c = 1 + k % 3
-        values = np.array(
-            [rng.normal() for _ in range(h * w * c)], dtype=np.float64
-        ).reshape(h, w, c).astype(np.float32)
+        values = rng.normals(h, w, c).astype(np.float32)
         if sparsity > 0.0:
-            mask = np.array(
-                [0 if rng.uniform() < sparsity else 1 for _ in range(h * w)],
-                dtype=np.uint8,
-            ).reshape(h, w)
+            mask = (rng.uniforms(h, w) >= sparsity).astype(np.uint8)
             values = np.where(mask[..., None] == 0, np.float32(0.0), values)
         else:
             mask = np.ones((h, w), dtype=np.uint8)
@@ -546,8 +527,7 @@ def make_random_label_set(
 
 
 def _normal_param(store, rng, name, shape):
-    arr = np.array([rng.normal() for _ in range(int(np.prod(shape)))]).reshape(shape)
-    return store.add(name, arr)
+    return store.add(name, rng.normals(*shape))
 
 
 def block_store(store: ParamStore, rng: Rng, d: int, heads: int, n: int):
@@ -555,8 +535,7 @@ def block_store(store: ParamStore, rng: Rng, d: int, heads: int, n: int):
     weights in ``store``, drawn from ``rng`` in that order."""
     bp = map_tensors(init_block_params(d, heads, rng), store.add)
     z = _normal_param(store, rng, "Z", (n, d))
-    c = np.array([[rng.normal() for _ in range(d)] for _ in range(n)])
-    return bp, z, c
+    return bp, z, rng.normals(n, d)
 
 
 def _op_check(name, seed, build):
@@ -582,7 +561,7 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
         a = _normal_param(store, rng, "A", (4, 3))
         b = _normal_param(store, rng, "b", (4,))
         x = _normal_param(store, rng, "x", (5, 3))
-        c = np.array([[rng.normal() for _ in range(4)] for _ in range(5)])
+        c = rng.normals(5, 4)
         return lambda: tape.mean_all(
             (tape.matmul(x, tape.transpose(a, (1, 0))) + b) * c
         )
@@ -591,12 +570,12 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
         x = _normal_param(store, rng, "x", (5, 6))
         gamma = _normal_param(store, rng, "gamma", (6,))
         beta = _normal_param(store, rng, "beta", (6,))
-        c = np.array([[rng.normal() for _ in range(6)] for _ in range(5)])
+        c = rng.normals(5, 6)
         return lambda: tape.mean_all(tape.layer_norm(x, gamma, beta, 1e-5) * c)
 
     def build_softmax(store, rng):
         x = _normal_param(store, rng, "x", (4, 5))
-        c = np.array([[rng.normal() for _ in range(5)] for _ in range(4)])
+        c = rng.normals(4, 5)
         return lambda: tape.mean_all(tape.softmax(x) * c)
 
     def build_attention(store, rng):
@@ -626,7 +605,7 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
             heads_init = init_head_params(d, rng, d_g=16)
             merger = lift_merger_params(merger_init, store.add)
             head_vars = lift_head_params(heads_init, store.add)
-            target = Var(np.array([rng.uniform() for _ in range(h * w * 3)]).reshape(-1, 3))
+            target = Var(rng.uniforms(h * w, 3))
             return lambda: _l2_tile(_merge_graph(labels, merger, 0, h), head_vars, target)
 
         return build

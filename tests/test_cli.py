@@ -113,11 +113,13 @@ class TestMerge:
         assert code == EXIT_USAGE
         assert "nope" in capsys.readouterr().err
 
-    def test_variant_mismatch(self, tmp_path, scene, params):
+    def test_variant_mismatch(self, tmp_path, scene, params, capsys):
         code = run("merge", "--manifest", str(scene / "manifest.json"),
                    "--params", str(params), "--variant", "clam",
                    "--out", str(tmp_path / "z.tlt"))
         assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'tlam'" in err and "'clam'" in err
 
     def test_wrong_tensor_shape_exits_1(self, tmp_path, scene, params, capsys):
         save_tensor(params / "block0.mlp.b1.tlt", np.zeros(1))
@@ -372,6 +374,33 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert run("--help") == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["init-params", "--manifest", "{scene}", "--d", "0", "--out", "{tmp}/p"],
+            ["init-params", "--manifest", "{scene}", "--blocks", "-2", "--out", "{tmp}/p"],
+            ["train-toy", "--size", "4x4", "--d", "0", "--out", "{tmp}/r.json"],
+            ["train-toy", "--size", "4x4", "--blocks", "-1", "--out", "{tmp}/r.json"],
+            ["train-toy", "--size", "4x4", "--iters", "-3", "--out", "{tmp}/r.json"],
+            ["bench", "--size", "4x0"],
+            ["bench", "--size", "0x4"],
+            ["bench", "--size", "4x4", "--repeat", "0"],
+        ],
+        ids=["init-d0", "init-blocks-2", "train-d0", "train-blocks-1", "train-iters-3",
+             "bench-size-4x0", "bench-size-0x4", "bench-repeat0"],
+    )
+    def test_out_of_range_numbers_exit_1(self, tmp_path, scene, capsys, argv):
+        argv = [a.format(scene=scene / "manifest.json", tmp=tmp_path) for a in argv]
+        assert run(*argv, "--threads", "1") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_bench_without_blocks_exits_0(self, capsys):
+        assert run("bench", "--labels", "2", "--size", "4x4", "--d", "4", "--blocks", "0",
+                   "--heads", "1", "--repeat", "1", "--threads", "1") == EXIT_OK
+        assert "attention MACs: 0" in capsys.readouterr().out
 
 
 def test_console_script_entry():

@@ -10,7 +10,6 @@ from labelfuse.fusion import (
     init_merger_params,
     load_merger_params,
     naive_concat,
-    project_label,
     save_merger_params,
     tlam_merge,
 )
@@ -25,22 +24,38 @@ def tiny_set(h=4, w=4, seed=0, sparsity=0.3, n=3):
     return make_random_label_set(n, h, w, seed, sparsity=sparsity)
 
 
+def one_label_merge(x, mask_bit: int, A, b):
+    """A one-label, zero-block tlam_merge on a 2x2 grid whose pixels all hold
+    ``x`` with mask ``mask_bit``, the label projected by (A, b).  Returns the
+    four merged pixels (4, d) and the label's encoding, which the merge adds
+    to the projected token."""
+    A = np.asarray(A, dtype=np.float64)
+    vals = np.tile(np.asarray(x, dtype=np.float32), (2, 2, 1))
+    labels = LabelSet(labels=[make_label("lab", "continuous", vals, np.full((2, 2), mask_bit))])
+    p = init_merger_params(labels, fusion.TLAM, d=A.shape[0], n_blocks=0, heads=1, seed=0)
+    p.projections["lab"] = fusion.LabelProjection(A=A, b=np.asarray(b, dtype=np.float64))
+    return tlam_merge(labels, p).reshape(4, -1), p.encodings["lab"]
+
+
 class TestProjectLabel:
     def test_absent_with_zero_bias(self):
-        out = project_label(np.array([5.0, -2.0]), 0, np.eye(2), np.zeros(2))
-        assert np.array_equal(out, np.zeros(2))
+        out, enc = one_label_merge([5.0, -2.0], 0, np.eye(2), np.zeros(2))
+        for pixel in out:
+            assert np.array_equal(pixel - enc, np.zeros(2))
 
     def test_absent_gives_gelu_of_bias_bit_equal(self):
         b = np.array([0.3, -1.2, 4.0])
         A = np.random.default_rng(0).standard_normal((3, 2))
-        out = project_label(np.array([9.9, -7.7]), 0, A, b)
-        expect = nn_ops.gelu(b)
-        assert out.tobytes() == expect.tobytes()
+        out, enc = one_label_merge([9.9, -7.7], 0, A, b)
+        expect = nn_ops.gelu(b) + enc
+        for pixel in out:
+            assert pixel.tobytes() == expect.tobytes()
 
     def test_present_identity_projection(self):
-        out = project_label(np.array([1.0, -1.0]), 1, np.eye(2), np.zeros(2))
-        assert out[0] == pytest.approx(0.8412, abs=1e-4)
-        assert out[1] == pytest.approx(-0.1588, abs=1e-4)
+        out, enc = one_label_merge([1.0, -1.0], 1, np.eye(2), np.zeros(2))
+        for pixel in out:
+            assert pixel[0] - enc[0] == pytest.approx(0.8412, abs=1e-4)
+            assert pixel[1] - enc[1] == pytest.approx(-0.1588, abs=1e-4)
 
 
 class TestTlamMerge:
@@ -126,14 +141,17 @@ class TestTlamMerge:
 
     def test_unbound_label_name(self):
         labels = tiny_set()
-        p = init_merger_params([("other", 1)], fusion.TLAM, d=4, n_blocks=0, heads=1)
+        other = LabelSet(labels=[make_label("other", "continuous", np.zeros((4, 4, 1)))])
+        p = init_merger_params(other, fusion.TLAM, d=4, n_blocks=0, heads=1)
         with pytest.raises(ValueError, match="lab0"):
             tlam_merge(labels, p)
 
     def test_channel_mismatch(self):
         labels = tiny_set()
-        spec = [(lab.name, lab.channels + 1) for lab in labels]
-        p = init_merger_params(spec, fusion.TLAM, d=4, n_blocks=0, heads=1)
+        wider = LabelSet(
+            labels=[make_label(lab.name, lab.kind, np.zeros((4, 4, lab.channels + 1))) for lab in labels]
+        )
+        p = init_merger_params(wider, fusion.TLAM, d=4, n_blocks=0, heads=1)
         with pytest.raises(ValueError, match="channels"):
             tlam_merge(labels, p)
 
@@ -296,6 +314,16 @@ class TestMacCounting:
         for variant in (fusion.TLAM, fusion.CLAM):
             with pytest.raises(ValueError, match="0 heads"):
                 init_merger_params(tiny_set(), variant, d=8, n_blocks=1, heads=0)
+
+    @pytest.mark.parametrize("variant", [fusion.TLAM, fusion.CLAM, fusion.NAIVE])
+    @pytest.mark.parametrize(
+        "d, n_blocks, match",
+        [(0, 1, "merger 'd' must be an integer >= 1"), (4, -1, "merger 'n_blocks' must be an integer >= 0")],
+    )
+    def test_out_of_range_sizes_rejected(self, variant, d, n_blocks, match):
+        # the rule load_merger_params applies, so saved params always load
+        with pytest.raises(ValueError, match=match):
+            init_merger_params(tiny_set(), variant, d=d, n_blocks=n_blocks, heads=1)
 
 
 class TestParamsSerialization:

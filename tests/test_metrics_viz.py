@@ -229,3 +229,17 @@ class TestPpm:
     def test_bad_shape(self):
         with pytest.raises(ValueError, match="H x W x 3"):
             write_ppm(np.zeros((3, 3)), io.BytesIO())
+
+    def test_sink_failure_reports_byte_offset(self):
+        class FailingSink:
+            def __init__(self):
+                self.calls = 0
+
+            def write(self, blob):
+                self.calls += 1
+                if self.calls > 1:  # header lands, pixel write fails
+                    raise OSError("disk full")
+
+        header = b"P6\n5 2\n255\n"
+        with pytest.raises(OSError, match=f"byte offset {len(header)}: disk full"):
+            write_ppm(np.zeros((2, 5, 3)), FailingSink())

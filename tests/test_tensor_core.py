@@ -199,7 +199,11 @@ class TestRng:
     def test_normal_deterministic(self):
         assert [Rng(8).normal() for _ in range(5)] == [Rng(8).normal() for _ in range(5)]
 
-    def test_split_gives_independent_stream(self):
-        parent = Rng(1)
-        child = parent.split()
-        assert child.next_u64() != Rng(1).next_u64()
+    @pytest.mark.parametrize("draw, one", [("normals", "normal"), ("uniforms", "uniform")])
+    def test_array_draws_are_scalar_draws_in_row_major_order(self, draw, one):
+        arr_rng, scalar_rng = Rng(11), Rng(11)
+        arr = getattr(arr_rng, draw)(2, 3)
+        scalars = [getattr(scalar_rng, one)() for _ in range(6)]
+        assert arr.shape == (2, 3) and arr.dtype == np.float64
+        assert arr.ravel().tolist() == scalars
+        assert arr_rng.state == scalar_rng.state
