@@ -178,7 +178,11 @@ def cmd_visualize(args) -> int:
     z = load_tensor(args.concept)
     if z.ndim != 3:
         raise ValueError(f"concept tensor must be rank 3, got rank {z.ndim}")
-    basis, img = metrics_viz.pca_project_3(z)
+    try:
+        basis, img = metrics_viz.pca_project_3(z)
+    except RuntimeError as e:  # the Jacobi sweeps did not converge
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     metrics_viz.save_ppm(args.out, img)
     if args.basis_out:
         metrics_viz.save_pca_basis(basis, args.basis_out)

@@ -69,8 +69,12 @@ def pixel_accuracy(pred: SegMap, gt: SegMap) -> float:
 
 
 def jacobi_eigh(sym: np.ndarray):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by Jacobi rotations in
+    round-robin order (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985).
 
+    Each sweep visits every off-diagonal pair once, in rounds of disjoint
+    pairs (see ``_round_robin``); the rotations of one round commute, so a
+    round is applied as one similarity transform with whole-array ops.
     Sweeps stop once the off-diagonal Frobenius norm drops to
     ``JACOBI_REL_TOL`` times the trace of the input (its total variance when
     it is a covariance).  Returns (eigenvalues, eigenvectors-as-columns),
@@ -86,33 +90,56 @@ def jacobi_eigh(sym: np.ndarray):
     threshold = JACOBI_REL_TOL * trace
     if trace <= 0.0:
         return np.diag(a).copy(), v
+    rounds = _round_robin(d)
     off = _off_norm(a)
     for _ in range(JACOBI_MAX_SWEEPS):
         if not off > threshold:  # converged, or NaN
             break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
+        for p, q in rounds:
+            apq = a[p, q]
+            with np.errstate(divide="ignore", invalid="ignore"):  # where apq == 0
                 theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sign = 1.0 if theta >= 0.0 else -1.0
-                t = sign / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+            t = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + np.hypot(theta, 1.0))
+            t[apq == 0.0] = 0.0  # c = 1, s = 0: the identity
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            col_p, col_q = a[:, p], a[:, q]
+            a[:, p] = c * col_p - s * col_q
+            a[:, q] = s * col_p + c * col_q
+            row_p, row_q = a[p, :], a[q, :]
+            a[p, :] = c[:, None] * row_p - s[:, None] * row_q
+            a[q, :] = s[:, None] * row_p + c[:, None] * row_q
+            vp, vq = v[:, p], v[:, q]
+            v[:, p] = c * vp - s * vq
+            v[:, q] = s * vp + c * vq
         off = _off_norm(a)
     if not off <= threshold:
         raise RuntimeError("Jacobi sweeps did not converge")
     return np.diag(a).copy(), v
+
+
+def _round_robin(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One sweep's (p, q) index arrays, round by round, with p < q.
+
+    With m = d rounded up to even, the circle method gives m - 1 rounds of
+    m/2 disjoint pairs that together hold every pair once: index 0 stays
+    put and the others rotate one place per round.  For odd d the pairs
+    that touch the padding index d are dropped.
+    """
+    m = d + d % 2
+    ring = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = sorted(
+            (min(x, y), max(x, y))
+            for x, y in zip(ring[: m // 2], ring[::-1][: m // 2])
+            if max(x, y) < d
+        )
+        if pairs:
+            p, q = np.array(pairs).T
+            rounds.append((p, q))
+        ring = [ring[0], ring[-1], *ring[1:-1]]
+    return rounds
 
 
 def _off_norm(a: np.ndarray) -> float:
@@ -134,9 +161,10 @@ def pca_project_3(z: np.ndarray):
     """Project an H x W x d concept tensor to a 3-channel image via PCA.
 
     Pixels are treated as H*W samples; the covariance (divided by H*W - 1)
-    is diagonalized with cyclic Jacobi rotations, component signs are fixed
-    so each one's largest-magnitude entry is positive, and every output
-    channel is min-max rescaled to [0, 1].  Channels whose component carries
+    is diagonalized by ``jacobi_eigh`` (Jacobi rotations in round-robin
+    order, Brent & Luk 1985), component signs are fixed so each one's
+    largest-magnitude entry is positive, and every output channel is
+    min-max rescaled to [0, 1].  Channels whose component carries
     (numerically) no variance map to the constant 0.5.  Raises ValueError
     for a tensor with NaN or inf entries and FloatingPointError when the
     covariance of finite entries overflows.

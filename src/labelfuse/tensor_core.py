@@ -137,6 +137,9 @@ def load_tensor(path) -> np.ndarray:
 
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
 _MIN_U = 2.0 ** -53
 
@@ -156,10 +159,10 @@ class Rng:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
@@ -173,8 +176,22 @@ class Rng:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def uniforms(self, *shape: int) -> np.ndarray:
-        """An array of ``uniform()`` draws of the given shape, in row-major order."""
-        return np.array([self.uniform() for _ in range(math.prod(shape))]).reshape(shape)
+        """An array of ``uniform()`` draws of the given shape, in row-major order.
+
+        The k-th draw's state is ``state + k * _GAMMA`` (mod 2**64), so the
+        whole array is mixed at once in uint64 arithmetic, which wraps.
+        """
+        n = math.prod(shape)
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        self.state = (self.state + n * _GAMMA) & _MASK64
+        return ((z >> np.uint64(11)) * _INV_2_53).reshape(shape)
 
     def normals(self, *shape: int) -> np.ndarray:
         """An array of ``normal()`` draws of the given shape, in row-major order."""

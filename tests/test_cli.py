@@ -361,6 +361,21 @@ class TestVisualize:
         assert ("covariance" if code == EXIT_NUMERIC else "non-finite") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_jacobi_non_convergence_exits_2(self, tmp_path, capsys, monkeypatch):
+        from labelfuse import metrics_viz
+
+        monkeypatch.setattr(metrics_viz, "JACOBI_MAX_SWEEPS", 0)
+        z = np.random.default_rng(4).standard_normal((4, 4, 5))  # non-diagonal covariance
+        save_tensor(tmp_path / "z.tlt", z)
+        out = tmp_path / "o.ppm"
+        assert run("visualize", "--concept", str(tmp_path / "z.tlt"), "--out", str(out),
+                   "--basis-out", str(tmp_path / "basis")) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical failure: Jacobi sweeps did not converge" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert not (tmp_path / "basis").exists()
+
 
 class TestUsage:
     def test_unknown_flag_rejected(self):

@@ -1,9 +1,14 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from labelfuse import fusion, label_model, metrics_viz
 from labelfuse.metrics_viz import (
+    JACOBI_REL_TOL,
     PcaBasis,
     jacobi_eigh,
     load_pca_basis,
@@ -105,6 +110,78 @@ class TestJacobi:
     def test_nan_entry_not_converged(self):
         with pytest.raises(RuntimeError, match="converge"):
             jacobi_eigh(np.array([[np.nan, 1.0], [1.0, 2.0]]))
+
+
+def check_eigh(sym, vals, vecs):
+    """Eigenvalues within the stopping rule's Weyl bound of LAPACK's, an
+    orthonormal V, and V diag(vals) V^T back to the input."""
+    d, trace = sym.shape[0], np.trace(sym)
+    ref = np.linalg.eigh(sym)[0]
+    assert np.abs(np.sort(vals) - ref).max() <= JACOBI_REL_TOL * trace
+    assert np.abs(vecs.T @ vecs - np.eye(d)).max() <= 1e-12
+    assert np.abs(vecs @ np.diag(vals) @ vecs.T - sym).max() <= JACOBI_REL_TOL * trace
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("d", [*range(1, 13), 95, 96, 97])
+    def test_schedule_covers_each_pair_once_in_disjoint_rounds(self, d):
+        rounds = metrics_viz._round_robin(d)
+        assert len(rounds) == (d + d % 2 - 1 if d > 1 else 0)
+        pairs = []
+        for p, q in rounds:
+            assert (p < q).all()
+            assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)  # disjoint
+            pairs += zip(p.tolist(), q.tolist())
+        assert sorted(pairs) == list(itertools.combinations(range(d), 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 40), rank=st.integers(1, 42), seed=st.integers(0, 2**32 - 1))
+    def test_matches_eigh(self, d, rank, seed):
+        m = np.random.default_rng(seed).standard_normal((d, rank))
+        sym = m @ m.T
+        check_eigh(sym, *jacobi_eigh(sym))
+
+    def test_diagonal_input_returned_exactly(self):
+        diag = np.array([3.0, 0.0, 7.5, 1e-3, 2.0])
+        vals, vecs = jacobi_eigh(np.diag(diag))
+        assert np.array_equal(vals, diag)
+        assert np.array_equal(vecs, np.eye(5))
+
+    def test_block_diagonal_with_zero_blocks(self):
+        # interleaved blocks on odd d: {0, 2, 4, 6}, {1, 5} and an all-zero {3, 7, 8}
+        rng = np.random.default_rng(8)
+        blocks = ([0, 2, 4, 6], [1, 5])
+        sym = np.zeros((9, 9))
+        for block in blocks:
+            m = rng.standard_normal((len(block), len(block)))
+            sym[np.ix_(block, block)] = m @ m.T
+        vals, vecs = jacobi_eigh(sym)
+        check_eigh(sym, vals, vecs)
+        # pairs with an exact-zero entry are identity rotations, so no rotation
+        # ever mixes two blocks or touches the zero block
+        for block in blocks:
+            rest = [i for i in range(9) if i not in block]
+            assert not vecs[np.ix_(rest, block)].any()
+        zero = [3, 7, 8]
+        assert not vals[zero].any()
+        assert np.array_equal(vecs[:, zero], np.eye(9)[:, zero])
+
+    def test_repeated_eigenvalues(self):
+        u = np.random.default_rng(9).standard_normal(10)
+        sym = np.eye(10) + np.outer(u, u)  # nine eigenvalues 1, one 1 + |u|^2
+        vals, vecs = jacobi_eigh(sym)
+        check_eigh(sym, vals, vecs)
+        assert np.sort(vals)[-1] == pytest.approx(1.0 + u @ u, rel=1e-12)
+
+    def test_scene_covariance_top3(self):
+        labels, _, _ = label_model.synth_scene(16, 16, 6, 21)
+        params = fusion.init_merger_params(labels, fusion.CLAM, d=96, n_blocks=3, heads=3, seed=23)
+        x = fusion.clam_merge(labels, params).reshape(-1, 96)
+        xc = x - x.mean(axis=0)
+        cov = (xc.T @ xc) / (x.shape[0] - 1)
+        vals, _ = jacobi_eigh(cov)
+        ref = np.linalg.eigh(cov)[0][::-1][:3]
+        assert np.abs(np.sort(vals)[::-1][:3] - ref).max() <= 1e-9 * np.trace(cov)
 
 
 class TestPca:

@@ -207,3 +207,17 @@ class TestRng:
         assert arr.shape == (2, 3) and arr.dtype == np.float64
         assert arr.ravel().tolist() == scalars
         assert arr_rng.state == scalar_rng.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 64, 2**64 - 1)),
+        shape=st.lists(st.integers(0, 6), min_size=1, max_size=3),
+    )
+    def test_uniforms_match_scalar_loop_bytes(self, seed, shape):
+        arr_rng, scalar_rng = Rng(seed), Rng(seed)
+        arr = arr_rng.uniforms(*shape)
+        scalars = np.array([scalar_rng.uniform() for _ in range(int(np.prod(shape)))])
+        assert arr.shape == tuple(shape) and arr.dtype == np.float64
+        assert arr.tobytes() == scalars.tobytes()
+        assert arr_rng.state == scalar_rng.state
+        assert arr_rng.uniform() == scalar_rng.uniform()
