@@ -117,7 +117,11 @@ def cmd_train_toy(args) -> int:
     train_harness.save_head_params(heads, stem + ".params")
     labels, _, _ = label_model.synth_scene(h, w, args.regions, args.seed)
     concept = fusion.tlam_merge(labels, merger, threads=args.threads)
-    _, img = metrics_viz.pca_project_3(concept)
+    try:
+        _, img = metrics_viz.pca_project_3(concept)
+    except RuntimeError as e:  # the Jacobi sweeps did not converge
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     metrics_viz.save_ppm(stem + ".ppm", img)
     if report["loss"]:
         print(f"loss: first {report['loss'][0]:.6f} last {report['loss'][-1]:.6f}")

@@ -13,10 +13,11 @@ Three variants produce a per-pixel fused representation from a label set:
 
 Merging is embarrassingly parallel over pixels: attention never crosses
 pixels.  One tiling rule serves every caller that splits a grid, merging and
-training alike: ``row_spans`` cuts the rows into tiles of at most
-``TILE_PIXELS`` pixels (at least one row each), ``masked_rows`` slices the
-masked inputs of a tile and ``map_spans`` runs tiles on a thread pool in tile
-order.  The tiles depend only on the grid, never on the thread count, so
+training alike: ``row_spans`` cuts the rows into tiles whose widest
+intermediate (``pixel_bytes`` a pixel) fits in ``TILE_BYTES``, at least one
+row each; ``masked_rows`` slices the masked inputs of a tile and
+``map_spans`` runs tiles on a thread pool in tile order.  The tiles depend
+only on the grid and the merger's sizes, never on the thread count, so
 results do not depend on the thread count either.
 
 ``map_params`` walks every tensor of a ``MergerParams`` under its canonical
@@ -181,17 +182,29 @@ def _bind_check(s: LabelSet, p: MergerParams) -> None:
             raise ValueError(f"merger params have no stack for label {lab.name!r}")
 
 
-# Pixels per merge or training tile.  It bounds one tile's intermediates:
-# about 90 KB per pixel at N=5, d=96, so ~90 MB a tile whatever the grid.
-# Not smaller: at 512 the allocator trimmed the heap after each small merge
-# and faulted it back in on the next (15k minor faults a 256-pixel merge).
-TILE_PIXELS = 1024
+# Bytes of one tile's widest intermediate: half of a 2 MiB per-core L2
+# cache, so a tile's elementwise ops run from L2 rather than L3.  Measured
+# on a 2-core Xeon (2 MiB L2 a core, OpenBLAS on one thread): a 64x64 merge
+# at N=5, d=96 in 1,024-pixel tiles, whose (1024, 5, 384) MLP hidden layer
+# alone is 15.7 MB, took 1.07 s and 88,056 minor page faults, against
+# 0.67 s and 1,672 in the 64-pixel tiles this rule gives.  Not a pixel
+# count: 64-pixel tiles everywhere would cut 16x16 toy training at d=16
+# into 4 tiles, and the extra per-op Python cost took 50 iterations from
+# 1.16-1.51 s to 1.84-1.94 s.
+TILE_BYTES = 1 << 20
 
 
-def row_spans(h: int, w: int) -> list[tuple[int, int]]:
+def pixel_bytes(variant: str, n_labels: int, d: int) -> int:
+    """Bytes of one pixel's widest float64 merge intermediate: the (N, 4d)
+    MLP hidden layer for ``tlam``, the (N, d) tokens for ``clam``."""
+    return 8 * n_labels * (4 * d if variant == TLAM else d)
+
+
+def row_spans(h: int, w: int, pixel_size: int) -> list[tuple[int, int]]:
     """Rows [0, h) of an h x w grid cut, in order, into spans of
-    ``max(1, TILE_PIXELS // w)`` rows (the last may be shorter)."""
-    rows = max(1, TILE_PIXELS // w)
+    ``max(1, TILE_BYTES // (w * pixel_size))`` rows (the last may be
+    shorter), where ``pixel_size`` is ``pixel_bytes`` of the merge."""
+    rows = max(1, TILE_BYTES // (w * pixel_size))
     return [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
 
 
@@ -265,7 +278,8 @@ def _run_tiled(s: LabelSet, p: MergerParams, variant: str, threads: int) -> np.n
             z = graph([Var(x) for x in masked_rows(s, r0, r1)], names, lifted).value
         out[r0:r1] = z.reshape(r1 - r0, s.width, p.d)
 
-    map_spans(tile, row_spans(s.height, s.width), threads)
+    spans = row_spans(s.height, s.width, pixel_bytes(variant, len(names), p.d))
+    map_spans(tile, spans, threads)
     if not np.isfinite(out).all():
         raise FloatingPointError("merge produced non-finite values")
     return out

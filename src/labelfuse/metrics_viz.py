@@ -77,7 +77,8 @@ def jacobi_eigh(sym: np.ndarray):
     round is applied as one similarity transform with whole-array ops.
     Sweeps stop once the off-diagonal Frobenius norm drops to
     ``JACOBI_REL_TOL`` times the trace of the input (its total variance when
-    it is a covariance).  Returns (eigenvalues, eigenvectors-as-columns),
+    it is a covariance), or times its Frobenius norm if the trace is not
+    positive.  Returns (eigenvalues, eigenvectors-as-columns),
     unsorted.  Raises RuntimeError if that is not reached in
     ``JACOBI_MAX_SWEEPS`` sweeps, and at once if the norm or the trace is NaN.
     """
@@ -87,9 +88,12 @@ def jacobi_eigh(sym: np.ndarray):
         raise ValueError("matrix must be square")
     v = np.eye(d)
     trace = float(np.trace(a))
-    threshold = JACOBI_REL_TOL * trace
-    if trace <= 0.0:
-        return np.diag(a).copy(), v
+    if trace > 0.0:
+        threshold = JACOBI_REL_TOL * trace
+    else:
+        threshold = JACOBI_REL_TOL * float(np.linalg.norm(a))
+        if threshold == 0.0:  # the zero matrix: already diagonal
+            return np.diag(a).copy(), v
     rounds = _round_robin(d)
     off = _off_norm(a)
     for _ in range(JACOBI_MAX_SWEEPS):

@@ -215,7 +215,11 @@ def _apply(op, *args):
 
 
 def gelu(x):
-    """GeLU, tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
+    """GeLU, tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
+
+    Evaluated as x * sigma(2u) = x / (1 + exp(-2u)), u the tanh argument,
+    which keeps full relative accuracy in the negative tail; below about
+    x = -21.2, where the true value is under 1e-300, the result is -0."""
     return _apply(tape.gelu, x)
 
 

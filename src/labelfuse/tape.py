@@ -147,15 +147,30 @@ def neg(a: Var) -> Var:
 
 
 def matmul(a: Var, b: Var) -> Var:
-    """Batched matrix product with numpy broadcasting over leading axes."""
-    if a.value.ndim < 2 or b.value.ndim < 2:
+    """Batched matrix product with numpy broadcasting over leading axes.
+
+    A batch of rows times a 2-D weight, (..., k) @ (k, m), runs as one flat
+    (rows, k) @ (k, m) GEMM, and its weight gradient as one (k, rows) @
+    (rows, m) GEMM instead of a batched product summed over the batch.  The
+    reshape stays inside this op, so callers still see their own shapes."""
+    av, bv = a.value, b.value
+    if av.ndim < 2 or bv.ndim < 2:
         raise ValueError("matmul operands must have rank >= 2")
+    if bv.ndim == 2 and av.ndim > 2:
+        a2 = av.reshape(math.prod(av.shape[:-1]), av.shape[-1])
+
+        def backward(g):
+            g2 = g.reshape(a2.shape[0], bv.shape[1])
+            a.accumulate((g2 @ bv.T).reshape(av.shape))
+            b.accumulate(a2.T @ g2)
+
+        return Var((a2 @ bv).reshape(*av.shape[:-1], bv.shape[1]), (a, b), backward)
 
     def backward(g):
-        a.accumulate(_unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape))
-        b.accumulate(_unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape))
+        a.accumulate(_unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
+        b.accumulate(_unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
 
-    return Var(a.value @ b.value, (a, b), backward)
+    return Var(av @ bv, (a, b), backward)
 
 
 def transpose(a: Var, axes: tuple) -> Var:
@@ -240,26 +255,42 @@ _GELU_C = 0.044715
 
 
 def gelu(a: Var) -> Var:
-    """Elementwise GeLU, tanh approximation; the backward differentiates the
-    approximation itself so gradient checks are exact.
+    """Elementwise GeLU, tanh approximation, evaluated as x * sigma(2u) with
+    u = K (x + C x^3): in exact math 0.5 (1 + tanh u) = sigma(2u), so
+    gelu(x) = x / (1 + exp(-2u)).  Unlike 1 + tanh u, which rounds to 0 in
+    the negative tail, this keeps full relative accuracy there; below about
+    x = -21.2, exp(-2u) overflows to inf (silenced) and x / inf gives -0.
+    The backward differentiates the approximation itself,
+    s + 2 x s (1 - s) K (1 + 3 C x^2) with s = sigma(2u), so gradient checks
+    are exact.
 
-    The forward builds tanh(K (x + C x^3)) in one scratch buffer; the cube is
-    x*x*x because numpy's generic float pow is an order of magnitude slower.
-    ``a.value`` is only read."""
+    The forward builds 1 + exp(-2u) in one scratch buffer, which the
+    backward reads for s; the cube is x*x*x because numpy's generic float
+    pow is an order of magnitude slower.  ``a.value`` is only read."""
     x = a.value
     t = np.multiply(x, x, out=np.empty_like(x))
     t *= x
     t *= _GELU_C
     t += x
-    t *= _GELU_K
-    np.tanh(t, out=t)
+    t *= -2.0 * _GELU_K
+    with np.errstate(over="ignore"):
+        np.exp(t, out=t)
+    t += 1.0
 
     def backward(g):
-        dinner = _GELU_K * (1.0 + 3.0 * _GELU_C * x ** 2)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
-        a.accumulate(g * local)
+        s = 1.0 / t
+        local = np.multiply(x, x)
+        local *= 3.0 * _GELU_C
+        local += 1.0
+        local *= 2.0 * _GELU_K
+        local *= x
+        local *= s
+        local *= 1.0 - s
+        local += s
+        local *= g
+        a.accumulate(local)
 
-    return Var((1.0 + t) * (0.5 * x), (a,), backward)
+    return Var(x / t, (a,), backward)
 
 
 def softmax(a: Var) -> Var:
@@ -276,14 +307,18 @@ def softmax(a: Var) -> Var:
 
 
 def layer_norm(a: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
-    """Normalize over the last axis with biased variance, then scale and shift."""
+    """Normalize over the last axis with biased variance, then scale and shift.
+
+    One fresh array is centred, its squares summed by ``np.einsum`` and then
+    normalized in place; the backward reuses it and the inverse deviation."""
     x = a.value
     d = x.shape[-1]
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xh = xc * inv
+    xh = x - x.mean(axis=-1, keepdims=True)
+    var = np.einsum("...i,...i->...", xh, xh)[..., None]
+    var /= d
+    var += eps
+    inv = 1.0 / np.sqrt(var)
+    xh *= inv
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
@@ -293,7 +328,9 @@ def layer_norm(a: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
         term = dxh.sum(axis=-1, keepdims=True) + xh * (dxh * xh).sum(axis=-1, keepdims=True)
         a.accumulate(inv / d * (d * dxh - term))
 
-    return Var(gamma.value * xh + beta.value, (a, gamma, beta), backward)
+    out = xh * gamma.value
+    out += beta.value
+    return Var(out, (a, gamma, beta), backward)
 
 
 class Tape:

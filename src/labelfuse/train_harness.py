@@ -366,7 +366,8 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, threads:
     returns ``(loss, grads, last_tile_loss)``.
     """
     h = masked.height
-    spans = fusion.row_spans(h, masked.width)
+    pixel_size = fusion.pixel_bytes(merger_arrays.variant, len(masked), merger_arrays.d)
+    spans = fusion.row_spans(h, masked.width, pixel_size)
     last = [None]
 
     def run(r0, r1):

@@ -35,11 +35,16 @@ def params(tmp_path, scene):
     return out
 
 
+# a tlam merge of a synth scene (five labels) at d=8
+WIDE_PIXEL_SIZE = fusion.pixel_bytes(fusion.TLAM, 5, 8)
+
+
 @pytest.fixture
 def wide_scene(tmp_path):
     """A scene of two merge tiles and tlam params for it."""
     scene = tmp_path / "wide"
-    assert run("synth-scene", "--size", f"{fusion.TILE_PIXELS // 8 + 8}x8", "--regions", "3",
+    rows = fusion.TILE_BYTES // (8 * WIDE_PIXEL_SIZE)
+    assert run("synth-scene", "--size", f"{rows + 8}x8", "--regions", "3",
                "--seed", "9", "--out-dir", str(scene)) == EXIT_OK
     assert run("init-params", "--manifest", str(scene / "manifest.json"),
                "--variant", "tlam", "--d", "8", "--blocks", "1", "--heads", "2",
@@ -156,7 +161,7 @@ class TestMerge:
             assert run("merge", "--manifest", str(scene / "manifest.json"),
                        "--params", str(params), "--variant", "tlam",
                        "--out", str(out), "--threads", "2") == EXIT_OK
-        assert len(fusion.row_spans(*load_tensor(a).shape[:2])) >= 2
+        assert len(fusion.row_spans(*load_tensor(a).shape[:2], WIDE_PIXEL_SIZE)) >= 2
         assert a.read_bytes() == b.read_bytes()
 
     def test_output_independent_of_threads(self, tmp_path, wide_scene):
@@ -166,7 +171,7 @@ class TestMerge:
             assert run("merge", "--manifest", str(scene / "manifest.json"),
                        "--params", str(params), "--variant", "tlam",
                        "--out", str(out), "--threads", threads) == EXIT_OK
-        assert len(fusion.row_spans(*load_tensor(a).shape[:2])) >= 2
+        assert len(fusion.row_spans(*load_tensor(a).shape[:2], WIDE_PIXEL_SIZE)) >= 2
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -294,6 +299,19 @@ class TestTrainToy:
                        "--lr", "1e90", "--out", str(out), "--threads", "1")
         assert code == EXIT_NUMERIC
         assert json.loads(out.read_text())["diverged_at"] is not None
+
+
+    def test_pca_non_convergence_exits_2(self, tmp_path, capsys, monkeypatch):
+        from labelfuse import metrics_viz
+
+        monkeypatch.setattr(metrics_viz, "JACOBI_MAX_SWEEPS", 0)
+        out = tmp_path / "r.json"
+        assert run("train-toy", "--size", "8x8", "--regions", "3", "--iters", "1",
+                   "--out", str(out), "--threads", "1") == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical failure: Jacobi sweeps did not converge" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.ppm").exists()
 
 
 class TestBench:

@@ -169,18 +169,36 @@ class TestTlamMerge:
             tlam_merge(labels, p)
 
     def test_chunked_parallel_matches_sequential_bitwise(self):
-        h, w = 2 * fusion.TILE_PIXELS // 8 + 3, 8
-        assert len(fusion.row_spans(h, w)) >= 2
-        labels = tiny_set(h=h, w=w, seed=11, sparsity=0.3)
         for variant, merge in ((fusion.TLAM, tlam_merge), (fusion.CLAM, clam_merge)):
+            pixel_size = fusion.pixel_bytes(variant, 3, 8)
+            h, w = 2 * (fusion.TILE_BYTES // (8 * pixel_size)) + 3, 8
+            assert len(fusion.row_spans(h, w, pixel_size)) >= 2
+            labels = tiny_set(h=h, w=w, seed=11, sparsity=0.3)
             p = init_merger_params(labels, variant, d=8, n_blocks=2, heads=2, seed=12)
             seq = merge(labels, p, threads=1)
             par = merge(labels, p, threads=4)
             assert seq.tobytes() == par.tobytes()
 
+    @pytest.mark.parametrize("d,heads", [(8, 2), (96, 3)])
+    def test_tile_size_does_not_change_output(self, monkeypatch, d, heads):
+        # the flat GEMMs see a tile's rows as one matrix; at these widths
+        # each output row does not depend on how many rows that matrix has
+        h, w = 64, 16
+        labels = tiny_set(h=h, w=w, seed=21, sparsity=0.3)
+        for variant, merge in ((fusion.TLAM, tlam_merge), (fusion.CLAM, clam_merge)):
+            p = init_merger_params(labels, variant, d=d, n_blocks=2, heads=heads, seed=22)
+            pixel_size = fusion.pixel_bytes(variant, 3, d)
+            outs = []
+            for tile_pixels in (64, 1024):
+                monkeypatch.setattr(fusion, "TILE_BYTES", tile_pixels * pixel_size)
+                assert len(fusion.row_spans(h, w, pixel_size)) == h * w // tile_pixels
+                outs.append(merge(labels, p).tobytes())
+            assert outs[0] == outs[1]
+
     def test_chunking_matches_full_batch(self):
-        h, w = fusion.TILE_PIXELS // 8 + 5, 8
-        assert len(fusion.row_spans(h, w)) >= 2
+        pixel_size = fusion.pixel_bytes(fusion.TLAM, 3, 8)
+        h, w = fusion.TILE_BYTES // (8 * pixel_size) + 5, 8
+        assert len(fusion.row_spans(h, w, pixel_size)) >= 2
         labels = tiny_set(h=h, w=w, seed=13, sparsity=0.3)
         p = init_merger_params(labels, fusion.TLAM, d=8, n_blocks=1, heads=2, seed=14)
         lifted = fusion.map_params(p, lambda _name, t: tape.as_var(t))
@@ -192,22 +210,41 @@ class TestTlamMerge:
 
 
 class TestRowSpans:
+    # at 1,024 bytes a pixel, a 1,024-pixel row fills TILE_BYTES exactly
+    # and wider rows overflow it
     @pytest.mark.parametrize(
         "h,w",
         [(1, 1), (4, 4), (7, 5), (64, 8), (65, 8), (100, 8), (300, 3),
-         (3, fusion.TILE_PIXELS), (3, fusion.TILE_PIXELS + 1), (2, 3 * fusion.TILE_PIXELS)],
+         (3, 1024), (3, 1025), (2, 3072)],
     )
     def test_cover_rows_in_order_within_budget(self, h, w):
-        spans = fusion.row_spans(h, w)
-        assert spans[0][0] == 0 and spans[-1][1] == h
-        assert all(a1 == b0 for (_, a1), (b0, _) in zip(spans, spans[1:]))
-        assert all(0 < (r1 - r0) * w <= max(fusion.TILE_PIXELS, w) for r0, r1 in spans)
+        for pixel_size in (8, 1024, 2560, 3840, 15360, fusion.TILE_BYTES + 1):
+            spans = fusion.row_spans(h, w, pixel_size)
+            assert spans[0][0] == 0 and spans[-1][1] == h
+            assert all(a1 == b0 for (_, a1), (b0, _) in zip(spans, spans[1:]))
+            budget = max(fusion.TILE_BYTES, w * pixel_size)
+            assert all(0 < (r1 - r0) * w * pixel_size <= budget for r0, r1 in spans)
 
     def test_small_grid_is_one_tile(self):
-        assert fusion.row_spans(7, 5) == [(0, 7)]
+        assert fusion.row_spans(7, 5, fusion.pixel_bytes(fusion.TLAM, 5, 96)) == [(0, 7)]
 
     def test_wide_grid_gets_one_row_per_tile(self):
-        assert fusion.row_spans(3, fusion.TILE_PIXELS + 1) == [(0, 1), (1, 2), (2, 3)]
+        assert fusion.row_spans(3, 1025, 1024) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_pixel_bytes_is_the_widest_intermediate(self):
+        # tlam's (N, 4d) MLP hidden layer, clam's (N, d) tokens, in float64
+        assert fusion.pixel_bytes(fusion.TLAM, 5, 96) == 15360
+        assert fusion.pixel_bytes(fusion.CLAM, 5, 96) == 3840
+
+    @pytest.mark.parametrize(
+        "variant,h,w,d,rows",
+        [(fusion.TLAM, 64, 64, 96, 1),  # the 64x64 d=96 benchmark merge
+         (fusion.TLAM, 16, 16, 16, 16),  # toy training at d=16: one tile
+         (fusion.CLAM, 32, 32, 96, 8)],  # the CLI chain's clam merge
+    )
+    def test_pinned_configs(self, variant, h, w, d, rows):
+        spans = fusion.row_spans(h, w, fusion.pixel_bytes(variant, 5, d))
+        assert spans == [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
 
 
 class TestClamAndNaive:
@@ -284,11 +321,12 @@ class TestMacCounting:
     def test_counter_exact_with_worker_threads(self):
         # four workers over eight tiles with frequent thread switches: a lost
         # counter update would show as a short count
-        h, w = 8 * (fusion.TILE_PIXELS // 8), 8
-        assert len(fusion.row_spans(h, w)) >= 4
+        pixel_size = fusion.pixel_bytes(fusion.TLAM, 2, 16)
+        h, w = 8 * (fusion.TILE_BYTES // (8 * pixel_size)), 8
+        assert len(fusion.row_spans(h, w, pixel_size)) >= 4
         labels = tiny_set(h=h, w=w, seed=15, n=2)
-        p = init_merger_params(labels, fusion.TLAM, d=4, n_blocks=2, heads=2, seed=16)
-        expect = count_attention_macs(2, 4, 2, 2, h * w)
+        p = init_merger_params(labels, fusion.TLAM, d=16, n_blocks=2, heads=2, seed=16)
+        expect = count_attention_macs(2, 16, 2, 2, h * w)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -107,6 +107,14 @@ class TestJacobi:
         assert not vals.any()
         assert np.array_equal(vecs, np.eye(4))
 
+    @pytest.mark.parametrize("sym", [[[-1.0, 1.0], [1.0, -1.0]], [[1.0, 2.0], [2.0, -1.0]]])
+    def test_trace_not_positive_is_diagonalized(self, sym):
+        # trace -2 and 0: eigenvalues (-2, 0) and +-sqrt(5)
+        sym = np.array(sym)
+        vals, vecs = jacobi_eigh(sym)
+        assert np.allclose(np.sort(vals), np.linalg.eigh(sym)[0], rtol=0.0, atol=1e-12)
+        assert np.allclose(vecs @ np.diag(vals) @ vecs.T, sym, rtol=0.0, atol=1e-12)
+
     def test_nan_entry_not_converged(self):
         with pytest.raises(RuntimeError, match="converge"):
             jacobi_eigh(np.array([[np.nan, 1.0], [1.0, 2.0]]))

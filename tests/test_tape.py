@@ -1,8 +1,10 @@
 import inspect
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -184,15 +186,92 @@ class TestGelu:
         assert y.shape == x.shape
         for xi, yi in zip(x.flat, y.flat):
             assert yi == pytest.approx(gelu_scalar(float(xi)), rel=1e-12, abs=1e-15)
-        # in the negative tail gelu(x) = 0.5 x (1 + tanh(...)) cancels, so its
-        # rounding is about eps*|x|, not eps*|gelu(x)|; the "+ v" term puts that
-        # scale into the loss, where finite_diff_check's round-off allowance
-        # sees it (without it x = -6 fails at the parent too)
+        # the "+ v" term keeps the loss of order |x|; the negative tail on
+        # its own is test_finite_differences_in_negative_tail
         store = ParamStore()
         v = store.add("x", x.copy())
         w = np.linspace(0.5, 1.5, x.size).reshape(x.shape)
         report = finite_diff_check(store, lambda: tape.sum_all((tape.gelu(v) + v) * w))
         assert report.passed, report.failures[:3]
+
+    def test_finite_differences_in_negative_tail(self):
+        # gelu(-6) is about -8e-11: a form that rounds at the scale of |x|,
+        # as 0.5 x (1 + tanh u) does, fails this check
+        store = ParamStore()
+        v = store.add("x", np.array([-6.0]))
+        report = finite_diff_check(store, lambda: tape.sum_all(tape.gelu(v) * 0.5))
+        assert report.passed, report.failures
+
+    def test_matches_decimal_reference(self):
+        xs = np.linspace(-30.0, 20.0, 5001)
+        y = tape.gelu(Var(xs)).value
+        for x, yi in zip(xs, y):
+            ref = gelu_decimal(float(x))
+            if yi == 0.0:
+                # exp(-2u) overflowed: only where the true value is negligible
+                assert abs(ref) < Decimal("1e-300"), x
+            else:
+                # relative accuracy holds even below 1e-300, down to where
+                # exp(-2u) overflows (about x = -21.2)
+                assert abs((Decimal(float(yi)) - ref) / ref) <= Decimal("1e-12"), x
+
+    def test_far_tail_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = Var(np.array([-25.0, -25.0]))
+            y = tape.gelu(x)
+            backward(tape.sum_all(y))
+        assert np.all(y.value == 0.0) and np.all(np.signbit(y.value))
+        assert np.all(x.grad == 0.0)
+
+
+# pi to 62 significant digits, for the 60-digit GeLU reference
+_PI = Decimal("3.1415926535897932384626433832795028841971693993751058209749445923")
+
+
+def gelu_decimal(x: float) -> Decimal:
+    """0.5 x (1 + tanh u) = x / (1 + exp(-2u)), u = sqrt(2/pi) (x + 0.044715 x^3),
+    in 60-digit decimal arithmetic (the second form does not cancel)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        xd = Decimal(x)
+        u = (2 / _PI).sqrt() * (xd + Decimal("0.044715") * xd**3)
+        return xd / (1 + (-2 * u).exp())
+
+
+class TestFlatMatmul:
+    """(..., k) @ (k, m) runs as one flat GEMM; it must agree with numpy's
+    broadcasting matmul and with the broadcasting gradient formulas."""
+
+    @given(
+        batch=hnp.array_shapes(min_dims=2, max_dims=4, min_side=0, max_side=3),
+        k=st.integers(1, 6),
+        m=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=(2, 0), k=3, m=2, seed=0)
+    @example(batch=(0, 3, 1), k=1, m=4, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_broadcasting_matmul(self, batch, k, m, seed):
+        rng = np.random.default_rng(seed)
+        a_val = rng.standard_normal((*batch, k))
+        b_val = rng.standard_normal((k, m))
+        g = rng.standard_normal((*batch, m))
+        a, b = Var(a_val), Var(b_val)
+        out = tape.matmul(a, b)
+        assert out.shape == (*batch, m)
+        close(out.value, np.matmul(a_val, b_val))
+        backward(tape.sum_all(out * g))
+        close(a.grad, np.matmul(g, b_val.T))
+        lead = tuple(range(len(batch)))
+        close(b.grad, np.matmul(np.swapaxes(a_val, -1, -2), g).sum(axis=lead[:-1]))
+
+
+def close(got, want):
+    """Agreement to 1e-12 relative to the largest entry of ``want``."""
+    assert got.shape == want.shape
+    scale = max(np.abs(want).max(initial=0.0), np.finfo(float).tiny)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
 
 
 class TestBroadcasting:

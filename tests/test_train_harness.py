@@ -10,6 +10,11 @@ from labelfuse.tensor_core import Rng, save_tensor
 
 from oracles import adam_recurrence, adv_d_loss_whole_grid, gelu_scalar
 
+# the row tiles of the 8-wide, d=8 scenes (five labels) that the tiling
+# tests train on
+PIXEL_SIZE = fusion.pixel_bytes(fusion.TLAM, 5, 8)
+TILE_ROWS = fusion.TILE_BYTES // (8 * PIXEL_SIZE)
+
 
 def heads_with_disc(d=4, seed=0, d_g=6, d_c=5):
     return th.init_head_params(d, Rng(seed), d_g=d_g, d_c=d_c, discriminator=True)
@@ -30,8 +35,8 @@ def max_rows(root):
 def two_tile_adv():
     """A masked scene of two or more row tiles, its target, and merger and
     head (discriminator included) arrays for it."""
-    h, w = fusion.TILE_PIXELS // 8 + 8, 8
-    assert len(fusion.row_spans(h, w)) >= 2
+    h, w = TILE_ROWS + 8, 8
+    assert len(fusion.row_spans(h, w, PIXEL_SIZE)) >= 2
     labels, inst, target = label_model.synth_scene(h, w, 3, 5)
     masked = label_model.apply_masks(labels, label_model.generate_sparse_masks(inst, labels, 0.5, 6))
     rng = Rng(8)
@@ -326,16 +331,16 @@ class TestTrainToy:
         assert report["loss"][-1] < report["loss"][0]
 
     def test_parallel_mode_matches_within_tolerance(self):
-        h, w = fusion.TILE_PIXELS // 8 + 8, 8
-        assert len(fusion.row_spans(h, w)) >= 2
+        h, w = TILE_ROWS + 8, 8
+        assert len(fusion.row_spans(h, w, PIXEL_SIZE)) >= 2
         a = th.train_toy(self.small_cfg(iters=12, threads=1, height=h, width=w))
         b = th.train_toy(self.small_cfg(iters=12, threads=3, height=h, width=w))
         assert a["loss"] == b["loss"]
         assert a["eval"] == b["eval"] and a["per_label_ablation"] == b["per_label_ablation"]
 
     def test_tiled_l2_grads_match_whole_grid(self):
-        h, w = fusion.TILE_PIXELS // 8 + 8, 8
-        assert len(fusion.row_spans(h, w)) >= 2
+        h, w = TILE_ROWS + 8, 8
+        assert len(fusion.row_spans(h, w, PIXEL_SIZE)) >= 2
         labels, inst, target = label_model.synth_scene(h, w, 3, 5)
         masked = label_model.apply_masks(labels, label_model.generate_sparse_masks(inst, labels, 0.5, 6))
         target = target.astype(np.float64)
@@ -344,7 +349,7 @@ class TestTrainToy:
         heads0 = th.init_head_params(8, rng, d_g=8)
         value, grads, held = th.tiled_grads(masked, target, merger0, heads0, th._l2_tile, threads=2)
         # only one tile's graph outlives the step
-        assert max_rows(held) <= fusion.TILE_PIXELS
+        assert max_rows(held) <= TILE_ROWS * 8
         store = th.ParamStore()
         merger = th.lift_merger_params(merger0, store.add)
         heads = th.lift_head_params(heads0, store.add)
@@ -357,16 +362,16 @@ class TestTrainToy:
             assert np.abs(grads[name] - g).max() <= 1e-12, name
 
     def test_adversarial_report_independent_of_threads(self):
-        h, w = fusion.TILE_PIXELS // 8 + 8, 8
-        assert len(fusion.row_spans(h, w)) >= 2
+        h, w = TILE_ROWS + 8, 8
+        assert len(fusion.row_spans(h, w, PIXEL_SIZE)) >= 2
         a = th.train_toy(self.small_cfg(mode="adversarial", iters=4, threads=1, height=h, width=w))
         b = th.train_toy(self.small_cfg(mode="adversarial", iters=4, threads=3, height=h, width=w))
         del a["config"]["threads"], b["config"]["threads"]
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_parallel_mode_deterministic(self):
-        h, w = fusion.TILE_PIXELS // 8 + 8, 8
-        assert len(fusion.row_spans(h, w)) >= 2
+        h, w = TILE_ROWS + 8, 8
+        assert len(fusion.row_spans(h, w, PIXEL_SIZE)) >= 2
         a = th.train_toy(self.small_cfg(iters=6, threads=3, height=h, width=w))
         b = th.train_toy(self.small_cfg(iters=6, threads=3, height=h, width=w))
         assert a["loss"] == b["loss"]
@@ -426,7 +431,7 @@ class TestAdversarialSteps:
     def test_tiled_g_step_matches_whole_grid(self, two_tile_adv):
         masked, target, merger0, heads0 = two_tile_adv
         value, grads, held = th.tiled_grads(masked, target, merger0, heads0, th._adv_g_tile, threads=2)
-        assert max_rows(held) <= fusion.TILE_PIXELS
+        assert max_rows(held) <= TILE_ROWS * 8
         store = th.ParamStore()
         merger = th.lift_merger_params(merger0, store.add)
         heads = th.lift_head_params(heads0, store.add)
