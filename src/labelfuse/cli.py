@@ -162,7 +162,8 @@ def cmd_bench(args) -> int:
         return EXIT_NUMERIC
     best, median = min(times), statistics.median(times)
     pixels = h * w
-    print(f"labels={args.labels} size={h}x{w} d={args.d} blocks={args.blocks} heads={args.heads}")
+    print(f"labels={args.labels} size={h}x{w} d={args.d} blocks={args.blocks} heads={args.heads}"
+          f" threads={args.threads} OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     print(f"time: min {best * 1e3:.2f} ms, median {median * 1e3:.2f} ms over {args.repeat} runs")
     print(f"pixels/sec: {pixels / best:,.0f}   attention MACs: {macs:,}"
           f"   attention MACs/sec: {macs / best:,.3e}")
@@ -228,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker threads; results do not depend on the thread count",
+        help="worker threads; results never depend on the thread count. With more"
+        " than 1, set OPENBLAS_NUM_THREADS=1 so BLAS threads do not oversubscribe the cores",
     )
 
     parser = argparse.ArgumentParser(

@@ -12,13 +12,13 @@ Three variants produce a per-pixel fused representation from a label set:
 * ``naive_concat``: plain channel concatenation in label order.
 
 Merging is embarrassingly parallel over pixels: attention never crosses
-pixels.  One tiling rule serves every caller that splits a grid, merging and
-training alike: ``row_spans`` cuts the rows into tiles whose widest
-intermediate (``pixel_bytes`` a pixel) fits in ``TILE_BYTES``, at least one
-row each; ``masked_rows`` slices the masked inputs of a tile and
-``map_spans`` runs tiles on a thread pool in tile order.  The tiles depend
-only on the grid and the merger's sizes, never on the thread count, so
-results do not depend on the thread count either.
+pixels, so tiles may cut rows.  ``map_tiles`` is the one tiler, for merging
+and training alike: it cuts the flattened grid into ``pixel_spans`` of
+``max(1, TILE_BYTES // pixel_bytes)`` pixels, slices their inputs with
+``masked_pixels`` and runs them on a thread pool in span order.  Results
+never depend on the thread count.  At some widths (d=12) a pixel's last bit
+can depend on the grid's pixel count, as OpenBLAS picks its dgemm kernel by
+GEMM size (the CHANGES.md ``FOUND:`` note on tile row counts).
 
 ``map_params`` walks every tensor of a ``MergerParams`` under its canonical
 name (``proj.<label>.A``, ``enc.<label>``, ``block<m>.`` plus the block's
@@ -200,30 +200,32 @@ def pixel_bytes(variant: str, n_labels: int, d: int) -> int:
     return 8 * n_labels * (4 * d if variant == TLAM else d)
 
 
-def row_spans(h: int, w: int, pixel_size: int) -> list[tuple[int, int]]:
-    """Rows [0, h) of an h x w grid cut, in order, into spans of
-    ``max(1, TILE_BYTES // (w * pixel_size))`` rows (the last may be
+def pixel_spans(pixels: int, pixel_size: int) -> list[tuple[int, int]]:
+    """Pixels [0, pixels) of a flattened grid cut, in order, into spans of
+    ``max(1, TILE_BYTES // pixel_size)`` pixels (only the last may be
     shorter), where ``pixel_size`` is ``pixel_bytes`` of the merge."""
-    rows = max(1, TILE_BYTES // (w * pixel_size))
-    return [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
+    step = max(1, TILE_BYTES // pixel_size)
+    return [(p0, min(p0 + step, pixels)) for p0 in range(0, pixels, step)]
 
 
-def masked_rows(s: LabelSet, r0: int, r1: int) -> list[np.ndarray]:
-    """Per label, rows [r0, r1) as (pixels, C_k) float64 with absent pixels exactly zero."""
+def masked_pixels(s: LabelSet, p0: int, p1: int) -> list[Var]:
+    """Per label, pixels [p0, p1) of the flattened grid as a (p1 - p0, C_k)
+    float64 Var, with absent pixels exactly zero."""
     return [
-        np.where(lab.mask[r0:r1, :, None] != 0, lab.values[r0:r1].astype(np.float64), 0.0)
-        .reshape(-1, lab.channels)
+        Var(np.where(lab.mask.reshape(-1, 1)[p0:p1] != 0, lab.values.reshape(-1, lab.channels)[p0:p1], 0.0))
         for lab in s
     ]
 
 
-def map_spans(fn, spans: list, threads: int) -> list:
-    """``[fn(r0, r1) for r0, r1 in spans]``, on up to ``threads`` threads;
-    results keep span order."""
+def map_tiles(fn, s: LabelSet, p: MergerParams, threads: int) -> list:
+    """``fn(p0, p1, masked_pixels(s, p0, p1))`` for each of the ``pixel_spans``
+    of a ``p`` merge of ``s``, on up to ``threads`` threads, in span order."""
+    spans = pixel_spans(s.height * s.width, pixel_bytes(p.variant, len(s), p.d))
+    run = lambda span: fn(*span, masked_pixels(s, *span))
     if threads <= 1 or len(spans) <= 1:
-        return [fn(*span) for span in spans]
+        return [run(span) for span in spans]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda span: fn(*span), spans))
+        return list(pool.map(run, spans))
 
 
 def _projected_tokens(xs: list[Var], names: list[str], p: MergerParams) -> list[Var]:
@@ -272,14 +274,13 @@ def _run_tiled(s: LabelSet, p: MergerParams, variant: str, threads: int) -> np.n
     names = [lab.name for lab in s]
     lifted = map_params(p, lambda _name, t: tape.as_var(t))
     out = np.empty((s.height, s.width, p.d), dtype=np.float64)
+    flat = out.reshape(-1, p.d)
 
-    def tile(r0, r1):
+    def tile(p0, p1, xs):
         with no_grad():
-            z = graph([Var(x) for x in masked_rows(s, r0, r1)], names, lifted).value
-        out[r0:r1] = z.reshape(r1 - r0, s.width, p.d)
+            flat[p0:p1] = graph(xs, names, lifted).value
 
-    spans = row_spans(s.height, s.width, pixel_bytes(variant, len(names), p.d))
-    map_spans(tile, spans, threads)
+    map_tiles(tile, s, p, threads)
     if not np.isfinite(out).all():
         raise FloatingPointError("merge produced non-finite values")
     return out

@@ -144,7 +144,8 @@ def generate_sparse_masks(
 
 
 def apply_masks(s: LabelSet, m: SparsityMaskSet) -> LabelSet:
-    """AND each label's mask with its sparsity mask and zero newly-absent values."""
+    """AND each label's mask with its sparsity mask into a 0/1 mask (a nonzero
+    byte is present, as in every merge) and zero newly-absent values."""
     out: list[LabelMap] = []
     for lab in s:
         sp = m.masks.get(lab.name)
@@ -153,7 +154,7 @@ def apply_masks(s: LabelSet, m: SparsityMaskSet) -> LabelSet:
         if sp.shape != lab.mask.shape:
             raise ValueError(f"label {lab.name!r}: sparsity mask dims {sp.shape} mismatch")
         values = np.where(sp[..., None] == 0, np.float32(0.0), lab.values)
-        mask = (lab.mask & sp).astype(np.uint8)
+        mask = ((lab.mask != 0) & (sp != 0)).astype(np.uint8)
         out.append(LabelMap(name=lab.name, kind=lab.kind, values=values, mask=mask))
     return LabelSet(labels=out)
 

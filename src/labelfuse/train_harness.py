@@ -4,9 +4,9 @@ store over tape leaves, finite-difference gradient verification, Adam
 generator/discriminator heads, and the desk-scale training loop on synthetic
 scenes.
 
-Every training step runs in row tiles (``tiled_grads``): the l2 and the
-adversarial generator losses are means over pixels, so they split exactly
-into row-weighted tile losses.  The discriminator step updates only
+Every training step runs on the merge tiler (``tiled_grads``): the l2 and
+the adversarial generator losses are means over pixels, so they split exactly
+into pixel-weighted tile losses.  The discriminator step updates only
 ``disc.*``, so it takes the tiled, unrecorded merge as data.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import fusion, tape
-from .fusion import MergerParams, masked_rows, tlam_graph
+from .fusion import MergerParams, tlam_graph
 from .label_model import (
     LabelSet,
     apply_masks,
@@ -334,13 +334,7 @@ class ToyTrainConfig:
     blocks: int = 2
     heads: int = 2
     lr: float = 5e-3  # l2 mode; the adversarial mode uses LR_G / LR_D
-    threads: int = 1  # schedules row tiles only; results do not depend on it
-
-
-def _merge_graph(masked: LabelSet, merger: MergerParams, r0: int, r1: int) -> Var:
-    """tlam_graph over rows [r0, r1) of a masked label set."""
-    xs = [Var(x) for x in masked_rows(masked, r0, r1)]
-    return tlam_graph(xs, [lab.name for lab in masked], merger)
+    threads: int = 1  # schedules pixel tiles only; results never depend on it
 
 
 def _l2_tile(z: Var, heads: HeadParams, t: Var) -> Var:
@@ -355,36 +349,35 @@ def _adv_g_tile(z: Var, heads: HeadParams, t: Var) -> Var:
 
 
 def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, threads: int = 1):
-    """A per-pixel mean loss and its gradients, by row tile (``fusion.row_spans``).
+    """A per-pixel mean loss and its gradients, by merge tile (``fusion.map_tiles``).
 
     ``tile_loss(z, heads, t)`` (``_l2_tile`` or ``_adv_g_tile``) is the loss
-    of a tile's merge ``z`` (B, d) against its target rows ``t`` (B, 3).
+    of a tile's merge ``z`` (B, d) against its target pixels ``t`` (B, 3).
     Each tile has its own leaves and may run on its own thread; tile losses
-    and gradients are weighted by the tile's share of rows and summed in
+    and gradients are weighted by the tile's share of pixels and summed in
     ascending tile order, so nothing depends on ``threads``.  A tile's graph
     is dropped once its gradients are taken, except the last one to finish:
     returns ``(loss, grads, last_tile_loss)``.
     """
-    h = masked.height
-    pixel_size = fusion.pixel_bytes(merger_arrays.variant, len(masked), merger_arrays.d)
-    spans = fusion.row_spans(h, masked.width, pixel_size)
+    names = [lab.name for lab in masked]
+    pixels = masked.height * masked.width
+    flat_target = target.reshape(-1, 3)
     last = [None]
 
-    def run(r0, r1):
+    def run(p0, p1, xs):
         leaves: dict[str, Var] = {}
         register = lambda name, arr: leaves.setdefault(name, Var(arr))
         merger = lift_merger_params(merger_arrays, register)
         heads = lift_head_params(heads_arrays, register)
-        t = Var(target[r0:r1].astype(np.float64).reshape(-1, 3))
-        loss = tile_loss(_merge_graph(masked, merger, r0, r1), heads, t)
+        t = Var(flat_target[p0:p1].astype(np.float64))
+        loss = tile_loss(tlam_graph(xs, names, merger), heads, t)
         backward(loss)
         last[0] = loss
-        return float(loss.value), {n: v.grad for n, v in leaves.items() if v.grad is not None}
+        return (p1 - p0) / pixels, float(loss.value), {n: v.grad for n, v in leaves.items() if v.grad is not None}
 
     total = 0.0
     grads: dict[str, np.ndarray] = {}
-    for (r0, r1), (value, tile_grads) in zip(spans, fusion.map_spans(run, spans, threads)):
-        w = (r1 - r0) / h
+    for w, value, tile_grads in fusion.map_tiles(run, masked, merger_arrays, threads):
         total += w * value
         for n, g in tile_grads.items():
             grads[n] = grads[n] + w * g if n in grads else w * g
@@ -607,7 +600,8 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
             merger = lift_merger_params(merger_init, store.add)
             head_vars = lift_head_params(heads_init, store.add)
             target = Var(rng.uniforms(h * w, 3))
-            return lambda: _l2_tile(_merge_graph(labels, merger, 0, h), head_vars, target)
+            merge = lambda: tlam_graph(fusion.masked_pixels(labels, 0, h * w), [lab.name for lab in labels], merger)
+            return lambda: _l2_tile(merge(), head_vars, target)
 
         return build
 

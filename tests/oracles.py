@@ -107,11 +107,12 @@ def adv_d_loss_whole_grid(masked, target, merger, heads):
     """The adversarial discriminator hinge loss as one graph over the whole
     grid: recorded merge, generator, then the real and fake discriminator
     means.  Its ``disc.*`` gradients are those of the D step."""
-    from labelfuse.fusion import masked_rows, tlam_graph
+    from labelfuse.fusion import masked_pixels, tlam_graph
     from labelfuse.tape import Var
     from labelfuse.train_harness import discriminator_graph, generate_graph, hinge_d_loss
 
-    z = tlam_graph([Var(x) for x in masked_rows(masked, 0, masked.height)], [lab.name for lab in masked], merger)
+    xs = masked_pixels(masked, 0, masked.height * masked.width)
+    z = tlam_graph(xs, [lab.name for lab in masked], merger)
     fake = generate_graph(z, heads)
     real = Var(np.asarray(target, dtype=np.float64).reshape(-1, 3))
     return hinge_d_loss(discriminator_graph(z, real, heads), discriminator_graph(z, fake, heads))

@@ -161,7 +161,7 @@ class TestMerge:
             assert run("merge", "--manifest", str(scene / "manifest.json"),
                        "--params", str(params), "--variant", "tlam",
                        "--out", str(out), "--threads", "2") == EXIT_OK
-        assert len(fusion.row_spans(*load_tensor(a).shape[:2], WIDE_PIXEL_SIZE)) >= 2
+        assert len(fusion.pixel_spans(load_tensor(a)[..., 0].size, WIDE_PIXEL_SIZE)) >= 2
         assert a.read_bytes() == b.read_bytes()
 
     def test_output_independent_of_threads(self, tmp_path, wide_scene):
@@ -171,7 +171,7 @@ class TestMerge:
             assert run("merge", "--manifest", str(scene / "manifest.json"),
                        "--params", str(params), "--variant", "tlam",
                        "--out", str(out), "--threads", threads) == EXIT_OK
-        assert len(fusion.row_spans(*load_tensor(a).shape[:2], WIDE_PIXEL_SIZE)) >= 2
+        assert len(fusion.pixel_spans(load_tensor(a)[..., 0].size, WIDE_PIXEL_SIZE)) >= 2
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -330,6 +330,18 @@ class TestBench:
                    "--threads", "1") == EXIT_OK
         out = capsys.readouterr().out
         assert "attention MACs: " in out and "attention MACs/sec: " in out
+
+    @pytest.mark.parametrize("value", ["1", None])
+    def test_bench_prints_blas_threads(self, capsys, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        assert run("bench", "--labels", "2", "--size", "4x4", "--d", "4",
+                   "--blocks", "1", "--heads", "1", "--repeat", "1",
+                   "--threads", "2") == EXIT_OK
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.endswith(f" threads=2 OPENBLAS_NUM_THREADS={value or 'unset'}")
 
 
 class TestVisualize:

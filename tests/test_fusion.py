@@ -172,7 +172,8 @@ class TestTlamMerge:
         for variant, merge in ((fusion.TLAM, tlam_merge), (fusion.CLAM, clam_merge)):
             pixel_size = fusion.pixel_bytes(variant, 3, 8)
             h, w = 2 * (fusion.TILE_BYTES // (8 * pixel_size)) + 3, 8
-            assert len(fusion.row_spans(h, w, pixel_size)) >= 2
+            spans = fusion.pixel_spans(h * w, pixel_size)
+            assert len(spans) >= 2 and any(p0 % w for p0, _ in spans)  # a span starts mid-row
             labels = tiny_set(h=h, w=w, seed=11, sparsity=0.3)
             p = init_merger_params(labels, variant, d=8, n_blocks=2, heads=2, seed=12)
             seq = merge(labels, p, threads=1)
@@ -191,18 +192,18 @@ class TestTlamMerge:
             outs = []
             for tile_pixels in (64, 1024):
                 monkeypatch.setattr(fusion, "TILE_BYTES", tile_pixels * pixel_size)
-                assert len(fusion.row_spans(h, w, pixel_size)) == h * w // tile_pixels
+                assert len(fusion.pixel_spans(h * w, pixel_size)) == h * w // tile_pixels
                 outs.append(merge(labels, p).tobytes())
             assert outs[0] == outs[1]
 
     def test_chunking_matches_full_batch(self):
         pixel_size = fusion.pixel_bytes(fusion.TLAM, 3, 8)
         h, w = fusion.TILE_BYTES // (8 * pixel_size) + 5, 8
-        assert len(fusion.row_spans(h, w, pixel_size)) >= 2
+        assert len(fusion.pixel_spans(h * w, pixel_size)) >= 2
         labels = tiny_set(h=h, w=w, seed=13, sparsity=0.3)
         p = init_merger_params(labels, fusion.TLAM, d=8, n_blocks=1, heads=2, seed=14)
         lifted = fusion.map_params(p, lambda _name, t: tape.as_var(t))
-        xs = [tape.Var(x) for x in fusion.masked_rows(labels, 0, h)]
+        xs = fusion.masked_pixels(labels, 0, h * w)
         with tape.no_grad():
             full = fusion.tlam_graph(xs, [lab.name for lab in labels], lifted).value
         tiled = tlam_merge(labels, p)
@@ -210,8 +211,8 @@ class TestTlamMerge:
 
 
 class TestRowSpans:
-    # at 1,024 bytes a pixel, a 1,024-pixel row fills TILE_BYTES exactly
-    # and wider rows overflow it
+    # spans are row ranges of the flattened (H*W, C_k) inputs: runs of
+    # pixels in row-major order that may start and end mid-row
     @pytest.mark.parametrize(
         "h,w",
         [(1, 1), (4, 4), (7, 5), (64, 8), (65, 8), (100, 8), (300, 3),
@@ -219,17 +220,21 @@ class TestRowSpans:
     )
     def test_cover_rows_in_order_within_budget(self, h, w):
         for pixel_size in (8, 1024, 2560, 3840, 15360, fusion.TILE_BYTES + 1):
-            spans = fusion.row_spans(h, w, pixel_size)
-            assert spans[0][0] == 0 and spans[-1][1] == h
+            spans = fusion.pixel_spans(h * w, pixel_size)
+            assert spans[0][0] == 0 and spans[-1][1] == h * w
             assert all(a1 == b0 for (_, a1), (b0, _) in zip(spans, spans[1:]))
-            budget = max(fusion.TILE_BYTES, w * pixel_size)
-            assert all(0 < (r1 - r0) * w * pixel_size <= budget for r0, r1 in spans)
+            step = max(1, fusion.TILE_BYTES // pixel_size)
+            assert all(p1 - p0 == step for p0, p1 in spans[:-1])
+            assert 0 < spans[-1][1] - spans[-1][0] <= step
 
     def test_small_grid_is_one_tile(self):
-        assert fusion.row_spans(7, 5, fusion.pixel_bytes(fusion.TLAM, 5, 96)) == [(0, 7)]
+        assert fusion.pixel_spans(7 * 5, fusion.pixel_bytes(fusion.TLAM, 5, 96)) == [(0, 35)]
 
-    def test_wide_grid_gets_one_row_per_tile(self):
-        assert fusion.row_spans(3, 1025, 1024) == [(0, 1), (1, 2), (2, 3)]
+    def test_wide_grid_splits_rows(self):
+        # 1,024 bytes a pixel fills TILE_BYTES at 1,024 pixels, so a
+        # 1,025-pixel row is cut inside the row, not held whole
+        spans = fusion.pixel_spans(3 * 1025, 1024)
+        assert spans == [(0, 1024), (1024, 2048), (2048, 3072), (3072, 3075)]
 
     def test_pixel_bytes_is_the_widest_intermediate(self):
         # tlam's (N, 4d) MLP hidden layer, clam's (N, d) tokens, in float64
@@ -237,14 +242,26 @@ class TestRowSpans:
         assert fusion.pixel_bytes(fusion.CLAM, 5, 96) == 3840
 
     @pytest.mark.parametrize(
-        "variant,h,w,d,rows",
-        [(fusion.TLAM, 64, 64, 96, 1),  # the 64x64 d=96 benchmark merge
-         (fusion.TLAM, 16, 16, 16, 16),  # toy training at d=16: one tile
-         (fusion.CLAM, 32, 32, 96, 8)],  # the CLI chain's clam merge
+        "variant,h,w,d,pixels",
+        [(fusion.TLAM, 64, 64, 96, 68),  # the 64x64 d=96 benchmark merge
+         (fusion.TLAM, 16, 16, 16, 256),  # toy training at d=16: one span
+         (fusion.CLAM, 32, 32, 96, 273)],  # the CLI chain's clam merge
     )
-    def test_pinned_configs(self, variant, h, w, d, rows):
-        spans = fusion.row_spans(h, w, fusion.pixel_bytes(variant, 5, d))
-        assert spans == [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
+    def test_pinned_span_sizes(self, variant, h, w, d, pixels):
+        spans = fusion.pixel_spans(h * w, fusion.pixel_bytes(variant, 5, d))
+        assert spans == [(p0, min(p0 + pixels, h * w)) for p0 in range(0, h * w, pixels)]
+
+    def test_masked_pixels_flattens_rows_and_zeroes_absent(self):
+        values = np.arange(24, dtype=np.float32).reshape(3, 4, 2)
+        mask = np.ones((3, 4), dtype=np.uint8)
+        mask[1, 2] = 0
+        mask[2, 0] = 2
+        labels = LabelSet(labels=[make_label("a", "continuous", values, mask)])
+        (x,) = fusion.masked_pixels(labels, 3, 9)
+        expect = values.reshape(12, 2)[3:9].astype(np.float64)
+        expect[3] = 0.0  # pixel (1, 2), flat index 6
+        assert x.value.dtype == np.float64
+        assert x.value.tobytes() == expect.tobytes()
 
 
 class TestClamAndNaive:
@@ -323,7 +340,7 @@ class TestMacCounting:
         # counter update would show as a short count
         pixel_size = fusion.pixel_bytes(fusion.TLAM, 2, 16)
         h, w = 8 * (fusion.TILE_BYTES // (8 * pixel_size)), 8
-        assert len(fusion.row_spans(h, w, pixel_size)) >= 4
+        assert len(fusion.pixel_spans(h * w, pixel_size)) >= 4
         labels = tiny_set(h=h, w=w, seed=15, n=2)
         p = init_merger_params(labels, fusion.TLAM, d=16, n_blocks=2, heads=2, seed=16)
         expect = count_attention_macs(2, 16, 2, 2, h * w)

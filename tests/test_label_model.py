@@ -143,6 +143,18 @@ class TestApplyMasks:
         sem_in, sem_out = s.by_name("sem"), out.by_name("sem")
         assert sem_in.values.tobytes() == sem_out.values.tobytes()
 
+    def test_any_nonzero_mask_byte_is_present(self):
+        # the merges read any nonzero byte as present; so must the masking
+        s = two_label_set()
+        s.labels[0].mask = np.full((8, 8), 2, dtype=np.uint8)
+        s.labels[1].mask[0, 0] = 3
+        sp = generate_sparse_masks(grid_instances(4, 8, 8), s, 0.0, seed=0)
+        sp.masks["sem"][0, 1] = 2
+        out = apply_masks(s, sp)
+        for a, b in zip(s, out):
+            assert (b.mask == 1).all()
+            assert a.values.tobytes() == b.values.tobytes()
+
     def test_idempotent(self):
         labels, inst, _ = synth_scene(10, 10, 4, seed=2)
         m = generate_sparse_masks(inst, labels, 0.5, seed=6)

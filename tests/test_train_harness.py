@@ -10,10 +10,11 @@ from labelfuse.tensor_core import Rng, save_tensor
 
 from oracles import adam_recurrence, adv_d_loss_whole_grid, gelu_scalar
 
-# the row tiles of the 8-wide, d=8 scenes (five labels) that the tiling
-# tests train on
+# the pixel tiles of the 8-wide, d=8 scenes (five labels) that the tiling
+# tests train on: TILE_ROWS + 8 rows of 8 make two or more spans
 PIXEL_SIZE = fusion.pixel_bytes(fusion.TLAM, 5, 8)
-TILE_ROWS = fusion.TILE_BYTES // (8 * PIXEL_SIZE)
+TILE_PIXELS = fusion.TILE_BYTES // PIXEL_SIZE
+TILE_ROWS = TILE_PIXELS // 8
 
 
 def heads_with_disc(d=4, seed=0, d_g=6, d_c=5):
@@ -26,6 +27,12 @@ def disc_score(z, img, hp):
         return th.discriminator_graph(Var(z.reshape(-1, z.shape[-1])), Var(img.reshape(-1, 3)), hp).item()
 
 
+def whole_grid_merge(s, merger):
+    """The recorded tlam merge of every pixel of ``s`` as one (H*W, d) graph."""
+    xs = fusion.masked_pixels(s, 0, s.height * s.width)
+    return fusion.tlam_graph(xs, [lab.name for lab in s], merger)
+
+
 def max_rows(root):
     """The most rows of any array a graph holds."""
     return max(n.value.shape[0] for n in tape.Tape.from_root(root).nodes if n.value.ndim)
@@ -33,10 +40,10 @@ def max_rows(root):
 
 @pytest.fixture(scope="module")
 def two_tile_adv():
-    """A masked scene of two or more row tiles, its target, and merger and
+    """A masked scene of two or more pixel tiles, its target, and merger and
     head (discriminator included) arrays for it."""
     h, w = TILE_ROWS + 8, 8
-    assert len(fusion.row_spans(h, w, PIXEL_SIZE)) >= 2
+    assert len(fusion.pixel_spans(h * w, PIXEL_SIZE)) >= 2
     labels, inst, target = label_model.synth_scene(h, w, 3, 5)
     masked = label_model.apply_masks(labels, label_model.generate_sparse_masks(inst, labels, 0.5, 6))
     rng = Rng(8)
@@ -332,7 +339,7 @@ class TestTrainToy:
 
     def test_parallel_mode_matches_within_tolerance(self):
         h, w = TILE_ROWS + 8, 8
-        assert len(fusion.row_spans(h, w, PIXEL_SIZE)) >= 2
+        assert len(fusion.pixel_spans(h * w, PIXEL_SIZE)) >= 2
         a = th.train_toy(self.small_cfg(iters=12, threads=1, height=h, width=w))
         b = th.train_toy(self.small_cfg(iters=12, threads=3, height=h, width=w))
         assert a["loss"] == b["loss"]
@@ -340,7 +347,7 @@ class TestTrainToy:
 
     def test_tiled_l2_grads_match_whole_grid(self):
         h, w = TILE_ROWS + 8, 8
-        assert len(fusion.row_spans(h, w, PIXEL_SIZE)) >= 2
+        assert len(fusion.pixel_spans(h * w, PIXEL_SIZE)) >= 2
         labels, inst, target = label_model.synth_scene(h, w, 3, 5)
         masked = label_model.apply_masks(labels, label_model.generate_sparse_masks(inst, labels, 0.5, 6))
         target = target.astype(np.float64)
@@ -349,11 +356,11 @@ class TestTrainToy:
         heads0 = th.init_head_params(8, rng, d_g=8)
         value, grads, held = th.tiled_grads(masked, target, merger0, heads0, th._l2_tile, threads=2)
         # only one tile's graph outlives the step
-        assert max_rows(held) <= TILE_ROWS * 8
+        assert max_rows(held) <= TILE_PIXELS
         store = th.ParamStore()
         merger = th.lift_merger_params(merger0, store.add)
         heads = th.lift_head_params(heads0, store.add)
-        loss = th._l2_tile(th._merge_graph(masked, merger, 0, h), heads, Var(target.reshape(-1, 3)))
+        loss = th._l2_tile(whole_grid_merge(masked, merger), heads, Var(target.reshape(-1, 3)))
         backward(loss)
         assert abs(value - float(loss.value)) <= 1e-12
         whole = store.grads()
@@ -363,7 +370,7 @@ class TestTrainToy:
 
     def test_adversarial_report_independent_of_threads(self):
         h, w = TILE_ROWS + 8, 8
-        assert len(fusion.row_spans(h, w, PIXEL_SIZE)) >= 2
+        assert len(fusion.pixel_spans(h * w, PIXEL_SIZE)) >= 2
         a = th.train_toy(self.small_cfg(mode="adversarial", iters=4, threads=1, height=h, width=w))
         b = th.train_toy(self.small_cfg(mode="adversarial", iters=4, threads=3, height=h, width=w))
         del a["config"]["threads"], b["config"]["threads"]
@@ -371,7 +378,7 @@ class TestTrainToy:
 
     def test_parallel_mode_deterministic(self):
         h, w = TILE_ROWS + 8, 8
-        assert len(fusion.row_spans(h, w, PIXEL_SIZE)) >= 2
+        assert len(fusion.pixel_spans(h * w, PIXEL_SIZE)) >= 2
         a = th.train_toy(self.small_cfg(iters=6, threads=3, height=h, width=w))
         b = th.train_toy(self.small_cfg(iters=6, threads=3, height=h, width=w))
         assert a["loss"] == b["loss"]
@@ -405,7 +412,7 @@ class TestEndToEndGradcheck:
         heads = th.lift_head_params(th.init_head_params(8, rng, d_g=8), store.add)
         target = Var(np.random.default_rng(0).uniform(size=(16, 3)))
         report = th.finite_diff_check(
-            store, lambda: th._l2_tile(th._merge_graph(labels, merger, 0, 4), heads, target)
+            store, lambda: th._l2_tile(whole_grid_merge(labels, merger), heads, target)
         )
         assert report.passed, report.max_rel_err
 
@@ -422,7 +429,7 @@ class TestEndToEndGradcheck:
         )
         target = Var(np.random.default_rng(1).uniform(size=(9, 3)))
         report = th.finite_diff_check(
-            store, lambda: th._adv_g_tile(th._merge_graph(labels, merger, 0, 3), heads, target)
+            store, lambda: th._adv_g_tile(whole_grid_merge(labels, merger), heads, target)
         )
         assert report.passed, report.max_rel_err
 
@@ -431,11 +438,11 @@ class TestAdversarialSteps:
     def test_tiled_g_step_matches_whole_grid(self, two_tile_adv):
         masked, target, merger0, heads0 = two_tile_adv
         value, grads, held = th.tiled_grads(masked, target, merger0, heads0, th._adv_g_tile, threads=2)
-        assert max_rows(held) <= TILE_ROWS * 8
+        assert max_rows(held) <= TILE_PIXELS
         store = th.ParamStore()
         merger = th.lift_merger_params(merger0, store.add)
         heads = th.lift_head_params(heads0, store.add)
-        loss = th._adv_g_tile(th._merge_graph(masked, merger, 0, masked.height), heads, Var(target.reshape(-1, 3)))
+        loss = th._adv_g_tile(whole_grid_merge(masked, merger), heads, Var(target.reshape(-1, 3)))
         backward(loss)
         assert abs(value - float(loss.value)) <= 1e-12
         whole = store.grads()
