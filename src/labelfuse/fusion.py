@@ -232,7 +232,7 @@ def _projected_tokens(xs: list[Var], names: list[str], p: MergerParams) -> list[
     toks = []
     for x, name in zip(xs, names):
         proj = p.projections[name]
-        e = tape.gelu(tape.matmul(x, tape.transpose(proj.A, (1, 0))) + proj.b)
+        e = tape.gelu(tape.matmul(x, tape.transpose(proj.A, (1, 0)), proj.b))
         toks.append(e)
     return toks
 
@@ -261,7 +261,7 @@ def clam_graph(xs: list[Var], names: list[str], p: MergerParams) -> Var:
     out = []
     for v, name in zip(vs, names):
         for proj in p.clam_stacks[name]:
-            v = tape.gelu(tape.matmul(v, tape.transpose(proj.A, (1, 0))) + proj.b)
+            v = tape.gelu(tape.matmul(v, tape.transpose(proj.A, (1, 0)), proj.b))
         out.append(v)
     return _token_average(tape.stack(out, axis=1))
 

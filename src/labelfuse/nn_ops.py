@@ -262,7 +262,7 @@ def _mhsa(Z: Var, p: AttentionParams) -> Var:
     attention_mac_counter.add(2 * batch * heads * n * n * dh)
 
     merged = tape.reshape(tape.transpose(mixed, (0, 2, 1, 3)), (batch, n, d))
-    out = tape.matmul(merged, p.wo) + p.bo
+    out = tape.matmul(merged, p.wo, p.bo)
     return tape.reshape(out, in_shape)
 
 
@@ -283,8 +283,8 @@ def mlp_block(Z, p: BlockParams):
 
 def _mlp_block(Z: Var, p: BlockParams) -> Var:
     normed = tape.layer_norm(Z, p.ln2_gamma, p.ln2_beta, LN_EPS)
-    hidden = tape.gelu(tape.matmul(normed, p.w1) + p.b1)
-    return tape.matmul(hidden, p.w2) + p.b2 + Z
+    hidden = tape.gelu(tape.matmul(normed, p.w1, p.b1))
+    return tape.matmul(hidden, p.w2, p.b2) + Z
 
 
 def transformer_block(Z, p: BlockParams):

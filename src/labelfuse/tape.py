@@ -8,6 +8,14 @@ parents and closure; inside ``no_grad()`` it keeps neither, which is what
 the plain (non-training) forward paths use.  ``Tape.from_root(loss)``
 collects the nodes reachable from a scalar loss in topological order and
 ``backward`` visits each exactly once in reverse.
+
+A training step is bound by numpy passes over small arrays, not by FLOPs,
+so the ops keep their passes few: ``matmul`` runs a weight product as one
+flat GEMM and folds an optional bias into it, ``accumulate`` copies the
+first gradient instead of zero-filling and adding, and ``softmax`` and
+``layer_norm`` reduce their short last axis without numpy's generic
+reductions.  Every module-level function here is either a tape op or in
+the benchmark tracer's skip list, so helpers are nested inside their op.
 """
 
 from __future__ import annotations
@@ -60,9 +68,14 @@ class Var:
             self._backward = None
 
     def accumulate(self, g: np.ndarray) -> None:
+        """Add ``g``, an array of the value's shape, into ``grad``.  The first
+        gradient is stored as a copy, never as an alias: ``grad`` is owned by
+        this node and later gradients are added into it in place, while ops
+        such as ``add`` hand the same ``g`` to several parents."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            self.grad = np.array(g)
+        else:
+            self.grad += g
 
     @property
     def shape(self):
@@ -146,25 +159,60 @@ def neg(a: Var) -> Var:
     return Var(-a.value, (a,), backward)
 
 
-def matmul(a: Var, b: Var) -> Var:
-    """Batched matrix product with numpy broadcasting over leading axes.
+def matmul(a: Var, b: Var, bias: Var | None = None) -> Var:
+    """Batched matrix product with numpy broadcasting over leading axes, plus
+    an optional bias over the last output axis.
 
-    A batch of rows times a 2-D weight, (..., k) @ (k, m), runs as one flat
-    (rows, k) @ (k, m) GEMM, and its weight gradient as one (k, rows) @
-    (rows, m) GEMM instead of a batched product summed over the batch.  The
-    reshape stays inside this op, so callers still see their own shapes."""
+    Two weight shapes run as one flat GEMM; the reshapes stay inside this op,
+    so callers still see their own shapes:
+
+    * rows times a 2-D weight, (..., k) @ (k, m), including a plain (r, k)
+      matrix, is one (rows, k) @ (k, m) GEMM.  Its backward is one GEMM for
+      the input and one (k, rows) @ (rows, m) GEMM for the weight, instead
+      of a batched product summed over the batch.
+    * head-stacked weights, (B, 1, n, k) @ (h, k, m) -> (B, h, n, m), are one
+      (B n, k) @ (k, h m) GEMM over the heads laid side by side; the result
+      is a (B, h, n, m) view of it.  The input gradient is one GEMM that also
+      sums over the heads, the weight gradient one more.
+
+    ``bias`` (shape (m,), only with a 2-D weight) is added in place to the
+    fresh product and its gradient is one row sum, so a layer ``x W + b``
+    is a single node.  Every other shape pair uses numpy's batched matmul."""
     av, bv = a.value, b.value
     if av.ndim < 2 or bv.ndim < 2:
         raise ValueError("matmul operands must have rank >= 2")
-    if bv.ndim == 2 and av.ndim > 2:
-        a2 = av.reshape(math.prod(av.shape[:-1]), av.shape[-1])
+    if bias is not None and (bv.ndim != 2 or bias.value.shape != bv.shape[-1:]):
+        raise ValueError(f"matmul bias must have shape ({bv.shape[-1]},) and the weight rank 2")
+    if bv.ndim == 2:
+        rows, m = math.prod(av.shape[:-1]), bv.shape[1]
+        a2 = av.reshape(rows, av.shape[-1])
+        out = a2 @ bv
+        if bias is not None:
+            out += bias.value
 
         def backward(g):
-            g2 = g.reshape(a2.shape[0], bv.shape[1])
+            g2 = g.reshape(rows, m)
             a.accumulate((g2 @ bv.T).reshape(av.shape))
             b.accumulate(a2.T @ g2)
+            if bias is not None:
+                bias.accumulate(g2.sum(axis=0))
 
-        return Var((a2 @ bv).reshape(*av.shape[:-1], bv.shape[1]), (a, b), backward)
+        parents = (a, b) if bias is None else (a, b, bias)
+        return Var(out.reshape(*av.shape[:-1], m), parents, backward)
+
+    if bv.ndim == 3 and av.ndim == 4 and av.shape[1] == 1:
+        batch, _, n, k = av.shape
+        h, m = bv.shape[0], bv.shape[2]
+        a2 = av.reshape(batch * n, k)
+        w2 = bv.transpose(1, 0, 2).reshape(k, h * m)
+
+        def backward(g):
+            g2 = g.transpose(0, 2, 1, 3).reshape(batch * n, h * m)
+            a.accumulate((g2 @ w2.T).reshape(av.shape))
+            b.accumulate((a2.T @ g2).reshape(k, h, m).transpose(1, 0, 2))
+
+        out = (a2 @ w2).reshape(batch, n, h, m).transpose(0, 2, 1, 3)
+        return Var(out, (a, b), backward)
 
     def backward(g):
         a.accumulate(_unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
@@ -294,14 +342,30 @@ def gelu(a: Var) -> Var:
 
 
 def softmax(a: Var) -> Var:
-    """Row softmax over the last axis (max-shifted for stability)."""
-    shifted = a.value - a.value.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    """Row softmax over the last axis (max-shifted for stability).
+
+    The rows are short (one score per label token), where numpy's generic
+    max and sum reductions cost several times more than the arithmetic.  So
+    the forward's max and sum and the backward's row dot are each a
+    left-to-right fold over the columns, one vectorised pass per column.
+    For rows of fewer than 8 entries that gives the same bits as numpy's
+    reduction; longer rows may differ from it by rounding."""
+    x = a.value
+
+    def rows(t, ufunc):
+        acc = t[..., 0].copy()
+        for j in range(1, t.shape[-1]):
+            ufunc(acc, t[..., j], out=acc)
+        return acc[..., None]
+
+    s = x - rows(x, np.maximum)
+    np.exp(s, out=s)
+    s /= rows(s, np.add)
 
     def backward(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        a.accumulate(s * (g - dot))
+        dx = g - rows(g * s, np.add)
+        dx *= s
+        a.accumulate(dx)
 
     return Var(s, (a,), backward)
 
@@ -310,10 +374,15 @@ def layer_norm(a: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
     """Normalize over the last axis with biased variance, then scale and shift.
 
     One fresh array is centred, its squares summed by ``np.einsum`` and then
-    normalized in place; the backward reuses it and the inverse deviation."""
+    normalized in place; the backward reuses it and the inverse deviation.
+    Every per-row sum, the mean and the backward's two row sums included, is
+    an ``np.einsum``, which on rows of a few dozen entries costs a fraction
+    of numpy's generic reduction."""
     x = a.value
     d = x.shape[-1]
-    xh = x - x.mean(axis=-1, keepdims=True)
+    mean = np.einsum("...i->...", x)[..., None]
+    mean /= d
+    xh = x - mean
     var = np.einsum("...i,...i->...", xh, xh)[..., None]
     var /= d
     var += eps
@@ -325,7 +394,7 @@ def layer_norm(a: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
         gamma.accumulate(_unbroadcast((g * xh).sum(axis=lead), gamma.value.shape))
         beta.accumulate(_unbroadcast(g.sum(axis=lead), beta.value.shape))
         dxh = g * gamma.value
-        term = dxh.sum(axis=-1, keepdims=True) + xh * (dxh * xh).sum(axis=-1, keepdims=True)
+        term = np.einsum("...i->...", dxh)[..., None] + xh * np.einsum("...i,...i->...", dxh, xh)[..., None]
         a.accumulate(inv / d * (d * dxh - term))
 
     out = xh * gamma.value

@@ -130,15 +130,15 @@ def lift_head_params(hp: HeadParams, register) -> HeadParams:
 
 def generate_graph(z: Var, hp: HeadParams) -> Var:
     """Generator head on a (B, d) pixel batch -> (B, 3); no output squashing."""
-    hidden = tape.gelu(tape.matmul(z, tape.as_var(hp.gen_w1)) + tape.as_var(hp.gen_b1))
-    return tape.matmul(hidden, tape.as_var(hp.gen_w2)) + tape.as_var(hp.gen_b2)
+    hidden = tape.gelu(tape.matmul(z, tape.as_var(hp.gen_w1), tape.as_var(hp.gen_b1)))
+    return tape.matmul(hidden, tape.as_var(hp.gen_w2), tape.as_var(hp.gen_b2))
 
 
 def discriminator_graph(z: Var, rgb: Var, hp: HeadParams) -> Var:
     """Per-pixel score from concat(z, rgb), averaged to one scalar."""
     x = tape.concat([z, rgb], axis=-1)
-    hidden = tape.gelu(tape.matmul(x, tape.as_var(hp.disc_w1)) + tape.as_var(hp.disc_b1))
-    scores = tape.matmul(hidden, tape.as_var(hp.disc_w2)) + tape.as_var(hp.disc_b2)
+    hidden = tape.gelu(tape.matmul(x, tape.as_var(hp.disc_w1), tape.as_var(hp.disc_b1)))
+    scores = tape.matmul(hidden, tape.as_var(hp.disc_w2), tape.as_var(hp.disc_b2))
     return tape.mean_all(scores)
 
 
@@ -200,14 +200,24 @@ def make_adam(store: ParamStore, names=None, lr: float = 1e-4) -> AdamState:
 
 def adam_step(state: AdamState, grads: dict) -> None:
     """One bias-corrected Adam update with beta1 = 0, applied in place:
-    theta -= lr * g / (sqrt(v / (1 - ADAM_BETA2^t)) + ADAM_EPS)."""
+    theta -= lr * g / (sqrt(v / (1 - ADAM_BETA2^t)) + ADAM_EPS).
+
+    ``v`` is updated in place and the step is built in one scratch buffer;
+    every operation keeps the order of that formula, so the result is
+    bit-identical to evaluating it with temporaries."""
     state.t += 1
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     for n in state.names:
-        g = grads[n]
-        state.v[n] = ADAM_BETA2 * state.v[n] + (1.0 - ADAM_BETA2) * (g * g)
-        v_hat = state.v[n] / bc2
-        state.store.var(n).value -= state.lr * g / (np.sqrt(v_hat) + ADAM_EPS)
+        g, v = grads[n], state.v[n]
+        step = np.multiply(g, g)
+        step *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += step
+        np.divide(v, bc2, out=step)
+        np.sqrt(step, out=step)
+        step += ADAM_EPS
+        np.divide(state.lr * g, step, out=step)
+        state.store.var(n).value -= step
 
 
 @dataclass
@@ -560,6 +570,13 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
             (tape.matmul(x, tape.transpose(a, (1, 0))) + b) * c
         )
 
+    def build_linear_bias(store, rng):
+        w = _normal_param(store, rng, "W", (4, 3))
+        b = _normal_param(store, rng, "b", (3,))
+        x = _normal_param(store, rng, "x", (2, 3, 4))
+        c = rng.normals(2, 3, 3)
+        return lambda: tape.mean_all(tape.matmul(x, w, b) * c)
+
     def build_layer_norm(store, rng):
         x = _normal_param(store, rng, "x", (5, 6))
         gamma = _normal_param(store, rng, "gamma", (6,))
@@ -609,6 +626,7 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
         entries = [
             _op_check("gelu", seed + 1, build_gelu),
             _op_check("linear", seed + 2, build_linear),
+            _op_check("linear_bias", seed + 9, build_linear_bias),
             _op_check("layer_norm", seed + 3, build_layer_norm),
             _op_check("softmax", seed + 4, build_softmax),
             _op_check("attention", seed + 5, build_attention),

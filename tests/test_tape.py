@@ -1,6 +1,8 @@
+import importlib.util
 import inspect
 import warnings
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,31 +242,114 @@ def gelu_decimal(x: float) -> Decimal:
 
 
 class TestFlatMatmul:
-    """(..., k) @ (k, m) runs as one flat GEMM; it must agree with numpy's
-    broadcasting matmul and with the broadcasting gradient formulas."""
+    """(..., k) @ (k, m) with an optional bias, and head-stacked
+    (B, 1, n, k) @ (h, k, m), run as one flat GEMM; they must agree with
+    numpy's broadcasting matmul and with the broadcasting gradient formulas."""
 
     @given(
-        batch=hnp.array_shapes(min_dims=2, max_dims=4, min_side=0, max_side=3),
+        batch=hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
         k=st.integers(1, 6),
         m=st.integers(1, 6),
+        with_bias=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(batch=(2, 0), k=3, m=2, seed=0)
-    @example(batch=(0, 3, 1), k=1, m=4, seed=1)
+    @example(batch=(2, 0), k=3, m=2, with_bias=True, seed=0)
+    @example(batch=(0, 3, 1), k=1, m=4, with_bias=False, seed=1)
+    @example(batch=(4,), k=3, m=5, with_bias=True, seed=2)
     @settings(max_examples=60, deadline=None)
-    def test_matches_broadcasting_matmul(self, batch, k, m, seed):
+    def test_matches_broadcasting_matmul(self, batch, k, m, with_bias, seed):
         rng = np.random.default_rng(seed)
         a_val = rng.standard_normal((*batch, k))
         b_val = rng.standard_normal((k, m))
+        c_val = rng.standard_normal(m)
         g = rng.standard_normal((*batch, m))
-        a, b = Var(a_val), Var(b_val)
-        out = tape.matmul(a, b)
+        a, b, c = Var(a_val), Var(b_val), Var(c_val)
+        out = tape.matmul(a, b, c) if with_bias else tape.matmul(a, b)
         assert out.shape == (*batch, m)
-        close(out.value, np.matmul(a_val, b_val))
+        want = np.matmul(a_val, b_val) + c_val if with_bias else np.matmul(a_val, b_val)
+        close(out.value, want)
         backward(tape.sum_all(out * g))
         close(a.grad, np.matmul(g, b_val.T))
         lead = tuple(range(len(batch)))
         close(b.grad, np.matmul(np.swapaxes(a_val, -1, -2), g).sum(axis=lead[:-1]))
+        if with_bias:
+            close(c.grad, g.sum(axis=lead))
+        else:
+            assert c.grad is None
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_head_stacked_weights(self, batch, heads):
+        rng = np.random.default_rng(10 * batch + heads)
+        n, k, m = 4, 5, 2
+        a_val = rng.standard_normal((batch, 1, n, k))
+        w_val = rng.standard_normal((heads, k, m))
+        g = rng.standard_normal((batch, heads, n, m))
+        a, w = Var(a_val), Var(w_val)
+        out = tape.matmul(a, w)
+        assert out.shape == (batch, heads, n, m)
+        close(out.value, np.matmul(a_val, w_val))
+        backward(tape.sum_all(out * g))
+        close(a.grad, np.matmul(g, np.swapaxes(w_val, -1, -2)).sum(axis=1, keepdims=True))
+        close(w.grad, np.matmul(np.swapaxes(a_val, -1, -2), g).sum(axis=0))
+
+    @pytest.mark.parametrize("w_shape, b_shape", [((3, 2), (3,)), ((3, 2), (1, 2)), ((1, 3, 2), (2,))])
+    def test_bias_shape_checked(self, w_shape, b_shape):
+        a = Var(np.ones((4, 3)))
+        with pytest.raises(ValueError, match="bias"):
+            tape.matmul(a, Var(np.ones(w_shape)), Var(np.ones(b_shape)))
+
+
+class TestAccumulate:
+    def test_add_of_a_node_to_itself_gives_twice_the_gradient(self):
+        x = Var(np.array([1.0, -2.0, 3.0]))
+        g = np.array([0.5, 1.5, -2.0])
+        backward(tape.sum_all((x + x) * g))
+        assert np.array_equal(x.grad, 2.0 * g)
+
+    def test_first_gradient_is_copied(self):
+        x = Var(np.zeros((2, 3)))
+        g = np.arange(6.0).reshape(2, 3)
+        x.accumulate(g)
+        g[0, 0] = 100.0
+        assert x.grad is not g
+        assert np.array_equal(x.grad, np.arange(6.0).reshape(2, 3))
+        x.accumulate(g)
+        assert x.grad[0, 0] == 100.0 and x.grad[1, 2] == 10.0
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_rows_and_old_formula(self, n):
+        rng = np.random.default_rng(n)
+        x_val = 3.0 * rng.standard_normal((4, 3, n))
+        g = rng.standard_normal((4, 3, n))
+        x = Var(x_val)
+        out = tape.softmax(x)
+        assert np.abs(out.value.sum(axis=-1) - 1.0).max() <= 1e-15
+        e = np.exp(x_val - x_val.max(axis=-1, keepdims=True))
+        s = e / e.sum(axis=-1, keepdims=True)
+        assert np.abs(out.value - s).max() <= 1e-15
+        backward(tape.sum_all(out * g))
+        want = s * (g - (g * s).sum(axis=-1, keepdims=True))
+        assert np.abs(x.grad - want).max() <= 1e-15
+
+
+class TestTracerRule:
+    """The benchmark tracer wraps every module-level function of ``tape`` and
+    names a stage only for the ops it knows, so a module-level helper in
+    ``tape`` lands in no reported figure.  Helpers are nested in their op."""
+
+    def test_module_functions_are_ops_or_skipped(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        functions = {
+            name for name, fn in vars(tape).items()
+            if inspect.isfunction(fn) and fn.__module__ == tape.__name__
+        }
+        assert functions == set(tracer.TAPE_OPS) | tracer.SKIP["tape"] | {"backward"}
 
 
 def close(got, want):

@@ -283,6 +283,26 @@ class TestAdam:
             v_hat = opt.v["w"] / (1.0 - th.ADAM_BETA2 ** (step + 1))
             assert np.array_equal(store.var("w").value, before - 0.1 * g / (np.sqrt(v_hat) + th.ADAM_EPS))
 
+    def test_in_place_step_matches_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        shapes = {"a": (3, 4), "b": (5,), "c": (2, 1, 3)}
+        store = th.ParamStore()
+        for name, shape in shapes.items():
+            store.add(name, rng.standard_normal(shape))
+        theta = {name: store.var(name).value.copy() for name in shapes}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        opt = th.make_adam(store, lr=0.03)
+        for t in range(1, 4):
+            grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+            th.adam_step(opt, grads)
+            for name, g in grads.items():
+                # the formula as written, with numpy temporaries
+                v[name] = th.ADAM_BETA2 * v[name] + (1.0 - th.ADAM_BETA2) * (g * g)
+                v_hat = v[name] / (1.0 - th.ADAM_BETA2 ** t)
+                theta[name] = theta[name] - 0.03 * g / (np.sqrt(v_hat) + th.ADAM_EPS)
+                assert np.array_equal(opt.v[name], v[name])
+                assert np.array_equal(store.var(name).value, theta[name])
+
 
 class TestParamStore:
     def test_duplicate_name_rejected(self):
