@@ -27,9 +27,11 @@ def make_segmap(classes: np.ndarray, num_classes: int) -> SegMap:
     classes = np.asarray(classes)
     if classes.ndim != 2:
         raise ValueError("segmentation map must be H x W")
+    if classes.size == 0:
+        raise ValueError(f"segmentation map {classes.shape} has no pixels")
     if num_classes < 1:
         raise ValueError("num_classes must be >= 1")
-    if classes.min(initial=0) < 0 or classes.max(initial=0) >= num_classes:
+    if classes.min() < 0 or classes.max() >= num_classes:
         raise ValueError("class indices must lie in [0, num_classes)")
     return SegMap(classes=classes, num_classes=num_classes)
 
@@ -74,7 +76,13 @@ def jacobi_eigh(sym: np.ndarray):
 
     Each sweep visits every off-diagonal pair once, in rounds of disjoint
     pairs (see ``_round_robin``); the rotations of one round commute, so a
-    round is applied as one similarity transform with whole-array ops.
+    round is one similarity transform.  A, and V^T as rows, are held in the
+    round's paired layout (rows 2i and 2i + 1 are the round's pair i), so
+    each side of a round is one batched 2x2 ``np.matmul`` over all pairs.
+    The column side uses A = A^T, so A' = R^T A R = R^T (R^T A)^T, and moves
+    A into the next round's layout on the way.  A sweep ends in the layout
+    it began in, which is undone once before returning.  Odd d is padded
+    with a zero row and column, whose rotations are the identity.
     Sweeps stop once the off-diagonal Frobenius norm drops to
     ``JACOBI_REL_TOL`` times the trace of the input (its total variance when
     it is a covariance), or times its Frobenius norm if the trace is not
@@ -86,64 +94,63 @@ def jacobi_eigh(sym: np.ndarray):
     d = a.shape[0]
     if a.shape != (d, d):
         raise ValueError("matrix must be square")
-    v = np.eye(d)
     trace = float(np.trace(a))
     if trace > 0.0:
         threshold = JACOBI_REL_TOL * trace
     else:
         threshold = JACOBI_REL_TOL * float(np.linalg.norm(a))
         if threshold == 0.0:  # the zero matrix: already diagonal
-            return np.diag(a).copy(), v
-    rounds = _round_robin(d)
+            return np.diag(a).copy(), np.eye(d)
+    layouts, moves = _round_robin(d)
+    n = layouts.shape[1]
+    m = n // 2
+    first = layouts[0]
+    a = np.pad(a, (0, n - d))[np.ix_(first, first)]
+    vt = np.eye(n, d)[first]  # V^T, one row per index, in the layout
+    stride = 2 * n + 2  # from one pair's 2x2 diagonal block to the next
     off = _off_norm(a)
     for _ in range(JACOBI_MAX_SWEEPS):
         if not off > threshold:  # converged, or NaN
             break
-        for p, q in rounds:
-            apq = a[p, q]
+        for move in moves:
+            flat = a.ravel()
+            apq = flat[1::stride]
             with np.errstate(divide="ignore", invalid="ignore"):  # where apq == 0
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                theta = (flat[n + 1::stride] - flat[::stride]) / (2.0 * apq)
             t = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + np.hypot(theta, 1.0))
             t[apq == 0.0] = 0.0  # c = 1, s = 0: the identity
             c = 1.0 / np.sqrt(t * t + 1.0)
             s = t * c
-            col_p, col_q = a[:, p], a[:, q]
-            a[:, p] = c * col_p - s * col_q
-            a[:, q] = s * col_p + c * col_q
-            row_p, row_q = a[p, :], a[q, :]
-            a[p, :] = c[:, None] * row_p - s[:, None] * row_q
-            a[q, :] = s[:, None] * row_p + c[:, None] * row_q
-            vp, vq = v[:, p], v[:, q]
-            v[:, p] = c * vp - s * vq
-            v[:, q] = s * vp + c * vq
+            g = np.array([c, -s, s, c]).T.reshape(m, 2, 2)  # R^T, one 2x2 per pair
+            b = np.matmul(g, a.reshape(m, 2, n)).reshape(n, n)  # R^T A
+            bt = b.take(move, axis=0).T.copy().reshape(m, 2, n)  # (R^T A)^T, cols moved
+            a = np.matmul(g, bt).reshape(n, n).take(move, axis=0)
+            vt = np.matmul(g, vt.reshape(m, 2, d)).reshape(n, d).take(move, axis=0)
         off = _off_norm(a)
     if not off <= threshold:
         raise RuntimeError("Jacobi sweeps did not converge")
-    return np.diag(a).copy(), v
+    back = np.argsort(first)[:d]
+    return np.diag(a)[back], vt[back].T
 
 
-def _round_robin(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One sweep's (p, q) index arrays, round by round, with p < q.
+def _round_robin(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """One sweep's paired layouts and the moves between them.
 
-    With m = d rounded up to even, the circle method gives m - 1 rounds of
-    m/2 disjoint pairs that together hold every pair once: index 0 stays
-    put and the others rotate one place per round.  For odd d the pairs
-    that touch the padding index d are dropped.
+    With n = d rounded up to even, the circle method gives n - 1 rounds of
+    n/2 disjoint pairs that together hold every pair once: index 0 stays put
+    and the others rotate one place per round.  Row r of ``layouts`` lists
+    round r's pairs as (p, q), p < q, at positions (2i, 2i + 1); for odd d
+    the padding index d is one of them.  ``layouts[r][moves[r]]`` is the
+    next round's layout, and the last move leads back to ``layouts[0]``.
     """
-    m = d + d % 2
-    ring = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = sorted(
-            (min(x, y), max(x, y))
-            for x, y in zip(ring[: m // 2], ring[::-1][: m // 2])
-            if max(x, y) < d
-        )
-        if pairs:
-            p, q = np.array(pairs).T
-            rounds.append((p, q))
-        ring = [ring[0], ring[-1], *ring[1:-1]]
-    return rounds
+    n = d + d % 2
+    ring = np.zeros((n - 1, n), dtype=np.intp)
+    ring[:, 1:] = 1 + (np.arange(n - 1) - np.arange(n - 1)[:, None]) % (n - 1)
+    x, y = ring[:, : n // 2], ring[:, : n // 2 - 1 : -1]
+    layouts = np.stack([np.minimum(x, y), np.maximum(x, y)], axis=2).reshape(n - 1, n)
+    inverse = np.argsort(layouts, axis=1)
+    moves = np.take_along_axis(inverse, np.roll(layouts, -1, axis=0), axis=1)
+    return layouts, moves
 
 
 def _off_norm(a: np.ndarray) -> float:
@@ -166,7 +173,8 @@ def pca_project_3(z: np.ndarray):
 
     Pixels are treated as H*W samples; the covariance (divided by H*W - 1)
     is diagonalized by ``jacobi_eigh`` (Jacobi rotations in round-robin
-    order, Brent & Luk 1985), component signs are fixed so each one's
+    order, Brent & Luk 1985, each round one batched 2x2 matmul per side
+    over all its pairs), component signs are fixed so each one's
     largest-magnitude entry is positive, and every output channel is
     min-max rescaled to [0, 1].  Channels whose component carries
     (numerically) no variance map to the constant 0.5.  Raises ValueError
@@ -214,10 +222,13 @@ def write_ppm(img: np.ndarray, dest) -> int:
     """Write an H x W x 3 image in [0, 1] as binary PPM (P6, maxval 255).
 
     Channel bytes are round(clamp(v, 0, 1) * 255), rounding half up.
+    Raises ValueError for NaN or infinite pixels.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError("image must be H x W x 3")
+    if not np.isfinite(img).all():
+        raise ValueError("image has non-finite pixels")
     h, w = img.shape[:2]
     data = np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
     header = f"P6\n{w} {h}\n255\n".encode("ascii")

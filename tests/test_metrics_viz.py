@@ -79,6 +79,12 @@ class TestSegMetrics:
         with pytest.raises(ValueError, match="indices"):
             make_segmap(np.array([[0, 5]]), 2)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_map_without_pixels_rejected(self, shape):
+        # no pixel: the mean IoU and the accuracy would be 0/0
+        with pytest.raises(ValueError, match="no pixels"):
+            make_segmap(np.zeros(shape, dtype=int), 2)
+
 
 class TestJacobi:
     @pytest.mark.parametrize("d,seed", [(3, 0), (5, 1), (8, 2), (12, 3)])
@@ -133,14 +139,20 @@ def check_eigh(sym, vals, vecs):
 class TestRoundRobin:
     @pytest.mark.parametrize("d", [*range(1, 13), 95, 96, 97])
     def test_schedule_covers_each_pair_once_in_disjoint_rounds(self, d):
-        rounds = metrics_viz._round_robin(d)
-        assert len(rounds) == (d + d % 2 - 1 if d > 1 else 0)
+        layouts, moves = metrics_viz._round_robin(d)
+        n = d + d % 2
+        assert layouts.shape == moves.shape == (n - 1, n)
         pairs = []
-        for p, q in rounds:
+        for layout in layouts:
+            assert sorted(layout.tolist()) == list(range(n))  # disjoint pairs
+            p, q = layout[0::2], layout[1::2]
             assert (p < q).all()
-            assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)  # disjoint
-            pairs += zip(p.tolist(), q.tolist())
+            pairs += [(i, j) for i, j in zip(p.tolist(), q.tolist()) if j < d]  # index d pads odd d
         assert sorted(pairs) == list(itertools.combinations(range(d), 2))
+        layout = layouts[0]
+        for r, move in enumerate(moves):
+            layout = layout[move]
+            assert np.array_equal(layout, layouts[(r + 1) % len(layouts)])
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(1, 40), rank=st.integers(1, 42), seed=st.integers(0, 2**32 - 1))
@@ -183,13 +195,14 @@ class TestRoundRobin:
 
     def test_scene_covariance_top3(self):
         labels, _, _ = label_model.synth_scene(16, 16, 6, 21)
-        params = fusion.init_merger_params(labels, fusion.CLAM, d=96, n_blocks=3, heads=3, seed=23)
-        x = fusion.clam_merge(labels, params).reshape(-1, 96)
-        xc = x - x.mean(axis=0)
-        cov = (xc.T @ xc) / (x.shape[0] - 1)
-        vals, _ = jacobi_eigh(cov)
-        ref = np.linalg.eigh(cov)[0][::-1][:3]
-        assert np.abs(np.sort(vals)[::-1][:3] - ref).max() <= 1e-9 * np.trace(cov)
+        for d, heads in ((45, 3), (96, 3), (97, 1)):  # odd d pads the paired layout
+            params = fusion.init_merger_params(labels, fusion.CLAM, d=d, n_blocks=3, heads=heads, seed=23)
+            x = fusion.clam_merge(labels, params).reshape(-1, d)
+            xc = x - x.mean(axis=0)
+            cov = (xc.T @ xc) / (x.shape[0] - 1)
+            vals, _ = jacobi_eigh(cov)
+            ref = np.linalg.eigh(cov)[0][::-1][:3]
+            assert np.abs(np.sort(vals)[::-1][:3] - ref).max() <= 1e-9 * np.trace(cov)
 
 
 class TestPca:
@@ -314,6 +327,15 @@ class TestPpm:
     def test_bad_shape(self):
         with pytest.raises(ValueError, match="H x W x 3"):
             write_ppm(np.zeros((3, 3)), io.BytesIO())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, bad):
+        img = np.full((2, 2, 3), 0.5)
+        img[1, 0, 2] = bad
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="non-finite"):
+            write_ppm(img, buf)
+        assert buf.getvalue() == b""  # nothing written, not even the header
 
     def test_sink_failure_reports_byte_offset(self):
         class FailingSink:
