@@ -171,10 +171,9 @@ def _bind_check(s: LabelSet, p: MergerParams) -> None:
         proj = p.projections.get(lab.name)
         if proj is None:
             raise ValueError(f"merger params have no projection for label {lab.name!r}")
-        a = _raw(proj.A)
-        if a.shape[1] != lab.channels:
+        if proj.A.shape[1] != lab.channels:
             raise ValueError(
-                f"label {lab.name!r} has {lab.channels} channels, projection expects {a.shape[1]}"
+                f"label {lab.name!r} has {lab.channels} channels, projection expects {proj.A.shape[1]}"
             )
         if p.variant == TLAM and lab.name not in p.encodings:
             raise ValueError(f"merger params have no encoding for label {lab.name!r}")
@@ -252,7 +251,7 @@ def tlam_graph(xs: list[Var], names: list[str], p: MergerParams) -> Var:
     toks = [e + p.encodings[name] for e, name in zip(toks, names)]
     Z = tape.stack(toks, axis=1)
     for bp in p.blocks:
-        Z = nn_ops._transformer_block(Z, bp)
+        Z = nn_ops.transformer_block(Z, bp)
     return _token_average(Z)
 
 
@@ -311,10 +310,6 @@ def count_attention_macs(n_labels: int, d: int, h: int, l: int, pixels: int) -> 
     return pixels * l * h * 2 * n_labels * n_labels * nn_ops._head_width({"d": d, "heads": h})
 
 
-def _raw(t) -> np.ndarray:
-    return t.value if isinstance(t, Var) else np.asarray(t)
-
-
 def _save_params_dir(dirpath, json_name: str, doc: dict, items) -> None:
     """Write ``doc`` to ``<dirpath>/<json_name>`` and each (name, tensor) of
     ``items`` to ``<dirpath>/<name>.tlt`` as float64."""
@@ -323,13 +318,13 @@ def _save_params_dir(dirpath, json_name: str, doc: dict, items) -> None:
         json.dump(doc, f, indent=2)
         f.write("\n")
     for name, t in items:
-        save_tensor(os.path.join(dirpath, name + ".tlt"), _raw(t).astype(np.float64))
+        save_tensor(os.path.join(dirpath, name + ".tlt"), t.astype(np.float64))
 
 
 def save_merger_params(p: MergerParams, dirpath) -> None:
     """Serialize to a directory: params.json plus one .tlt file per parameter."""
     labels = [
-        {"name": name, "channels": int(_raw(proj.A).shape[1])}
+        {"name": name, "channels": int(proj.A.shape[1])}
         for name, proj in p.projections.items()
     ]
     doc = {

@@ -160,21 +160,10 @@ def apply_masks(s: LabelSet, m: SparsityMaskSet) -> LabelSet:
 
 
 def mask_out_label(s: LabelSet, name: str) -> LabelSet:
-    """A copy of ``s`` with one label made fully absent (all-zero mask)."""
-    out: list[LabelMap] = []
-    for lab in s:
-        if lab.name == name:
-            out.append(
-                LabelMap(
-                    name=lab.name,
-                    kind=lab.kind,
-                    values=np.zeros_like(lab.values),
-                    mask=np.zeros_like(lab.mask),
-                )
-            )
-        else:
-            out.append(lab)
-    return LabelSet(labels=out)
+    """A copy of ``s`` with one label made fully absent (all-zero mask): the
+    ``apply_masks`` of a mask set that drops only that label."""
+    masks = {lab.name: np.full(lab.mask.shape, lab.name != name, dtype=np.uint8) for lab in s}
+    return apply_masks(s, SparsityMaskSet(masks=masks))
 
 
 def _split_rects(h: int, w: int, regions: int, rng: Rng) -> list[tuple[int, int, int, int]]:

@@ -218,12 +218,8 @@ def pca_project_3(z: np.ndarray):
     return basis, img.reshape(h, w, 3)
 
 
-def write_ppm(img: np.ndarray, dest) -> int:
-    """Write an H x W x 3 image in [0, 1] as binary PPM (P6, maxval 255).
-
-    Channel bytes are round(clamp(v, 0, 1) * 255), rounding half up.
-    Raises ValueError for NaN or infinite pixels.
-    """
+def _ppm_blobs(img: np.ndarray) -> tuple[bytes, bytes]:
+    """The P6 header and pixel bytes of ``img``; see ``write_ppm``."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError("image must be H x W x 3")
@@ -231,13 +227,24 @@ def write_ppm(img: np.ndarray, dest) -> int:
         raise ValueError("image has non-finite pixels")
     h, w = img.shape[:2]
     data = np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    return write_blobs(dest, header, data.tobytes(order="C"))
+    return f"P6\n{w} {h}\n255\n".encode("ascii"), data.tobytes(order="C")
+
+
+def write_ppm(img: np.ndarray, dest) -> int:
+    """Write an H x W x 3 image in [0, 1] as binary PPM (P6, maxval 255).
+
+    Channel bytes are round(clamp(v, 0, 1) * 255), rounding half up.
+    Raises ValueError for NaN or infinite pixels.
+    """
+    return write_blobs(dest, *_ppm_blobs(img))
 
 
 def save_ppm(path, img: np.ndarray) -> int:
+    """``write_ppm`` to a file.  A rejected image raises before the file is
+    opened, so it leaves the file as it was."""
+    blobs = _ppm_blobs(img)
     with open(path, "wb") as f:
-        return write_ppm(img, f)
+        return write_blobs(f, *blobs)
 
 
 def save_pca_basis(basis: PcaBasis, dirpath) -> None:

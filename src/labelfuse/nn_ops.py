@@ -1,13 +1,14 @@
-"""Differentiable primitives of the per-pixel label transformer: GeLU, layer
-normalization, softmax, multi-head self-attention over label tokens, and the
-two pre-norm residual blocks.
+"""Differentiable primitives of the per-pixel label transformer: multi-head
+self-attention over label tokens and the two pre-norm residual blocks, built
+from the ``tape`` ops (GeLU, layer normalization and softmax are those ops
+themselves).
 
-Every public op accepts either plain numpy arrays (evaluated without
-recording) or tape Vars (recorded for reverse-mode differentiation), and
-returns the matching kind; one helper, ``_apply``, makes that choice for all
-of them and for the training losses of ``train_harness``.  Token matrices
-are (N, d) for one pixel or (B, N, d) for a batch of pixels; all math is per
-pixel either way.
+Every forward function takes tape Vars, with parameter dataclasses whose
+tensors are Vars, and returns a Var; it is recorded for reverse-mode
+differentiation unless run under ``tape.no_grad()``.  Plain arrays are lifted
+to Vars by the callers that hold them (the merge tiler, the training tiler
+and the generator head).  Token matrices are (N, d) for one pixel or
+(B, N, d) for a batch of pixels; all math is per pixel either way.
 
 The parameter dataclasses declare, per tensor field, its file stem and its
 symbolic shape (``tensor``).  ``map_tensors`` walks those fields in
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import tape
-from .tape import Var, as_var, no_grad
+from .tape import Var
 
 LN_EPS = 1e-5
 
@@ -192,57 +193,12 @@ def init_block_params(d: int, heads: int, rng) -> BlockParams:
     return init_tensors(blank(BlockParams, d=d, heads=heads), rng)
 
 
-def _apply(op, *args):
-    """Run tape ``op`` on ``args``: arrays, floats, Vars or params dataclasses.
-
-    With a Var anywhere among them the call is recorded and returns a Var;
-    otherwise it runs without recording and returns the array, or a Python
-    float if the result is 0-d.
-    """
-    recorded = False
-
-    def lift(_name, t):
-        nonlocal recorded
-        recorded = recorded or isinstance(t, Var)
-        return as_var(t)
-
-    lifted = [map_tensors(a, lift) if is_dataclass(a) else lift(None, a) for a in args]
-    if recorded:
-        return op(*lifted)
-    with no_grad():
-        out = op(*lifted).value
-    return float(out) if out.ndim == 0 else out
-
-
-def gelu(x):
-    """GeLU, tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
-
-    Evaluated as x * sigma(2u) = x / (1 + exp(-2u)), u the tanh argument,
-    which keeps full relative accuracy in the negative tail; below about
-    x = -21.2, where the true value is under 1e-300, the result is -0."""
-    return _apply(tape.gelu, x)
-
-
-def layer_norm(x, gamma, beta, eps: float = LN_EPS):
-    """Per-token normalization over the last axis (biased variance)."""
-    return _apply(lambda *xgb: tape.layer_norm(*xgb, eps), x, gamma, beta)
-
-
-def softmax(v):
-    """Stable softmax over the last axis; rows sum to 1."""
-    return _apply(tape.softmax, v)
-
-
-def multi_head_self_attention(Z, p: AttentionParams):
+def multi_head_self_attention(Z: Var, p: AttentionParams) -> Var:
     """Standard scaled dot-product attention across the N label tokens.
 
     Per head j: Q = Z Wq_j, K = Z Wk_j, V = Z Wv_j, A = softmax(Q K^T / sqrt(d_h)),
     head_j = A V; heads are concatenated and mapped through Wo with bias bo.
     """
-    return _apply(_mhsa, Z, p)
-
-
-def _mhsa(Z: Var, p: AttentionParams) -> Var:
     in_shape = Z.value.shape
     if len(in_shape) < 2:
         raise ValueError("token matrix must be (N, d) or (B, N, d)")
@@ -266,31 +222,19 @@ def _mhsa(Z: Var, p: AttentionParams) -> Var:
     return tape.reshape(out, in_shape)
 
 
-def msa_block(Z, p: BlockParams):
+def msa_block(Z: Var, p: BlockParams) -> Var:
     """Pre-norm attention with residual: MSA(LN(Z)) + Z."""
-    return _apply(_msa_block, Z, p)
-
-
-def _msa_block(Z: Var, p: BlockParams) -> Var:
     normed = tape.layer_norm(Z, p.ln1_gamma, p.ln1_beta, LN_EPS)
-    return _mhsa(normed, p.attn) + Z
+    return multi_head_self_attention(normed, p.attn) + Z
 
 
-def mlp_block(Z, p: BlockParams):
+def mlp_block(Z: Var, p: BlockParams) -> Var:
     """Pre-norm token-wise MLP with residual: MLP(LN(Z)) + Z."""
-    return _apply(_mlp_block, Z, p)
-
-
-def _mlp_block(Z: Var, p: BlockParams) -> Var:
     normed = tape.layer_norm(Z, p.ln2_gamma, p.ln2_beta, LN_EPS)
     hidden = tape.gelu(tape.matmul(normed, p.w1, p.b1))
     return tape.matmul(hidden, p.w2, p.b2) + Z
 
 
-def transformer_block(Z, p: BlockParams):
+def transformer_block(Z: Var, p: BlockParams) -> Var:
     """One full block: the attention sub-block followed by the MLP sub-block."""
-    return _apply(_transformer_block, Z, p)
-
-
-def _transformer_block(Z: Var, p: BlockParams) -> Var:
-    return _mlp_block(_msa_block(Z, p), p)
+    return mlp_block(msa_block(Z, p), p)

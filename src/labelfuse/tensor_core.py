@@ -35,13 +35,18 @@ class TensorFormatError(ValueError):
 def check_tensor(t: np.ndarray) -> np.ndarray:
     """Validate a tensor value and return it as a C-contiguous array.
 
-    Requires rank >= 1, every dim >= 1 and a supported dtype.
+    Requires rank 1 to 255, every dim from 1 to 2^32 - 1 (the header's u8
+    rank and u32 dims) and a supported dtype.
     """
     t = np.asarray(t)
     if t.ndim < 1:
         raise ValueError("tensor rank must be >= 1 (got a scalar)")
+    if t.ndim > 255:
+        raise ValueError("rank does not fit in a u8")
     if any(d < 1 for d in t.shape):
         raise ValueError(f"tensor dims must all be >= 1, got {t.shape}")
+    if any(d > 0xFFFFFFFF for d in t.shape):
+        raise ValueError("dim does not fit in a u32")
     if t.dtype not in (np.float32, np.float64, np.uint8):
         raise ValueError(f"unsupported tensor dtype {t.dtype} (want f32/f64/u8)")
     return np.ascontiguousarray(t)
@@ -62,10 +67,6 @@ def write_tensor(t: np.ndarray, dest: BinaryIO) -> int:
     (0=f32, 1=f64, 2=u8), then the raw little-endian row-major payload.
     """
     t = check_tensor(t)
-    if t.ndim > 255:
-        raise ValueError("rank does not fit in a u8")
-    if any(d > 0xFFFFFFFF for d in t.shape):
-        raise ValueError("dim does not fit in a u32")
     header = (
         MAGIC
         + struct.pack("<B", t.ndim)
@@ -127,6 +128,9 @@ def read_tensor(src: BinaryIO) -> np.ndarray:
 
 
 def save_tensor(path, t: np.ndarray) -> int:
+    """Write ``t`` to a TLT1 file, returning the byte count.  A rejected
+    tensor raises before the file is opened, so it leaves the file as it was."""
+    t = check_tensor(t)
     with open(path, "wb") as f:
         return write_tensor(t, f)
 

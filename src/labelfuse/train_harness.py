@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import fusion, tape
-from .fusion import MergerParams, tlam_graph
+from . import fusion, nn_ops, tape
+from .fusion import tlam_graph
 from .label_model import (
     LabelSet,
     apply_masks,
@@ -28,7 +28,7 @@ from .label_model import (
     mask_out_label,
     synth_scene,
 )
-from .nn_ops import _apply, blank, init_block_params, init_tensors, map_tensors, tensor
+from .nn_ops import blank, init_block_params, init_tensors, map_tensors, tensor
 from .tape import Var, backward, no_grad
 from .tensor_core import Rng
 
@@ -64,15 +64,6 @@ class ParamStore:
             name: (v.grad if v.grad is not None else np.zeros_like(v.value))
             for name, v in self._params.items()
         }
-
-
-def lift_merger_params(p: MergerParams, register) -> MergerParams:
-    """Rebuild a MergerParams with each tensor passed through ``register``.
-
-    ``register(name, tensor) -> Var`` receives the canonical parameter names
-    (the same stems used by the on-disk serialization).
-    """
-    return fusion.map_params(p, lambda name, t: register(name, fusion._raw(t)))
 
 
 # toy-training constants: hidden widths of the generator and discriminator
@@ -124,36 +115,33 @@ def init_head_params(d: int, rng: Rng, d_g: int = D_G, d_c: int = D_C, discrimin
     return init_tensors(_blank_heads(discriminator, d=d, d_g=d_g, d_c=d_c), rng)
 
 
-def lift_head_params(hp: HeadParams, register) -> HeadParams:
-    return map_tensors(hp, lambda name, t: register(name, fusion._raw(t)))
-
-
 def generate_graph(z: Var, hp: HeadParams) -> Var:
-    """Generator head on a (B, d) pixel batch -> (B, 3); no output squashing."""
-    hidden = tape.gelu(tape.matmul(z, tape.as_var(hp.gen_w1), tape.as_var(hp.gen_b1)))
-    return tape.matmul(hidden, tape.as_var(hp.gen_w2), tape.as_var(hp.gen_b2))
+    """Generator head on a (B, d) pixel batch -> (B, 3); no output squashing.
+    ``hp`` holds Vars, as do the head arguments of the graphs and losses below."""
+    hidden = tape.gelu(tape.matmul(z, hp.gen_w1, hp.gen_b1))
+    return tape.matmul(hidden, hp.gen_w2, hp.gen_b2)
 
 
 def discriminator_graph(z: Var, rgb: Var, hp: HeadParams) -> Var:
     """Per-pixel score from concat(z, rgb), averaged to one scalar."""
     x = tape.concat([z, rgb], axis=-1)
-    hidden = tape.gelu(tape.matmul(x, tape.as_var(hp.disc_w1), tape.as_var(hp.disc_b1)))
-    scores = tape.matmul(hidden, tape.as_var(hp.disc_w2), tape.as_var(hp.disc_b2))
+    hidden = tape.gelu(tape.matmul(x, hp.disc_w1, hp.disc_b1))
+    scores = tape.matmul(hidden, hp.disc_w2, hp.disc_b2)
     return tape.mean_all(scores)
 
 
 def forward_generate(z: np.ndarray, hp: HeadParams) -> np.ndarray:
-    """Map an H x W x d concept tensor to an H x W x 3 image."""
+    """Map an H x W x d concept tensor to an H x W x 3 image; ``hp`` holds arrays."""
     arr = np.asarray(z, dtype=np.float64)
     h, w, d = arr.shape
     with no_grad():
-        rgb = generate_graph(Var(arr.reshape(-1, d)), hp).value
+        rgb = generate_graph(Var(arr.reshape(-1, d)), map_tensors(hp, lambda _name, t: Var(t))).value
     return rgb.reshape(h, w, 3)
 
 
-def hinge_d_loss(real_score, fake_score):
+def hinge_d_loss(real_score: Var, fake_score: Var) -> Var:
     """max(0, 1 - real) + max(0, 1 + fake); zero iff both margins are satisfied."""
-    return _apply(lambda real, fake: tape.relu(1.0 - real) + tape.relu(1.0 + fake), real_score, fake_score)
+    return tape.relu(1.0 - real_score) + tape.relu(1.0 + fake_score)
 
 
 def hinge_g_loss(fake_score):
@@ -161,12 +149,8 @@ def hinge_g_loss(fake_score):
     return -fake_score
 
 
-def l2_loss(img, target):
-    """Mean squared difference over all H*W*3 elements."""
-    return _apply(_l2_loss, img, target)
-
-
-def _l2_loss(img: Var, target: Var) -> Var:
+def l2_loss(img: Var, target: Var) -> Var:
+    """Mean squared difference over all elements."""
     diff = img - target
     return tape.mean_all(diff * diff)
 
@@ -361,6 +345,8 @@ def _adv_g_tile(z: Var, heads: HeadParams, t: Var) -> Var:
 def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, threads: int = 1):
     """A per-pixel mean loss and its gradients, by merge tile (``fusion.map_tiles``).
 
+    The merger and head params hold arrays, which each tile lifts to leaves.
+
     ``tile_loss(z, heads, t)`` (``_l2_tile`` or ``_adv_g_tile``) is the loss
     of a tile's merge ``z`` (B, d) against its target pixels ``t`` (B, 3).
     Each tile has its own leaves and may run on its own thread; tile losses
@@ -377,8 +363,8 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, threads:
     def run(p0, p1, xs):
         leaves: dict[str, Var] = {}
         register = lambda name, arr: leaves.setdefault(name, Var(arr))
-        merger = lift_merger_params(merger_arrays, register)
-        heads = lift_head_params(heads_arrays, register)
+        merger = fusion.map_params(merger_arrays, register)
+        heads = map_tensors(heads_arrays, register)
         t = Var(flat_target[p0:p1].astype(np.float64))
         loss = tile_loss(tlam_graph(xs, names, merger), heads, t)
         backward(loss)
@@ -397,18 +383,21 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, threads:
 def _d_step_loss(masked, target, merger, heads, threads: int = 1) -> Var:
     """The discriminator's hinge loss, real target against generated image.
     The merge (tiled) and the image enter as data: the D step updates only
-    ``disc.*``, on which neither depends."""
+    ``disc.*``, on which neither depends.  ``merger`` holds arrays and
+    ``heads`` the heads' leaves."""
     z = fusion.tlam_merge(masked, merger, threads)
-    fake = forward_generate(z, heads)
     zv = Var(z.reshape(-1, z.shape[-1]))
+    with no_grad():
+        fake = generate_graph(zv, heads)
     real_score = discriminator_graph(zv, Var(target.reshape(-1, 3)), heads)
-    fake_score = discriminator_graph(zv, Var(fake.reshape(-1, 3)), heads)
+    fake_score = discriminator_graph(zv, fake, heads)
     return hinge_d_loss(real_score, fake_score)
 
 
 def _recon_l2(s: LabelSet, target, merger, heads, threads: int) -> float:
     """l2 between ``target`` and the image generated from the merge of ``s``."""
-    return l2_loss(forward_generate(fusion.tlam_merge(s, merger, threads), heads), target)
+    diff = forward_generate(fusion.tlam_merge(s, merger, threads), heads) - target
+    return float(np.mean(diff * diff))
 
 
 def train_toy(cfg: ToyTrainConfig) -> dict:
@@ -425,7 +414,9 @@ def train_toy(cfg: ToyTrainConfig) -> dict:
 
 
 def train_toy_with_params(cfg: ToyTrainConfig):
-    """As train_toy, but also returns the trained merger and head params."""
+    """As train_toy, but also returns the trained merger and head params, as
+    arrays.  The parameter store's leaves alias those arrays and Adam updates
+    them in place, so they are current after every step."""
     if cfg.mode not in ("l2", "adversarial"):
         raise ValueError(f"unknown training mode {cfg.mode!r}")
     if cfg.iters < 0:
@@ -439,14 +430,14 @@ def train_toy_with_params(cfg: ToyTrainConfig):
     seed_eval = master.next_u64()
 
     init_rng = Rng(seed_params)
-    merger_init = fusion.init_merger_params(
+    merger = fusion.init_merger_params(
         labels, fusion.TLAM, d=cfg.d, n_blocks=cfg.blocks, heads=cfg.heads, rng=init_rng
     )
-    heads_init = init_head_params(cfg.d, init_rng, discriminator=cfg.mode == "adversarial")
+    heads = init_head_params(cfg.d, init_rng, discriminator=cfg.mode == "adversarial")
 
     store = ParamStore()
-    merger = lift_merger_params(merger_init, store.add)
-    heads = lift_head_params(heads_init, store.add)
+    fusion.map_params(merger, store.add)
+    head_leaves = map_tensors(heads, store.add)
     g_names = [n for n in store.names() if not n.startswith("disc.")]
     d_names = [n for n in store.names() if n.startswith("disc.")]
 
@@ -465,7 +456,7 @@ def train_toy_with_params(cfg: ToyTrainConfig):
         masked = apply_masks(labels, generate_sparse_masks(inst, labels, cfg.sparsity, mseed))
         if cfg.mode == "adversarial":
             store.zero_grad()
-            backward(_d_step_loss(masked, target64, merger, heads, cfg.threads))
+            backward(_d_step_loss(masked, target64, merger, head_leaves, cfg.threads))
             adam_step(opt_d, store.grads())
         # ``held`` (one tile's graph) is rebound only once the next step's
         # graphs exist, so the heap is not trimmed and faulted back in
@@ -589,23 +580,14 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
         c = rng.normals(4, 5)
         return lambda: tape.mean_all(tape.softmax(x) * c)
 
-    def build_attention(store, rng):
-        from . import nn_ops
+    def block_builder(stage):
+        """Check ``stage(z, bp)`` of a d=8, 2-head block on 3 tokens."""
 
-        bp, z, c = block_store(store, rng, 8, 2, 3)
-        return lambda: tape.mean_all(nn_ops._mhsa(z, bp.attn) * c)
+        def build(store, rng):
+            bp, z, c = block_store(store, rng, 8, 2, 3)
+            return lambda: tape.mean_all(stage(z, bp) * c)
 
-    def build_msa_block(store, rng):
-        from . import nn_ops
-
-        bp, z, c = block_store(store, rng, 8, 2, 3)
-        return lambda: tape.mean_all(nn_ops._msa_block(z, bp) * c)
-
-    def build_mlp_block(store, rng):
-        from . import nn_ops
-
-        bp, z, c = block_store(store, rng, 8, 2, 3)
-        return lambda: tape.mean_all(nn_ops._mlp_block(z, bp) * c)
+        return build
 
     def e2e_builder(n_labels, d, blocks, h, w, heads=2):
         def build(store, rng):
@@ -614,8 +596,8 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
                 labels, fusion.TLAM, d=d, n_blocks=blocks, heads=heads, rng=rng
             )
             heads_init = init_head_params(d, rng, d_g=16)
-            merger = lift_merger_params(merger_init, store.add)
-            head_vars = lift_head_params(heads_init, store.add)
+            merger = fusion.map_params(merger_init, store.add)
+            head_vars = map_tensors(heads_init, store.add)
             target = Var(rng.uniforms(h * w, 3))
             merge = lambda: tlam_graph(fusion.masked_pixels(labels, 0, h * w), [lab.name for lab in labels], merger)
             return lambda: _l2_tile(merge(), head_vars, target)
@@ -629,9 +611,9 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
             _op_check("linear_bias", seed + 9, build_linear_bias),
             _op_check("layer_norm", seed + 3, build_layer_norm),
             _op_check("softmax", seed + 4, build_softmax),
-            _op_check("attention", seed + 5, build_attention),
-            _op_check("msa_block", seed + 6, build_msa_block),
-            _op_check("mlp_block", seed + 7, build_mlp_block),
+            _op_check("attention", seed + 5, block_builder(lambda z, bp: nn_ops.multi_head_self_attention(z, bp.attn))),
+            _op_check("msa_block", seed + 6, block_builder(nn_ops.msa_block)),
+            _op_check("mlp_block", seed + 7, block_builder(nn_ops.mlp_block)),
             _op_check("e2e.N2.d8.l1", seed + 8, e2e_builder(2, 8, 1, 4, 4)),
         ]
     elif preset == "full":

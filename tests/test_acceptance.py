@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from labelfuse import fusion, nn_ops, train_harness as th
+from labelfuse import fusion, nn_ops, tape, train_harness as th
 from labelfuse.cli import EXIT_OK, main
 from labelfuse.label_model import (
     InstanceMap,
@@ -25,6 +25,7 @@ from labelfuse.nn_ops import AttentionParams, init_block_params, multi_head_self
 from labelfuse.tensor_core import Rng, read_tensor, write_tensor
 from labelfuse.train_harness import ToyTrainConfig, train_toy
 
+from lifting import unrecorded
 from oracles import seg_counting_oracle
 
 
@@ -68,7 +69,7 @@ def test_criterion_2_projection_semantics():
     one = LabelSet(labels=[make_label("lab", "continuous", x, np.zeros((3, 3)))])
     p = fusion.init_merger_params(one, fusion.TLAM, d=16, n_blocks=0, heads=1, seed=0)
     p.projections["lab"] = fusion.LabelProjection(A=A, b=b)
-    expect = (nn_ops.gelu(b) + p.encodings["lab"]).tobytes()
+    expect = (unrecorded(tape.gelu, b) + p.encodings["lab"]).tobytes()
     ok = all(pixel.tobytes() == expect for pixel in fusion.tlam_merge(one, p).reshape(-1, 16))
 
     labels = th.make_random_label_set(3, 6, 6, seed=1, sparsity=0.5)
@@ -100,11 +101,11 @@ def test_criterion_3_block_structure():
     bp.w2 = np.zeros((32, 8))
     bp.b2 = np.zeros(8)
     z = np.random.default_rng(1).standard_normal((5, 8))
-    ok = np.array_equal(nn_ops.transformer_block(z, bp), z)
+    ok = np.array_equal(unrecorded(nn_ops.transformer_block, z, bp), z)
 
     # softmax row-stochasticity
     v = np.random.default_rng(2).standard_normal((200, 7)) * 40
-    s = nn_ops.softmax(v)
+    s = unrecorded(tape.softmax, v)
     ok = ok and (s >= 0).all() and np.abs(s.sum(axis=-1) - 1.0).max() <= 1e-12
 
     # permutation equivariance of the merge under joint label/param permutation
@@ -160,7 +161,7 @@ def test_criterion_5_oracle_equivalences():
         heads=1, wq=np.ones((1, 1, 1)), wk=np.ones((1, 1, 1)), wv=np.ones((1, 1, 1)),
         wo=np.ones((1, 1)), bo=np.zeros(1),
     )
-    out = multi_head_self_attention(np.array([[0.0], [1.0]]), p)
+    out = unrecorded(multi_head_self_attention, np.array([[0.0], [1.0]]), p)
     sigma = 1.0 / (1.0 + math.exp(-1.0))
     ok = ok and abs(out[0, 0] - 0.5) <= 1e-12 and abs(out[1, 0] - sigma) <= 1e-12
 

@@ -17,6 +17,7 @@ from labelfuse.label_model import LabelSet, make_label
 from labelfuse.tensor_core import load_tensor, save_tensor
 from labelfuse.train_harness import make_random_label_set
 
+from lifting import unrecorded
 from oracles import gelu_scalar
 
 
@@ -47,7 +48,7 @@ class TestProjectLabel:
         b = np.array([0.3, -1.2, 4.0])
         A = np.random.default_rng(0).standard_normal((3, 2))
         out, enc = one_label_merge([9.9, -7.7], 0, A, b)
-        expect = nn_ops.gelu(b) + enc
+        expect = unrecorded(tape.gelu, b) + enc
         for pixel in out:
             assert pixel.tobytes() == expect.tobytes()
 
@@ -73,7 +74,7 @@ class TestTlamMerge:
             p.projections[f"l{k}"] = shared_proj
             p.encodings[f"l{k}"] = shared_enc
         z = tlam_merge(labels, p)
-        tok = nn_ops.gelu(vals.reshape(-1, 2).astype(np.float64) @ shared_proj.A.T + shared_proj.b)
+        tok = unrecorded(tape.gelu, vals.reshape(-1, 2).astype(np.float64) @ shared_proj.A.T + shared_proj.b)
         expect = (tok + shared_enc).reshape(h, w, 4)
         assert np.allclose(z, expect, atol=1e-12)
 
@@ -89,8 +90,8 @@ class TestTlamMerge:
         )
         p = init_merger_params(labels, fusion.TLAM, d=3, n_blocks=0, heads=1, seed=4)
         z = tlam_merge(labels, p)
-        t1 = nn_ops.gelu(a.reshape(-1, 1).astype(np.float64) @ p.projections["a"].A.T + p.projections["a"].b) + p.encodings["a"]
-        t2 = nn_ops.gelu(b.reshape(-1, 2).astype(np.float64) @ p.projections["b"].A.T + p.projections["b"].b) + p.encodings["b"]
+        t1 = unrecorded(tape.gelu, a.reshape(-1, 1).astype(np.float64) @ p.projections["a"].A.T + p.projections["a"].b) + p.encodings["a"]
+        t2 = unrecorded(tape.gelu, b.reshape(-1, 2).astype(np.float64) @ p.projections["b"].A.T + p.projections["b"].b) + p.encodings["b"]
         assert np.allclose(z, ((t1 + t2) / 2).reshape(h, w, 3), atol=1e-12)
 
     def test_masked_raw_values_do_not_matter(self):

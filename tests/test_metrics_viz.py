@@ -324,6 +324,15 @@ class TestPpm:
         n = save_ppm(path, np.zeros((3, 3, 3)))
         assert path.stat().st_size == n
 
+    @pytest.mark.parametrize("bad", [np.zeros((3, 3)), np.full((2, 2, 3), np.nan)])
+    def test_rejected_image_leaves_file_intact(self, tmp_path, bad):
+        path = tmp_path / "img.ppm"
+        save_ppm(path, np.zeros((3, 3, 3)))
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_ppm(path, bad)
+        assert path.read_bytes() == before
+
     def test_bad_shape(self):
         with pytest.raises(ValueError, match="H x W x 3"):
             write_ppm(np.zeros((3, 3)), io.BytesIO())

@@ -131,6 +131,15 @@ class TestFormat:
         save_tensor(path, t)
         assert np.array_equal(load_tensor(path), t)
 
+    @pytest.mark.parametrize("bad", [np.zeros(3, dtype=np.float16), np.zeros((0,)), np.float64(1.0)])
+    def test_rejected_tensor_leaves_file_intact(self, tmp_path, bad):
+        path = tmp_path / "x.tlt"
+        save_tensor(path, np.arange(3, dtype=np.float64))
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_tensor(path, bad)
+        assert path.read_bytes() == before
+
     def test_sink_failure_reports_byte_offset(self):
         class FailingSink:
             def __init__(self):

@@ -8,6 +8,7 @@ from labelfuse import fusion, label_model, nn_ops, tape, train_harness as th
 from labelfuse.tape import Var, backward, no_grad
 from labelfuse.tensor_core import Rng, save_tensor
 
+from lifting import lift, unrecorded
 from oracles import adam_recurrence, adv_d_loss_whole_grid, gelu_scalar
 
 # the pixel tiles of the 8-wide, d=8 scenes (five labels) that the tiling
@@ -24,7 +25,7 @@ def heads_with_disc(d=4, seed=0, d_g=6, d_c=5):
 def disc_score(z, img, hp):
     """The discriminator's mean score of an H x W x d merge and an image."""
     with no_grad():
-        return th.discriminator_graph(Var(z.reshape(-1, z.shape[-1])), Var(img.reshape(-1, 3)), hp).item()
+        return th.discriminator_graph(Var(z.reshape(-1, z.shape[-1])), Var(img.reshape(-1, 3)), lift(hp)).item()
 
 
 def whole_grid_merge(s, merger):
@@ -106,15 +107,15 @@ class TestHeads:
 
 class TestLosses:
     def test_hinge_d_examples(self):
-        assert th.hinge_d_loss(2.0, -2.0) == 0.0
-        assert th.hinge_d_loss(0.0, 0.0) == 2.0
-        assert th.hinge_d_loss(0.5, 0.5) == 2.0
+        assert unrecorded(th.hinge_d_loss, 2.0, -2.0) == 0.0
+        assert unrecorded(th.hinge_d_loss, 0.0, 0.0) == 2.0
+        assert unrecorded(th.hinge_d_loss, 0.5, 0.5) == 2.0
 
     def test_hinge_d_nonnegative_and_zero_iff_margins(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             r, f = rng.uniform(-3, 3), rng.uniform(-3, 3)
-            loss = th.hinge_d_loss(r, f)
+            loss = unrecorded(th.hinge_d_loss, r, f)
             assert loss >= 0.0
             assert (loss == 0.0) == (r >= 1.0 and f <= -1.0)
 
@@ -125,28 +126,11 @@ class TestLosses:
 
     def test_l2_examples(self):
         img = np.random.default_rng(1).standard_normal((4, 4, 3))
-        assert th.l2_loss(img, img) == 0.0
-        assert th.l2_loss(img + 0.5, img) == pytest.approx(0.25)
+        assert unrecorded(th.l2_loss, img, img) == 0.0
+        assert unrecorded(th.l2_loss, img + 0.5, img) == pytest.approx(0.25)
         one = np.array([[[1.0, 2.0, 3.0]]])
         other = np.array([[[2.0, 0.0, 3.0]]])
-        assert th.l2_loss(one, other) == pytest.approx((1 + 4 + 0) / 3)
-
-    @pytest.mark.parametrize(
-        "loss, args",
-        [
-            (th.l2_loss, (np.linspace(-1.0, 2.0, 12).reshape(2, 2, 3), np.full((2, 2, 3), 0.25))),
-            (th.l2_loss, (1.5, -0.5)),
-            (th.hinge_d_loss, (0.3, -1.7)),
-            (th.hinge_d_loss, (np.array(0.3), np.array(0.2))),
-        ],
-    )
-    def test_plain_or_recorded_by_argument_kind(self, loss, args):
-        plain = loss(*args)
-        assert type(plain) is float
-        for lifted in ((Var(args[0]), args[1]), (args[0], Var(args[1])), (Var(args[0]), Var(args[1]))):
-            out = loss(*lifted)
-            assert isinstance(out, Var) and out.parents and out._backward is not None
-            assert out.item() == plain
+        assert unrecorded(th.l2_loss, one, other) == pytest.approx((1 + 4 + 0) / 3)
 
     def test_losses_differentiable(self):
         r = Var(np.array(0.3))
@@ -235,7 +219,7 @@ class TestFiniteDiff:
         # must not hide a 10% error in the others
         store = th.ParamStore()
         bp, z, c = th.block_store(store, Rng(2 * 17 + 2), d=2, heads=1, n=2)
-        loss_fn = lambda: tape.mean_all(nn_ops._transformer_block(z, bp) * c)
+        loss_fn = lambda: tape.mean_all(nn_ops.transformer_block(z, bp) * c)
         assert th.finite_diff_check(store, loss_fn).passed
         report = th.finite_diff_check(store, loss_fn, corrupt_scale=0.1)
         assert not report.passed
@@ -348,6 +332,21 @@ class TestTrainToy:
         }
         assert report["diverged_at"] is None
 
+    def test_trained_params_are_float64_arrays(self, tmp_path):
+        cfg = self.small_cfg(mode="adversarial", iters=3)
+        report, merger, heads = th.train_toy_with_params(cfg)
+        items = fusion.param_items(merger)
+        assert all(type(t) is np.ndarray and t.dtype == np.float64 for _, t in items + th.head_items(heads))
+        fusion.save_merger_params(merger, tmp_path / "params")
+        back = fusion.load_merger_params(tmp_path / "params")
+        assert [(n, t.tobytes()) for n, t in fusion.param_items(back)] == [(n, t.tobytes()) for n, t in items]
+        # the arrays are the trained ones: they reproduce the report's ablation eval
+        labels, _, target = label_model.synth_scene(cfg.height, cfg.width, cfg.regions, cfg.seed)
+        for name, value in report["per_label_ablation"].items():
+            ablated = label_model.mask_out_label(labels, name)
+            assert th._recon_l2(ablated, target.astype(np.float64), merger, heads, 1) == value
+        assert fusion.tlam_merge(labels, merger).tobytes() == fusion.tlam_merge(labels, back).tobytes()
+
     def test_fixed_seed_bit_identical_reports(self):
         a = th.train_toy(self.small_cfg())
         b = th.train_toy(self.small_cfg())
@@ -378,8 +377,8 @@ class TestTrainToy:
         # only one tile's graph outlives the step
         assert max_rows(held) <= TILE_PIXELS
         store = th.ParamStore()
-        merger = th.lift_merger_params(merger0, store.add)
-        heads = th.lift_head_params(heads0, store.add)
+        merger = fusion.map_params(merger0, store.add)
+        heads = nn_ops.map_tensors(heads0, store.add)
         loss = th._l2_tile(whole_grid_merge(masked, merger), heads, Var(target.reshape(-1, 3)))
         backward(loss)
         assert abs(value - float(loss.value)) <= 1e-12
@@ -425,11 +424,11 @@ class TestEndToEndGradcheck:
         store = th.ParamStore()
         rng = Rng(1)
         labels = th.make_random_label_set(2, 4, 4, seed=2, sparsity=0.5)
-        merger = th.lift_merger_params(
+        merger = fusion.map_params(
             fusion.init_merger_params(labels, fusion.TLAM, d=8, n_blocks=1, heads=2, rng=rng),
             store.add,
         )
-        heads = th.lift_head_params(th.init_head_params(8, rng, d_g=8), store.add)
+        heads = nn_ops.map_tensors(th.init_head_params(8, rng, d_g=8), store.add)
         target = Var(np.random.default_rng(0).uniform(size=(16, 3)))
         report = th.finite_diff_check(
             store, lambda: th._l2_tile(whole_grid_merge(labels, merger), heads, target)
@@ -440,11 +439,11 @@ class TestEndToEndGradcheck:
         store = th.ParamStore()
         rng = Rng(2)
         labels = th.make_random_label_set(2, 3, 3, seed=3, sparsity=0.4)
-        merger = th.lift_merger_params(
+        merger = fusion.map_params(
             fusion.init_merger_params(labels, fusion.TLAM, d=4, n_blocks=1, heads=2, rng=rng),
             store.add,
         )
-        heads = th.lift_head_params(
+        heads = nn_ops.map_tensors(
             th.init_head_params(4, rng, d_g=6, d_c=5, discriminator=True), store.add
         )
         target = Var(np.random.default_rng(1).uniform(size=(9, 3)))
@@ -460,8 +459,8 @@ class TestAdversarialSteps:
         value, grads, held = th.tiled_grads(masked, target, merger0, heads0, th._adv_g_tile, threads=2)
         assert max_rows(held) <= TILE_PIXELS
         store = th.ParamStore()
-        merger = th.lift_merger_params(merger0, store.add)
-        heads = th.lift_head_params(heads0, store.add)
+        merger = fusion.map_params(merger0, store.add)
+        heads = nn_ops.map_tensors(heads0, store.add)
         loss = th._adv_g_tile(whole_grid_merge(masked, merger), heads, Var(target.reshape(-1, 3)))
         backward(loss)
         assert abs(value - float(loss.value)) <= 1e-12
@@ -473,13 +472,13 @@ class TestAdversarialSteps:
     def test_d_step_matches_whole_grid_graph(self, two_tile_adv):
         masked, target, merger0, heads0 = two_tile_adv
         store = th.ParamStore()
-        merger = th.lift_merger_params(merger0, store.add)
-        heads = th.lift_head_params(heads0, store.add)
+        merger = fusion.map_params(merger0, store.add)
+        heads = nn_ops.map_tensors(heads0, store.add)
         reference = adv_d_loss_whole_grid(masked, target, merger, heads)
         backward(reference)
         whole = store.grads()
         store.zero_grad()
-        loss = th._d_step_loss(masked, target, merger, heads, threads=2)
+        loss = th._d_step_loss(masked, target, merger0, heads, threads=2)
         backward(loss)
         assert abs(float(loss.value) - float(reference.value)) <= 1e-12
         for name, g in store.grads().items():
@@ -492,7 +491,7 @@ class TestAdversarialSteps:
     def test_d_step_finite_differences(self, two_tile_adv):
         masked, target, merger, heads0 = two_tile_adv
         store = th.ParamStore()
-        heads = th.lift_head_params(heads0, lambda n, t: store.add(n, t) if n.startswith("disc.") else t)
+        heads = nn_ops.map_tensors(heads0, lambda n, t: store.add(n, t) if n.startswith("disc.") else Var(t))
         assert store.names() == ["disc.W1", "disc.W2", "disc.b1", "disc.b2"]
         report = th.finite_diff_check(store, lambda: th._d_step_loss(masked, target, merger, heads))
         assert report.passed, report.max_rel_err
