@@ -141,16 +141,13 @@ def init_merger_params(
     (projections, then encodings and blocks for ``tlam`` or stacks for
     ``clam``) so a seed pins the parameters bit-exactly.
     """
-    if variant not in (TLAM, CLAM, NAIVE):
+    if variant not in (TLAM, CLAM):
         raise ValueError(f"unknown merger variant {variant!r}")
-    if variant != NAIVE:
-        nn_ops._head_width({"d": d, "heads": heads})
+    nn_ops._head_width({"d": d, "heads": heads})
     _check_sizes(d, heads, n_blocks)
     if rng is None:
         rng = Rng(seed)
     p = MergerParams(variant=variant, d=d, heads=heads)
-    if variant == NAIVE:
-        return p
     for lab in labels:
         p.projections[lab.name] = init_tensors(blank(LabelProjection, d=d, c=lab.channels), rng)
     if variant == TLAM:
@@ -340,24 +337,26 @@ def save_merger_params(p: MergerParams, dirpath) -> None:
 def load_merger_params(dirpath) -> MergerParams:
     """Read a params directory written by ``save_merger_params``.
 
-    ``params.json`` must be an object with a known variant, integers d and
-    heads >= 1 and n_blocks >= 0 (a merger may have no blocks), and a labels
-    list of objects with a string name and an integer channels >= 1; every
+    ``params.json`` must be an object with variant ``tlam`` or ``clam``,
+    integers d and heads >= 1 and n_blocks >= 0 (a merger may have no
+    blocks), and a labels list of objects with a string name that is a file
+    stem (see ``validate_label_set``) and an integer channels >= 1; every
     tensor's shape is checked against it.  Anything else raises ValueError.
     """
     with open(os.path.join(dirpath, "params.json")) as f:
         doc = json.load(f)
-    if not isinstance(doc, dict) or doc.get("variant") not in (TLAM, CLAM, NAIVE):
+    if not isinstance(doc, dict) or doc.get("variant") not in (TLAM, CLAM):
         raise ValueError("params.json must be an object with a known 'variant'")
     labels = doc.get("labels")
     if not isinstance(labels, list) or not all(isinstance(e, dict) and isinstance(e.get("name"), str) for e in labels):
         raise ValueError("params.json 'labels' must be a list of objects with a string 'name'")
     _check_sizes(doc.get("d"), doc.get("heads"), doc.get("n_blocks"), "params.json")
     for i, e in enumerate(labels):
+        name = e["name"]
+        if not name or "/" in name or "\\" in name:
+            raise ValueError(f"params.json label {i} name {name!r} must be a non-empty file stem without '/' or '\\'")
         _check_int(f"params.json label {i} 'channels'", e.get("channels"), 1)
     p = MergerParams(variant=doc["variant"], d=doc["d"], heads=doc["heads"])
-    if p.variant == NAIVE:
-        return p
     dims = {"d": p.d, "heads": p.heads}
     channels = {e["name"]: e["channels"] for e in doc["labels"]}
     p.projections = {k: blank(LabelProjection, c=c, **dims) for k, c in channels.items()}

@@ -94,12 +94,16 @@ def make_label(name: str, kind: str, values: np.ndarray, mask: np.ndarray | None
 
 
 def validate_label_set(s: LabelSet) -> None:
-    """Raise ValueError unless all LabelSet invariants hold."""
+    """Raise ValueError unless all LabelSet invariants hold.  Names become file
+    stems (``<name>.values.tlt``, ``proj.<name>.A.tlt``), so one that is empty
+    or holds ``/`` or ``\\`` is rejected (as in ``fusion.load_merger_params``)."""
     if len(s.labels) == 0:
         raise ValueError("label set is empty (need N >= 1 labels)")
     dims = s.labels[0].values.shape[:2]  # a tuple: rank is checked per label below
     seen: set[str] = set()
     for lab in s.labels:
+        if not lab.name or "/" in lab.name or "\\" in lab.name:
+            raise ValueError(f"label name {lab.name!r} must be a non-empty file stem without '/' or '\\'")
         if lab.kind not in (DISCRETE, CONTINUOUS):
             raise ValueError(f"label {lab.name!r}: unknown kind {lab.kind!r}")
         if lab.values.ndim != 3:

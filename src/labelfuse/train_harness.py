@@ -4,10 +4,11 @@ store over tape leaves, finite-difference gradient verification, Adam
 generator/discriminator heads, and the desk-scale training loop on synthetic
 scenes.
 
-Every training step runs on the merge tiler (``tiled_grads``): the l2 and
-the adversarial generator losses are means over pixels, so they split exactly
+Every training step runs on the merge tiler (``tiled_grads``): the l2 loss,
+the adversarial generator loss (``_adv_g_tile``) and the discriminator's
+per-pixel hinge (``_d_tile``) are means over pixels, so they split exactly
 into pixel-weighted tile losses.  The discriminator step updates only
-``disc.*``, so it takes the tiled, unrecorded merge as data.
+``disc.*``, so ``_d_tile`` takes its tile's merge and generated image as data.
 """
 
 from __future__ import annotations
@@ -123,11 +124,11 @@ def generate_graph(z: Var, hp: HeadParams) -> Var:
 
 
 def discriminator_graph(z: Var, rgb: Var, hp: HeadParams) -> Var:
-    """Per-pixel score from concat(z, rgb), averaged to one scalar."""
+    """Per-pixel scores (B, 1) from concat(z, rgb): a patch discriminator
+    with 1x1 patches."""
     x = tape.concat([z, rgb], axis=-1)
     hidden = tape.gelu(tape.matmul(x, hp.disc_w1, hp.disc_b1))
-    scores = tape.matmul(hidden, hp.disc_w2, hp.disc_b2)
-    return tape.mean_all(scores)
+    return tape.matmul(hidden, hp.disc_w2, hp.disc_b2)
 
 
 def forward_generate(z: np.ndarray, hp: HeadParams) -> np.ndarray:
@@ -140,8 +141,9 @@ def forward_generate(z: np.ndarray, hp: HeadParams) -> np.ndarray:
 
 
 def hinge_d_loss(real_score: Var, fake_score: Var) -> Var:
-    """max(0, 1 - real) + max(0, 1 + fake); zero iff both margins are satisfied."""
-    return tape.relu(1.0 - real_score) + tape.relu(1.0 + fake_score)
+    """The patch hinge: mean max(0, 1 - real) + mean max(0, 1 + fake) over
+    the scores; zero iff every score meets its margin."""
+    return tape.mean_all(tape.relu(1.0 - real_score)) + tape.mean_all(tape.relu(1.0 + fake_score))
 
 
 def hinge_g_loss(fake_score):
@@ -337,9 +339,18 @@ def _l2_tile(z: Var, heads: HeadParams, t: Var) -> Var:
 
 
 def _adv_g_tile(z: Var, heads: HeadParams, t: Var) -> Var:
-    """The adversarial generator loss of one tile: -D(fake) + L2_WEIGHT * l2."""
+    """The adversarial generator loss of one tile: -mean D(fake) + L2_WEIGHT * l2."""
     fake = generate_graph(z, heads)
-    return hinge_g_loss(discriminator_graph(z, fake, heads)) + L2_WEIGHT * l2_loss(fake, t)
+    return hinge_g_loss(tape.mean_all(discriminator_graph(z, fake, heads))) + L2_WEIGHT * l2_loss(fake, t)
+
+
+def _d_tile(z: Var, heads: HeadParams, t: Var) -> Var:
+    """The discriminator's hinge loss of one tile, real pixels ``t`` against
+    generated ones; the merge and the image enter as data, so only ``disc.*`` get gradients."""
+    z = Var(z.value)
+    with no_grad():
+        fake = generate_graph(z, heads)
+    return hinge_d_loss(discriminator_graph(z, t, heads), discriminator_graph(z, fake, heads))
 
 
 def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, threads: int = 1):
@@ -347,8 +358,8 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, threads:
 
     The merger and head params hold arrays, which each tile lifts to leaves.
 
-    ``tile_loss(z, heads, t)`` (``_l2_tile`` or ``_adv_g_tile``) is the loss
-    of a tile's merge ``z`` (B, d) against its target pixels ``t`` (B, 3).
+    ``tile_loss(z, heads, t)`` (``_l2_tile``, ``_adv_g_tile`` or ``_d_tile``) is
+    the loss of a tile's merge ``z`` (B, d) against its target pixels ``t`` (B, 3).
     Each tile has its own leaves and may run on its own thread; tile losses
     and gradients are weighted by the tile's share of pixels and summed in
     ascending tile order, so nothing depends on ``threads``.  A tile's graph
@@ -378,20 +389,6 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, threads:
         for n, g in tile_grads.items():
             grads[n] = grads[n] + w * g if n in grads else w * g
     return total, grads, last[0]
-
-
-def _d_step_loss(masked, target, merger, heads, threads: int = 1) -> Var:
-    """The discriminator's hinge loss, real target against generated image.
-    The merge (tiled) and the image enter as data: the D step updates only
-    ``disc.*``, on which neither depends.  ``merger`` holds arrays and
-    ``heads`` the heads' leaves."""
-    z = fusion.tlam_merge(masked, merger, threads)
-    zv = Var(z.reshape(-1, z.shape[-1]))
-    with no_grad():
-        fake = generate_graph(zv, heads)
-    real_score = discriminator_graph(zv, Var(target.reshape(-1, 3)), heads)
-    fake_score = discriminator_graph(zv, fake, heads)
-    return hinge_d_loss(real_score, fake_score)
 
 
 def _recon_l2(s: LabelSet, target, merger, heads, threads: int) -> float:
@@ -437,7 +434,7 @@ def train_toy_with_params(cfg: ToyTrainConfig):
 
     store = ParamStore()
     fusion.map_params(merger, store.add)
-    head_leaves = map_tensors(heads, store.add)
+    map_tensors(heads, store.add)
     g_names = [n for n in store.names() if not n.startswith("disc.")]
     d_names = [n for n in store.names() if n.startswith("disc.")]
 
@@ -455,9 +452,7 @@ def train_toy_with_params(cfg: ToyTrainConfig):
         mseed = mask_rng.next_u64()
         masked = apply_masks(labels, generate_sparse_masks(inst, labels, cfg.sparsity, mseed))
         if cfg.mode == "adversarial":
-            store.zero_grad()
-            backward(_d_step_loss(masked, target64, merger, head_leaves, cfg.threads))
-            adam_step(opt_d, store.grads())
+            adam_step(opt_d, tiled_grads(masked, target64, merger, heads, _d_tile, cfg.threads)[1])
         # ``held`` (one tile's graph) is rebound only once the next step's
         # graphs exist, so the heap is not trimmed and faulted back in
         value, grads, held = tiled_grads(masked, target64, merger, heads, tile_loss, cfg.threads)

@@ -105,8 +105,9 @@ def splitmix64_reference(seed, n):
 
 def adv_d_loss_whole_grid(masked, target, merger, heads):
     """The adversarial discriminator hinge loss as one graph over the whole
-    grid: recorded merge, generator, then the real and fake discriminator
-    means.  Its ``disc.*`` gradients are those of the D step."""
+    grid: recorded merge, generator, then the per-pixel hinges of the real
+    and fake discriminator scores.  Its ``disc.*`` gradients are those of
+    the D step."""
     from labelfuse.fusion import masked_pixels, tlam_graph
     from labelfuse.tape import Var
     from labelfuse.train_harness import discriminator_graph, generate_graph, hinge_d_loss

@@ -213,6 +213,24 @@ class TestManifestInput:
         assert (code == EXIT_USAGE) == err.getvalue().startswith("error: ")
 
 
+    @pytest.mark.parametrize("command", ["sparsify", "init-params"])
+    def test_label_name_with_path_exits_1(self, tmp_path, scene, capsys, command):
+        # a label name is a file stem: "../../escaped" would write two levels up
+        doc = json.loads((scene / "manifest.json").read_text())
+        doc["labels"][0]["name"] = "../../escaped"
+        manifest = scene / "escape.json"
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "out" / "a"
+        extra = {
+            "sparsify": ["--instances", str(scene / "instances.tlt"), "--sparsity", "0.5",
+                         "--out-manifest", str(out / "manifest.json")],
+            "init-params": ["--d", "8", "--blocks", "1", "--heads", "2", "--out", str(out)],
+        }[command]
+        assert run(command, "--manifest", str(manifest), *extra) == EXIT_USAGE
+        assert "label name '../../escaped' must be a non-empty file stem" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*escaped*"))
+
+
 class TestInitParams:
     def test_zero_heads_exits_1(self, tmp_path, scene, capsys):
         code = run("init-params", "--manifest", str(scene / "manifest.json"),

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import numpy as np
@@ -371,7 +372,7 @@ class TestMacCounting:
             with pytest.raises(ValueError, match="0 heads"):
                 init_merger_params(tiny_set(), variant, d=8, n_blocks=1, heads=0)
 
-    @pytest.mark.parametrize("variant", [fusion.TLAM, fusion.CLAM, fusion.NAIVE])
+    @pytest.mark.parametrize("variant", [fusion.TLAM, fusion.CLAM])
     @pytest.mark.parametrize(
         "d, n_blocks, match",
         [(0, 1, "merger 'd' must be an integer >= 1"), (4, -1, "merger 'n_blocks' must be an integer >= 0")],
@@ -380,6 +381,16 @@ class TestMacCounting:
         # the rule load_merger_params applies, so saved params always load
         with pytest.raises(ValueError, match=match):
             init_merger_params(tiny_set(), variant, d=d, n_blocks=n_blocks, heads=1)
+
+    def test_naive_variant_has_no_params(self, tmp_path):
+        # ``naive_concat`` learns nothing, so there are no naive params to make or load
+        with pytest.raises(ValueError, match="unknown merger variant 'naive'"):
+            init_merger_params(tiny_set(), fusion.NAIVE, d=4, n_blocks=1, heads=1)
+        save_merger_params(init_merger_params(tiny_set(), fusion.TLAM, d=4, n_blocks=1, heads=1), tmp_path)
+        doc = json.loads((tmp_path / "params.json").read_text())
+        (tmp_path / "params.json").write_text(json.dumps({**doc, "variant": fusion.NAIVE}))
+        with pytest.raises(ValueError, match="known 'variant'"):
+            load_merger_params(tmp_path)
 
 
 class TestParamsSerialization:
@@ -446,6 +457,16 @@ class TestParamsSerialization:
         assert q.encodings == {}
         assert [n for n, _ in fusion.param_items(q)] == [n for n, _ in fusion.param_items(p)]
         assert clam_merge(labels, q).tobytes() == clam_merge(labels, p).tobytes()
+
+    @pytest.mark.parametrize("name", ["", "../escaped", "a\\b"])
+    def test_label_name_not_a_file_stem_rejected(self, tmp_path, name):
+        # names become file stems (proj.<name>.A.tlt), so they must not hold a path
+        save_merger_params(init_merger_params(tiny_set(n=2), fusion.TLAM, d=6, n_blocks=1, heads=2), tmp_path)
+        doc = json.loads((tmp_path / "params.json").read_text())
+        doc["labels"][1]["name"] = name
+        (tmp_path / "params.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="params.json label 1 name .* must be a non-empty file stem"):
+            load_merger_params(tmp_path)
 
     @pytest.mark.parametrize(
         "stem, bad_shape",

@@ -22,10 +22,10 @@ def heads_with_disc(d=4, seed=0, d_g=6, d_c=5):
     return th.init_head_params(d, Rng(seed), d_g=d_g, d_c=d_c, discriminator=True)
 
 
-def disc_score(z, img, hp):
-    """The discriminator's mean score of an H x W x d merge and an image."""
+def disc_scores(z, img, hp):
+    """The discriminator's per-pixel scores (H*W, 1) of an H x W x d merge and an image."""
     with no_grad():
-        return th.discriminator_graph(Var(z.reshape(-1, z.shape[-1])), Var(img.reshape(-1, 3)), lift(hp)).item()
+        return th.discriminator_graph(Var(z.reshape(-1, z.shape[-1])), Var(img.reshape(-1, 3)), lift(hp)).value
 
 
 def whole_grid_merge(s, merger):
@@ -88,7 +88,9 @@ class TestHeads:
         hp.disc_b2 = np.array([2.5])
         z = np.random.default_rng(2).standard_normal((3, 4, 4))
         img = np.random.default_rng(3).standard_normal((3, 4, 3))
-        assert disc_score(z, img, hp) == pytest.approx(2.5)
+        scores = disc_scores(z, img, hp)
+        assert scores.shape == (12, 1)
+        assert scores == pytest.approx(np.full((12, 1), 2.5))
 
     def test_discriminator_is_mean_of_pixel_scores(self):
         hp = heads_with_disc(seed=4)
@@ -102,7 +104,12 @@ class TestHeads:
                     [gelu_scalar(x @ hp.disc_w1[:, k] + hp.disc_b1[k]) for k in range(5)]
                 )
                 per_pixel.append(float(hidden @ hp.disc_w2[:, 0] + hp.disc_b2[0]))
-        assert disc_score(z, img, hp) == pytest.approx(np.mean(per_pixel), rel=1e-12)
+        scores = disc_scores(z, img, hp)
+        assert scores[:, 0] == pytest.approx(per_pixel, rel=1e-12)
+        # the generator's adversarial term scores the image by this mean
+        with no_grad():
+            mean = tape.mean_all(Var(scores)).item()
+        assert mean == pytest.approx(np.mean(per_pixel), rel=1e-12)
 
 
 class TestLosses:
@@ -118,6 +125,11 @@ class TestLosses:
             loss = unrecorded(th.hinge_d_loss, r, f)
             assert loss >= 0.0
             assert (loss == 0.0) == (r >= 1.0 and f <= -1.0)
+
+    def test_hinge_d_is_per_pixel(self):
+        # the mean of the per-pixel hinges, not the hinge of the mean scores
+        real, fake = np.array([[2.0], [-2.0]]), np.array([[-3.0], [0.5]])
+        assert unrecorded(th.hinge_d_loss, real, fake) == pytest.approx((0.0 + 3.0) / 2 + (0.0 + 1.5) / 2)
 
     def test_hinge_g(self):
         assert th.hinge_g_loss(0.0) == 0.0
@@ -471,30 +483,39 @@ class TestAdversarialSteps:
 
     def test_d_step_matches_whole_grid_graph(self, two_tile_adv):
         masked, target, merger0, heads0 = two_tile_adv
+        value, grads, _ = th.tiled_grads(masked, target, merger0, heads0, th._d_tile, threads=2)
+        # the merge and the generator enter the D step as data
+        assert sorted(grads) == ["disc.W1", "disc.W2", "disc.b1", "disc.b2"]
         store = th.ParamStore()
         merger = fusion.map_params(merger0, store.add)
         heads = nn_ops.map_tensors(heads0, store.add)
         reference = adv_d_loss_whole_grid(masked, target, merger, heads)
         backward(reference)
+        assert abs(value - float(reference.value)) <= 1e-12
         whole = store.grads()
-        store.zero_grad()
-        loss = th._d_step_loss(masked, target, merger0, heads, threads=2)
-        backward(loss)
-        assert abs(float(loss.value) - float(reference.value)) <= 1e-12
-        for name, g in store.grads().items():
-            if name.startswith("disc."):
-                assert np.abs(g - whole[name]).max() <= 1e-12, name
-            else:
-                # the merge and the generator enter the D step as data
-                assert not g.any(), name
+        for name, g in grads.items():
+            assert np.abs(g - whole[name]).max() <= 1e-12, name
 
     def test_d_step_finite_differences(self, two_tile_adv):
         masked, target, merger, heads0 = two_tile_adv
         store = th.ParamStore()
         heads = nn_ops.map_tensors(heads0, lambda n, t: store.add(n, t) if n.startswith("disc.") else Var(t))
         assert store.names() == ["disc.W1", "disc.W2", "disc.b1", "disc.b2"]
-        report = th.finite_diff_check(store, lambda: th._d_step_loss(masked, target, merger, heads))
+        with no_grad():
+            z = whole_grid_merge(masked, fusion.map_params(merger, lambda _n, t: Var(t)))
+        t = Var(target.reshape(-1, 3))
+        report = th.finite_diff_check(store, lambda: th._d_tile(z, heads, t))
         assert report.passed, report.max_rel_err
+
+    def test_d_step_tile_bounded_and_independent_of_threads(self, two_tile_adv):
+        masked, target, merger, heads = two_tile_adv
+        runs = [th.tiled_grads(masked, target, merger, heads, th._d_tile, threads) for threads in (1, 3)]
+        assert max_rows(runs[1][2]) <= TILE_PIXELS
+        (v1, g1, _), (v3, g3, _) = runs
+        assert v1 == v3
+        assert sorted(g1) == sorted(g3)
+        for name in g1:
+            assert g1[name].tobytes() == g3[name].tobytes(), name
 
 
 @pytest.mark.parametrize("stem, bad_shape", [("gen.b1", (1,)), ("disc.W1", (6, 5))])
