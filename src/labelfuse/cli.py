@@ -117,11 +117,7 @@ def cmd_train_toy(args) -> int:
     train_harness.save_head_params(heads, stem + ".params")
     labels, _, _ = label_model.synth_scene(h, w, args.regions, args.seed)
     concept = fusion.tlam_merge(labels, merger, threads=args.threads)
-    try:
-        _, img = metrics_viz.pca_project_3(concept)
-    except RuntimeError as e:  # the Jacobi sweeps did not converge
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    _, img = metrics_viz.pca_project_3(concept)
     metrics_viz.save_ppm(stem + ".ppm", img)
     if report["loss"]:
         print(f"loss: first {report['loss'][0]:.6f} last {report['loss'][-1]:.6f}")
@@ -183,11 +179,7 @@ def cmd_visualize(args) -> int:
     z = load_tensor(args.concept)
     if z.ndim != 3:
         raise ValueError(f"concept tensor must be rank 3, got rank {z.ndim}")
-    try:
-        basis, img = metrics_viz.pca_project_3(z)
-    except RuntimeError as e:  # the Jacobi sweeps did not converge
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    basis, img = metrics_viz.pca_project_3(z)
     metrics_viz.save_ppm(args.out, img)
     if args.basis_out:
         metrics_viz.save_pca_basis(basis, args.basis_out)

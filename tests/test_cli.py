@@ -9,13 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelfuse import fusion
+from labelfuse import fusion, metrics_viz
 from labelfuse.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from labelfuse.tensor_core import load_tensor, save_tensor
 
 
 def run(*argv):
     return main(list(argv))
+
+
+EIGH_FAILED = "eigendecomposition of the covariance failed: Eigenvalues did not converge"
+
+
+def fail_eigh(monkeypatch):
+    """Make the PCA's eigensolver fail as LAPACK's does when it does not
+    converge.  LinAlgError is a ValueError, so the exit code is 2 only if the
+    PCA reports it as a numerical failure."""
+
+    def eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(metrics_viz.np.linalg, "eigh", eigh)
 
 
 @pytest.fixture
@@ -320,14 +334,12 @@ class TestTrainToy:
 
 
     def test_pca_non_convergence_exits_2(self, tmp_path, capsys, monkeypatch):
-        from labelfuse import metrics_viz
-
-        monkeypatch.setattr(metrics_viz, "JACOBI_MAX_SWEEPS", 0)
+        fail_eigh(monkeypatch)
         out = tmp_path / "r.json"
         assert run("train-toy", "--size", "8x8", "--regions", "3", "--iters", "1",
                    "--out", str(out), "--threads", "1") == EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "numerical failure: Jacobi sweeps did not converge" in err
+        assert f"numerical failure: {EIGH_FAILED}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "r.ppm").exists()
 
@@ -409,17 +421,15 @@ class TestVisualize:
         assert ("covariance" if code == EXIT_NUMERIC else "non-finite") in capsys.readouterr().err
         assert not out.exists()
 
-    def test_jacobi_non_convergence_exits_2(self, tmp_path, capsys, monkeypatch):
-        from labelfuse import metrics_viz
-
-        monkeypatch.setattr(metrics_viz, "JACOBI_MAX_SWEEPS", 0)
-        z = np.random.default_rng(4).standard_normal((4, 4, 5))  # non-diagonal covariance
+    def test_pca_non_convergence_exits_2(self, tmp_path, capsys, monkeypatch):
+        fail_eigh(monkeypatch)
+        z = np.random.default_rng(4).standard_normal((4, 4, 5))
         save_tensor(tmp_path / "z.tlt", z)
         out = tmp_path / "o.ppm"
         assert run("visualize", "--concept", str(tmp_path / "z.tlt"), "--out", str(out),
                    "--basis-out", str(tmp_path / "basis")) == EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "numerical failure: Jacobi sweeps did not converge" in err
+        assert f"numerical failure: {EIGH_FAILED}" in err
         assert "Traceback" not in err
         assert not out.exists()
         assert not (tmp_path / "basis").exists()
