@@ -2,9 +2,12 @@
 
 Everything here is written as plainly as possible (scalar loops, no shared
 code with the package) so the implementations under test are checked against
-a genuinely separate route.  The one exception, ``adv_d_loss_whole_grid``,
-checks a route through the package against another one: it records the
-discriminator loss over the whole grid with the merge in the graph.
+a genuinely separate route.  There are two exceptions.
+``adv_d_loss_whole_grid`` checks a route through the package against another
+one: it records the discriminator loss over the whole grid with the merge in
+the graph.  ``jacobi_eigh`` is a vectorized cyclic Jacobi eigensolver (the
+package's PCA solver before ``pca_project_3`` moved to ``numpy.linalg.eigh``),
+kept as a route to the eigenpairs that does not go through LAPACK.
 """
 
 import math
@@ -117,3 +120,96 @@ def adv_d_loss_whole_grid(masked, target, merger, heads):
     fake = generate_graph(z, heads)
     real = Var(np.asarray(target, dtype=np.float64).reshape(-1, 3))
     return hinge_d_loss(discriminator_graph(z, real, heads), discriminator_graph(z, fake, heads))
+
+
+JACOBI_REL_TOL = 1e-10
+JACOBI_MAX_SWEEPS = 100
+
+
+def jacobi_eigh(sym: np.ndarray):
+    """Eigendecomposition of a symmetric matrix by Jacobi rotations in
+    round-robin order (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985).
+
+    Each sweep visits every off-diagonal pair once, in rounds of disjoint
+    pairs (see ``round_robin``); the rotations of one round commute, so a
+    round is one similarity transform.  A, and V^T as rows, are held in the
+    round's paired layout (rows 2i and 2i + 1 are the round's pair i), so
+    each side of a round is one batched 2x2 ``np.matmul`` over all pairs.
+    The column side uses A = A^T, so A' = R^T A R = R^T (R^T A)^T, and moves
+    A into the next round's layout on the way.  A sweep ends in the layout
+    it began in, which is undone once before returning.  Odd d is padded
+    with a zero row and column, whose rotations are the identity.
+    Sweeps stop once the off-diagonal Frobenius norm drops to
+    ``JACOBI_REL_TOL`` times the trace of the input (its total variance when
+    it is a covariance), or times its Frobenius norm if the trace is not
+    positive.  Returns (eigenvalues, eigenvectors-as-columns),
+    unsorted.  Raises RuntimeError if that is not reached in
+    ``JACOBI_MAX_SWEEPS`` sweeps, and at once if the norm or the trace is NaN.
+    """
+    a = np.array(sym, dtype=np.float64)
+    d = a.shape[0]
+    if a.shape != (d, d):
+        raise ValueError("matrix must be square")
+    trace = float(np.trace(a))
+    if trace > 0.0:
+        threshold = JACOBI_REL_TOL * trace
+    else:
+        threshold = JACOBI_REL_TOL * float(np.linalg.norm(a))
+        if threshold == 0.0:  # the zero matrix: already diagonal
+            return np.diag(a).copy(), np.eye(d)
+    layouts, moves = round_robin(d)
+    n = layouts.shape[1]
+    m = n // 2
+    first = layouts[0]
+    a = np.pad(a, (0, n - d))[np.ix_(first, first)]
+    vt = np.eye(n, d)[first]  # V^T, one row per index, in the layout
+    stride = 2 * n + 2  # from one pair's 2x2 diagonal block to the next
+    off = _off_norm(a)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if not off > threshold:  # converged, or NaN
+            break
+        for move in moves:
+            flat = a.ravel()
+            apq = flat[1::stride]
+            with np.errstate(divide="ignore", invalid="ignore"):  # where apq == 0
+                theta = (flat[n + 1::stride] - flat[::stride]) / (2.0 * apq)
+            t = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + np.hypot(theta, 1.0))
+            t[apq == 0.0] = 0.0  # c = 1, s = 0: the identity
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            g = np.array([c, -s, s, c]).T.reshape(m, 2, 2)  # R^T, one 2x2 per pair
+            b = np.matmul(g, a.reshape(m, 2, n)).reshape(n, n)  # R^T A
+            bt = b.take(move, axis=0).T.copy().reshape(m, 2, n)  # (R^T A)^T, cols moved
+            a = np.matmul(g, bt).reshape(n, n).take(move, axis=0)
+            vt = np.matmul(g, vt.reshape(m, 2, d)).reshape(n, d).take(move, axis=0)
+        off = _off_norm(a)
+    if not off <= threshold:
+        raise RuntimeError("Jacobi sweeps did not converge")
+    back = np.argsort(first)[:d]
+    return np.diag(a)[back], vt[back].T
+
+
+def round_robin(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """One sweep's paired layouts and the moves between them.
+
+    With n = d rounded up to even, the circle method gives n - 1 rounds of
+    n/2 disjoint pairs that together hold every pair once: index 0 stays put
+    and the others rotate one place per round.  Row r of ``layouts`` lists
+    round r's pairs as (p, q), p < q, at positions (2i, 2i + 1); for odd d
+    the padding index d is one of them.  ``layouts[r][moves[r]]`` is the
+    next round's layout, and the last move leads back to ``layouts[0]``.
+    """
+    n = d + d % 2
+    ring = np.zeros((n - 1, n), dtype=np.intp)
+    ring[:, 1:] = 1 + (np.arange(n - 1) - np.arange(n - 1)[:, None]) % (n - 1)
+    x, y = ring[:, : n // 2], ring[:, : n // 2 - 1 : -1]
+    layouts = np.stack([np.minimum(x, y), np.maximum(x, y)], axis=2).reshape(n - 1, n)
+    inverse = np.argsort(layouts, axis=1)
+    moves = np.take_along_axis(inverse, np.roll(layouts, -1, axis=0), axis=1)
+    return layouts, moves
+
+
+def _off_norm(a: np.ndarray) -> float:
+    """Frobenius norm of the off-diagonal part."""
+    off = a - np.diag(np.diag(a))
+    return float(np.sqrt((off * off).sum()))

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from labelfuse.metrics_viz import (
     write_ppm,
 )
 
-from oracles import seg_counting_oracle
+from oracles import JACOBI_REL_TOL, jacobi_eigh, round_robin, seg_counting_oracle
 
 
 def seg(arr, k):
@@ -83,12 +84,131 @@ class TestSegMetrics:
             make_segmap(np.zeros(shape, dtype=int), 2)
 
 
+class TestJacobi:
+    @pytest.mark.parametrize("d,seed", [(3, 0), (5, 1), (8, 2), (12, 3)])
+    def test_matches_eigh(self, d, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((d, d))
+        sym = m @ m.T
+        vals, vecs = jacobi_eigh(sym)
+        order = np.argsort(vals)
+        ref_vals, ref_vecs = np.linalg.eigh(sym)
+        assert np.allclose(np.sort(vals), ref_vals, atol=1e-8 * max(1, abs(sym).max()))
+        for i, j in enumerate(order):
+            v = vecs[:, j]
+            r = ref_vecs[:, i]
+            assert min(np.abs(v - r).max(), np.abs(v + r).max()) <= 1e-6
+
+    def test_reconstructs_matrix(self):
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((6, 6))
+        sym = m @ m.T
+        vals, vecs = jacobi_eigh(sym)
+        assert np.allclose(vecs @ np.diag(vals) @ vecs.T, sym, atol=1e-9)
+
+    def test_zero_matrix(self):
+        vals, vecs = jacobi_eigh(np.zeros((4, 4)))
+        assert not vals.any()
+        assert np.array_equal(vecs, np.eye(4))
+
+    @pytest.mark.parametrize("sym", [[[-1.0, 1.0], [1.0, -1.0]], [[1.0, 2.0], [2.0, -1.0]]])
+    def test_trace_not_positive_is_diagonalized(self, sym):
+        # trace -2 and 0: eigenvalues (-2, 0) and +-sqrt(5)
+        sym = np.array(sym)
+        vals, vecs = jacobi_eigh(sym)
+        assert np.allclose(np.sort(vals), np.linalg.eigh(sym)[0], rtol=0.0, atol=1e-12)
+        assert np.allclose(vecs @ np.diag(vals) @ vecs.T, sym, rtol=0.0, atol=1e-12)
+
+    def test_nan_entry_not_converged(self):
+        with pytest.raises(RuntimeError, match="converge"):
+            jacobi_eigh(np.array([[np.nan, 1.0], [1.0, 2.0]]))
+
+
+def check_eigh(sym, vals, vecs):
+    """Eigenvalues within the stopping rule's Weyl bound of LAPACK's, an
+    orthonormal V, and V diag(vals) V^T back to the input."""
+    d, trace = sym.shape[0], np.trace(sym)
+    ref = np.linalg.eigh(sym)[0]
+    assert np.abs(np.sort(vals) - ref).max() <= JACOBI_REL_TOL * trace
+    assert np.abs(vecs.T @ vecs - np.eye(d)).max() <= 1e-12
+    assert np.abs(vecs @ np.diag(vals) @ vecs.T - sym).max() <= JACOBI_REL_TOL * trace
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("d", [*range(1, 13), 95, 96, 97])
+    def test_schedule_covers_each_pair_once_in_disjoint_rounds(self, d):
+        layouts, moves = round_robin(d)
+        n = d + d % 2
+        assert layouts.shape == moves.shape == (n - 1, n)
+        pairs = []
+        for layout in layouts:
+            assert sorted(layout.tolist()) == list(range(n))  # disjoint pairs
+            p, q = layout[0::2], layout[1::2]
+            assert (p < q).all()
+            pairs += [(i, j) for i, j in zip(p.tolist(), q.tolist()) if j < d]  # index d pads odd d
+        assert sorted(pairs) == list(itertools.combinations(range(d), 2))
+        layout = layouts[0]
+        for r, move in enumerate(moves):
+            layout = layout[move]
+            assert np.array_equal(layout, layouts[(r + 1) % len(layouts)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 40), rank=st.integers(1, 42), seed=st.integers(0, 2**32 - 1))
+    def test_matches_eigh(self, d, rank, seed):
+        m = np.random.default_rng(seed).standard_normal((d, rank))
+        sym = m @ m.T
+        check_eigh(sym, *jacobi_eigh(sym))
+
+    def test_diagonal_input_returned_exactly(self):
+        diag = np.array([3.0, 0.0, 7.5, 1e-3, 2.0])
+        vals, vecs = jacobi_eigh(np.diag(diag))
+        assert np.array_equal(vals, diag)
+        assert np.array_equal(vecs, np.eye(5))
+
+    def test_block_diagonal_with_zero_blocks(self):
+        # interleaved blocks on odd d: {0, 2, 4, 6}, {1, 5} and an all-zero {3, 7, 8}
+        rng = np.random.default_rng(8)
+        blocks = ([0, 2, 4, 6], [1, 5])
+        sym = np.zeros((9, 9))
+        for block in blocks:
+            m = rng.standard_normal((len(block), len(block)))
+            sym[np.ix_(block, block)] = m @ m.T
+        vals, vecs = jacobi_eigh(sym)
+        check_eigh(sym, vals, vecs)
+        # pairs with an exact-zero entry are identity rotations, so no rotation
+        # ever mixes two blocks or touches the zero block
+        for block in blocks:
+            rest = [i for i in range(9) if i not in block]
+            assert not vecs[np.ix_(rest, block)].any()
+        zero = [3, 7, 8]
+        assert not vals[zero].any()
+        assert np.array_equal(vecs[:, zero], np.eye(9)[:, zero])
+
+    def test_repeated_eigenvalues(self):
+        u = np.random.default_rng(9).standard_normal(10)
+        sym = np.eye(10) + np.outer(u, u)  # nine eigenvalues 1, one 1 + |u|^2
+        vals, vecs = jacobi_eigh(sym)
+        check_eigh(sym, vals, vecs)
+        assert np.sort(vals)[-1] == pytest.approx(1.0 + u @ u, rel=1e-12)
+
+    def test_scene_covariance_top3(self):
+        labels, _, _ = label_model.synth_scene(16, 16, 6, 21)
+        for d, heads in ((45, 3), (96, 3), (97, 1)):  # odd d pads the paired layout
+            params = fusion.init_merger_params(labels, fusion.CLAM, d=d, n_blocks=3, heads=heads, seed=23)
+            x = fusion.clam_merge(labels, params).reshape(-1, d)
+            xc = x - x.mean(axis=0)
+            cov = (xc.T @ xc) / (x.shape[0] - 1)
+            vals, _ = jacobi_eigh(cov)
+            ref = np.linalg.eigh(cov)[0][::-1][:3]
+            assert np.abs(np.sort(vals)[::-1][:3] - ref).max() <= 1e-9 * np.trace(cov)
+
+
 def check_pca(z, basis):
     """The PCA contract against the pixel covariance C: orthonormal rows,
     ||Cv - lambda v|| <= 1e-9 trace for each written component v and
     variance lambda, non-increasing variances within 1e-9 trace of the top
-    three of ``eigvalsh``, and each component's largest-magnitude entry
-    positive."""
+    three of ``eigvalsh`` and of the Jacobi oracle (a route without LAPACK),
+    and each component's largest-magnitude entry positive."""
     x = z.reshape(-1, z.shape[-1])
     xc = x - x.mean(axis=0)
     cov = (xc.T @ xc) / (x.shape[0] - 1)
@@ -98,6 +218,7 @@ def check_pca(z, basis):
     assert np.linalg.norm(cov @ v.T - v.T * lam, axis=0).max() <= tol
     assert (np.diff(lam) <= 0.0).all()
     assert np.abs(lam - np.linalg.eigvalsh(cov)[:-4:-1]).max() <= tol
+    assert np.abs(lam - np.sort(jacobi_eigh(cov)[0])[:-4:-1]).max() <= tol
     assert (v[np.arange(3), np.abs(v).argmax(axis=1)] > 0.0).all()
 
 
