@@ -48,7 +48,7 @@ from .nn_ops import (
     map_tensors,
     tensor,
 )
-from .tape import Var, no_grad
+from .tape import Var, as_var
 from .tensor_core import Rng, load_tensor, save_tensor
 
 TLAM = "tlam"
@@ -206,9 +206,9 @@ def pixel_spans(pixels: int, pixel_size: int) -> list[tuple[int, int]]:
 
 def masked_pixels(s: LabelSet, p0: int, p1: int) -> list[Var]:
     """Per label, pixels [p0, p1) of the flattened grid as a (p1 - p0, C_k)
-    float64 Var, with absent pixels exactly zero."""
+    float64 constant (input pixels take no gradient), absent pixels exactly zero."""
     return [
-        Var(np.where(lab.mask.reshape(-1, 1)[p0:p1] != 0, lab.values.reshape(-1, lab.channels)[p0:p1], 0.0))
+        as_var(np.where(lab.mask.reshape(-1, 1)[p0:p1] != 0, lab.values.reshape(-1, lab.channels)[p0:p1], 0.0))
         for lab in s
     ]
 
@@ -268,13 +268,12 @@ def _run_tiled(s: LabelSet, p: MergerParams, variant: str, threads: int) -> np.n
     _bind_check(s, p)
     graph = tlam_graph if variant == TLAM else clam_graph
     names = [lab.name for lab in s]
-    lifted = map_params(p, lambda _name, t: tape.as_var(t))
+    lifted = map_params(p, lambda _name, t: as_var(t))
     out = np.empty((s.height, s.width, p.d), dtype=np.float64)
     flat = out.reshape(-1, p.d)
 
     def tile(p0, p1, xs):
-        with no_grad():
-            flat[p0:p1] = graph(xs, names, lifted).value
+        flat[p0:p1] = graph(xs, names, lifted).value
 
     map_tiles(tile, s, p, threads)
     if not np.isfinite(out).all():

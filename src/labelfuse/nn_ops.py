@@ -4,11 +4,11 @@ from the ``tape`` ops (GeLU, layer normalization and softmax are those ops
 themselves).
 
 Every forward function takes tape Vars, with parameter dataclasses whose
-tensors are Vars, and returns a Var; it is recorded for reverse-mode
-differentiation unless run under ``tape.no_grad()``.  Plain arrays are lifted
-to Vars by the callers that hold them (the merge tiler, the training tiler
-and the generator head).  Token matrices are (N, d) for one pixel or
-(B, N, d) for a batch of pixels; all math is per pixel either way.
+tensors are Vars, and returns a Var; each op is recorded for reverse-mode
+differentiation only when an input needs a gradient (see ``tape``).  Plain
+arrays are lifted to Vars by the callers that hold them (the merge tiler,
+the training tiler and the generator head).  Token matrices are (N, d) for
+one pixel or (B, N, d) for a batch of pixels; all math is per pixel either way.
 
 The parameter dataclasses declare, per tensor field, its file stem and its
 symbolic shape (``tensor``).  ``map_tensors`` walks those fields in

@@ -3,15 +3,17 @@
 Operations execute eagerly.  Each op computes its value, defines a closure
 that pushes the output gradient back to its inputs, and returns
 ``Var(value, parents, backward)``; the ``Var`` constructor alone decides
-whether that is recorded.  While gradients are enabled the node keeps its
-parents and closure; inside ``no_grad()`` it keeps neither, which is what
-the plain (non-training) forward paths use.  ``Tape.from_root(loss)``
-collects the nodes reachable from a scalar loss in topological order and
-``backward`` visits each exactly once in reverse.
+whether that is recorded.  As in PyTorch autograd, a result needs a gradient
+only when an input does: ``Var(x)`` is a leaf that needs one, ``as_var(x)``
+a constant, and only results that need one keep parents and closure, so a
+merge over constants records nothing.  ``Tape.from_root(loss)`` collects
+the nodes that need a gradient in topological order and ``backward`` visits
+each exactly once in reverse.
 
 A training step is bound by numpy passes over small arrays, not by FLOPs,
 so the ops keep their passes few: ``matmul`` runs a weight product as one
-flat GEMM and folds an optional bias into it, ``accumulate`` copies the
+flat GEMM and folds an optional bias into it, it and ``mul`` skip the
+products of operands that need no gradient, ``accumulate`` copies the
 first gradient instead of zero-filling and adding, and ``softmax`` and
 ``layer_norm`` reduce their short last axis without numpy's generic
 reductions.  Every module-level function here is either a tape op or in
@@ -21,38 +23,17 @@ the benchmark tracer's skip list, so helpers are nested inside their op.
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 
 import numpy as np
 
-# recording is toggled per thread: worker threads that merge under no_grad
-# must not disturb a training thread that is recording
-_state = threading.local()
-
-
-def grad_enabled() -> bool:
-    return getattr(_state, "enabled", True)
-
-
-@contextmanager
-def no_grad():
-    prev = grad_enabled()
-    _state.enabled = False
-    try:
-        yield
-    finally:
-        _state.enabled = prev
-
 
 class Var:
-    """A float64 array plus an accumulated gradient of the same shape.
+    """A float64 array plus an accumulated gradient of the same shape.  A
+    ``Var(value)`` leaf needs a gradient, an ``as_var`` constant does not,
+    and an op's result needs one (and keeps ``parents`` and ``backward``)
+    only if some parent does."""
 
-    A node keeps ``parents`` and ``backward`` only if it has a parent and
-    gradients are enabled; otherwise it is a constant or an unrecorded result.
-    """
-
-    __slots__ = ("value", "grad", "parents", "_backward")
+    __slots__ = ("value", "grad", "needs_grad", "parents", "_backward")
 
     def __init__(self, value, parents=(), backward=None):
         if type(value) is np.ndarray and value.dtype == np.float64:
@@ -60,18 +41,20 @@ class Var:
         else:
             self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        if parents and grad_enabled():
-            self.parents = parents
-            self._backward = backward
+        for p in parents:
+            if p.needs_grad:
+                self.needs_grad, self.parents, self._backward = True, parents, backward
+                break
         else:
-            self.parents = ()
-            self._backward = None
+            self.needs_grad, self.parents, self._backward = not parents, (), None
 
     def accumulate(self, g: np.ndarray) -> None:
-        """Add ``g``, an array of the value's shape, into ``grad``.  The first
-        gradient is stored as a copy, never as an alias: ``grad`` is owned by
-        this node and later gradients are added into it in place, while ops
-        such as ``add`` hand the same ``g`` to several parents."""
+        """Add ``g``, an array of the value's shape, into ``grad`` (a constant
+        drops it).  The first gradient is stored as a copy, never as an alias:
+        ``grad`` is owned by this node and later gradients are added into it
+        in place, while ops such as ``add`` hand the same ``g`` to several parents."""
+        if not self.needs_grad:
+            return
         if self.grad is None:
             self.grad = np.array(g)
         else:
@@ -114,7 +97,11 @@ class Var:
 
 
 def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
+    """``x`` if it is a Var, else ``x`` as a constant, which takes no gradient."""
+    if not isinstance(x, Var):
+        x = Var(x)
+        x.needs_grad = False
+    return x
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -146,8 +133,10 @@ def sub(a: Var, b: Var) -> Var:
 
 def mul(a: Var, b: Var) -> Var:
     def backward(g):
-        a.accumulate(_unbroadcast(g * b.value, a.value.shape))
-        b.accumulate(_unbroadcast(g * a.value, b.value.shape))
+        if a.needs_grad:
+            a.accumulate(_unbroadcast(g * b.value, a.value.shape))
+        if b.needs_grad:
+            b.accumulate(_unbroadcast(g * a.value, b.value.shape))
 
     return Var(a.value * b.value, (a, b), backward)
 
@@ -192,9 +181,11 @@ def matmul(a: Var, b: Var, bias: Var | None = None) -> Var:
 
         def backward(g):
             g2 = g.reshape(rows, m)
-            a.accumulate((g2 @ bv.T).reshape(av.shape))
-            b.accumulate(a2.T @ g2)
-            if bias is not None:
+            if a.needs_grad:
+                a.accumulate((g2 @ bv.T).reshape(av.shape))
+            if b.needs_grad:
+                b.accumulate(a2.T @ g2)
+            if bias is not None and bias.needs_grad:
                 bias.accumulate(g2.sum(axis=0))
 
         parents = (a, b) if bias is None else (a, b, bias)
@@ -208,15 +199,19 @@ def matmul(a: Var, b: Var, bias: Var | None = None) -> Var:
 
         def backward(g):
             g2 = g.transpose(0, 2, 1, 3).reshape(batch * n, h * m)
-            a.accumulate((g2 @ w2.T).reshape(av.shape))
-            b.accumulate((a2.T @ g2).reshape(k, h, m).transpose(1, 0, 2))
+            if a.needs_grad:
+                a.accumulate((g2 @ w2.T).reshape(av.shape))
+            if b.needs_grad:
+                b.accumulate((a2.T @ g2).reshape(k, h, m).transpose(1, 0, 2))
 
         out = (a2 @ w2).reshape(batch, n, h, m).transpose(0, 2, 1, 3)
         return Var(out, (a, b), backward)
 
     def backward(g):
-        a.accumulate(_unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
-        b.accumulate(_unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
+        if a.needs_grad:
+            a.accumulate(_unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
+        if b.needs_grad:
+            b.accumulate(_unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
 
     return Var(av @ bv, (a, b), backward)
 
@@ -423,7 +418,7 @@ class Tape:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node.parents:
-                if id(parent) not in seen:
+                if parent.needs_grad and id(parent) not in seen:
                     stack.append((parent, False))
         return cls(order)
 

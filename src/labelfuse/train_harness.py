@@ -7,8 +7,9 @@ scenes.
 Every training step runs on the merge tiler (``tiled_grads``): the l2 loss,
 the adversarial generator loss (``_adv_g_tile``) and the discriminator's
 per-pixel hinge (``_d_tile``) are means over pixels, so they split exactly
-into pixel-weighted tile losses.  The discriminator step updates only
-``disc.*``, so ``_d_tile`` takes its tile's merge and generated image as data.
+into pixel-weighted tile losses.  A step's leaves are the tensors its
+optimizer updates, all else is constant, so the discriminator step records
+neither merge nor generator and the generator step takes no ``disc.*`` gradient.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .label_model import (
     synth_scene,
 )
 from .nn_ops import blank, init_block_params, init_tensors, map_tensors, tensor
-from .tape import Var, backward, no_grad
+from .tape import Var, as_var, backward
 from .tensor_core import Rng
 
 
@@ -133,10 +134,8 @@ def discriminator_graph(z: Var, rgb: Var, hp: HeadParams) -> Var:
 
 def forward_generate(z: np.ndarray, hp: HeadParams) -> np.ndarray:
     """Map an H x W x d concept tensor to an H x W x 3 image; ``hp`` holds arrays."""
-    arr = np.asarray(z, dtype=np.float64)
-    h, w, d = arr.shape
-    with no_grad():
-        rgb = generate_graph(Var(arr.reshape(-1, d)), map_tensors(hp, lambda _name, t: Var(t))).value
+    h, w, d = z.shape
+    rgb = generate_graph(as_var(z.reshape(-1, d)), map_tensors(hp, lambda _name, t: as_var(t))).value
     return rgb.reshape(h, w, 3)
 
 
@@ -270,7 +269,8 @@ def finite_diff_check(store: ParamStore, loss_fn, corrupt_scale: float = 0.0) ->
             g *= 1.0 + corrupt_scale
 
     names = store.names()
-    sizes = [store.var(n).value.size for n in names]
+    leaves = [store.var(n) for n in names]
+    sizes = [v.value.size for v in leaves]
     total = sum(sizes)
     if total <= 10_000:
         targets = [(n, i) for n, size in zip(names, sizes) for i in range(size)]
@@ -288,26 +288,31 @@ def finite_diff_check(store: ParamStore, loss_fn, corrupt_scale: float = 0.0) ->
     per_param_max: dict[str, float] = {}  # only parameters with a checked element
     max_rel = 0.0
     max_roundoff = 0.0
-    for name, idx in targets:
-        arr = store.var(name).value
-        old = arr.flat[idx]
-        arr.flat[idx] = old + FD_STEP
-        with no_grad():
+    # the differences need only loss values, so the leaves are constants
+    for v in leaves:
+        v.needs_grad = False
+    try:
+        for name, idx in targets:
+            arr = store.var(name).value
+            old = arr.flat[idx]
+            arr.flat[idx] = old + FD_STEP
             f_plus = float(loss_fn().value)
-        arr.flat[idx] = old - FD_STEP
-        with no_grad():
+            arr.flat[idx] = old - FD_STEP
             f_minus = float(loss_fn().value)
-        arr.flat[idx] = old
-        numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
-        analytic = float(grads[name].flat[idx])
-        roundoff = FD_ROUNDOFF_C * _EPS * max(abs(f_plus), abs(f_minus)) / FD_STEP
-        excess = max(0.0, abs(analytic - numeric) - roundoff)
-        rel = excess / max(1e-8, abs(analytic) + abs(numeric))
-        max_rel = max(max_rel, rel)
-        max_roundoff = max(max_roundoff, roundoff)
-        per_param_max[name] = max(per_param_max.get(name, 0.0), rel)
-        if rel > FD_TOL:
-            failures.append(FdFailure(name, idx, analytic, numeric, rel, roundoff))
+            arr.flat[idx] = old
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
+            analytic = float(grads[name].flat[idx])
+            roundoff = FD_ROUNDOFF_C * _EPS * max(abs(f_plus), abs(f_minus)) / FD_STEP
+            excess = max(0.0, abs(analytic - numeric) - roundoff)
+            rel = excess / max(1e-8, abs(analytic) + abs(numeric))
+            max_rel = max(max_rel, rel)
+            max_roundoff = max(max_roundoff, roundoff)
+            per_param_max[name] = max(per_param_max.get(name, 0.0), rel)
+            if rel > FD_TOL:
+                failures.append(FdFailure(name, idx, analytic, numeric, rel, roundoff))
+    finally:
+        for v in leaves:
+            v.needs_grad = True
     return FdReport(
         max_rel_err=max_rel,
         checked=len(targets),
@@ -346,17 +351,16 @@ def _adv_g_tile(z: Var, heads: HeadParams, t: Var) -> Var:
 
 def _d_tile(z: Var, heads: HeadParams, t: Var) -> Var:
     """The discriminator's hinge loss of one tile, real pixels ``t`` against
-    generated ones; the merge and the image enter as data, so only ``disc.*`` get gradients."""
-    z = Var(z.value)
-    with no_grad():
-        fake = generate_graph(z, heads)
+    generated ones; with only ``disc.*`` as leaves, ``z`` and the image are constants."""
+    fake = generate_graph(z, heads)
     return hinge_d_loss(discriminator_graph(z, t, heads), discriminator_graph(z, fake, heads))
 
 
-def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, threads: int = 1):
+def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, wrt, threads: int = 1):
     """A per-pixel mean loss and its gradients, by merge tile (``fusion.map_tiles``).
 
-    The merger and head params hold arrays, which each tile lifts to leaves.
+    The merger and head params hold arrays.  Each tile lifts those named in ``wrt``
+    (an optimizer's ``names``) to leaves and all else to constants, so only they get gradients.
 
     ``tile_loss(z, heads, t)`` (``_l2_tile``, ``_adv_g_tile`` or ``_d_tile``) is
     the loss of a tile's merge ``z`` (B, d) against its target pixels ``t`` (B, 3).
@@ -373,10 +377,10 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, threads:
 
     def run(p0, p1, xs):
         leaves: dict[str, Var] = {}
-        register = lambda name, arr: leaves.setdefault(name, Var(arr))
+        register = lambda name, arr: leaves.setdefault(name, Var(arr)) if name in wrt else as_var(arr)
         merger = fusion.map_params(merger_arrays, register)
         heads = map_tensors(heads_arrays, register)
-        t = Var(flat_target[p0:p1].astype(np.float64))
+        t = as_var(flat_target[p0:p1].astype(np.float64))
         loss = tile_loss(tlam_graph(xs, names, merger), heads, t)
         backward(loss)
         last[0] = loss
@@ -452,10 +456,10 @@ def train_toy_with_params(cfg: ToyTrainConfig):
         mseed = mask_rng.next_u64()
         masked = apply_masks(labels, generate_sparse_masks(inst, labels, cfg.sparsity, mseed))
         if cfg.mode == "adversarial":
-            adam_step(opt_d, tiled_grads(masked, target64, merger, heads, _d_tile, cfg.threads)[1])
+            adam_step(opt_d, tiled_grads(masked, target64, merger, heads, _d_tile, opt_d.names, cfg.threads)[1])
         # ``held`` (one tile's graph) is rebound only once the next step's
         # graphs exist, so the heap is not trimmed and faulted back in
-        value, grads, held = tiled_grads(masked, target64, merger, heads, tile_loss, cfg.threads)
+        value, grads, held = tiled_grads(masked, target64, merger, heads, tile_loss, opt.names, cfg.threads)
         adam_step(opt, grads)
         losses.append(value)
         if not math.isfinite(value):
@@ -593,7 +597,7 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
             heads_init = init_head_params(d, rng, d_g=16)
             merger = fusion.map_params(merger_init, store.add)
             head_vars = map_tensors(heads_init, store.add)
-            target = Var(rng.uniforms(h * w, 3))
+            target = as_var(rng.uniforms(h * w, 3))
             merge = lambda: tlam_graph(fusion.masked_pixels(labels, 0, h * w), [lab.name for lab in labels], merger)
             return lambda: _l2_tile(merge(), head_vars, target)
 

@@ -206,8 +206,7 @@ class TestTlamMerge:
         p = init_merger_params(labels, fusion.TLAM, d=8, n_blocks=1, heads=2, seed=14)
         lifted = fusion.map_params(p, lambda _name, t: tape.as_var(t))
         xs = fusion.masked_pixels(labels, 0, h * w)
-        with tape.no_grad():
-            full = fusion.tlam_graph(xs, [lab.name for lab in labels], lifted).value
+        full = fusion.tlam_graph(xs, [lab.name for lab in labels], lifted).value
         tiled = tlam_merge(labels, p)
         assert np.abs(full.reshape(h, w, 8) - tiled).max() <= 1e-12
 

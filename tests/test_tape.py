@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from labelfuse import tape
-from labelfuse.tape import Tape, Var, backward, no_grad
-from labelfuse.train_harness import ParamStore, finite_diff_check
+from labelfuse import fusion, tape
+from labelfuse.tape import Tape, Var, as_var, backward
+from labelfuse.train_harness import ParamStore, finite_diff_check, make_random_label_set
 from lifting import unrecorded
 from oracles import gelu_scalar
 
@@ -95,38 +95,43 @@ class TestBackwardBasics:
 
 
 class TestNoGrad:
+    """Whether a Var takes a gradient is a property of the data: ``Var(x)``
+    is a leaf that needs one, ``as_var(x)`` a constant that needs none, and
+    an op's result needs one, and is recorded, only when an argument does.
+    The test names predate the rule: "grad enabled" now means that some
+    argument needs a gradient, and "no grad" that none does."""
+
     def test_no_parents_recorded(self):
-        a = Var(np.ones(3))
-        with no_grad():
-            out = a * 2.0 + 1.0
+        a = as_var(np.ones(3))
+        out = a * 2.0 + 1.0
+        assert not a.needs_grad and not out.needs_grad
         assert out.parents == ()
         assert out._backward is None
 
-    def test_worker_thread_no_grad_does_not_leak(self):
-        # regression: recording state is per-thread, so concurrent no_grad
-        # blocks in worker threads must not disable recording here
+    def test_worker_thread_no_grad_does_not_leak(self, monkeypatch):
+        # a merge runs on constants, and its tiles on worker threads; a
+        # tlam_merge(threads=2) running on other threads leaves this
+        # thread's recording intact
         from concurrent.futures import ThreadPoolExecutor
 
+        labels = make_random_label_set(2, 4, 4, seed=3)
+        p = fusion.init_merger_params(labels, fusion.TLAM, d=8, n_blocks=1, heads=2, seed=4)
+        monkeypatch.setattr(fusion, "TILE_BYTES", 4 * fusion.pixel_bytes(fusion.TLAM, 2, 8))
         a = Var(np.ones(2))
-
-        def worker(_):
-            with no_grad():
-                (a * 2.0)
-            return True
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(worker, range(64)))
-        out = a * 3.0
-        assert out.parents != ()
-        backward(tape.sum_all(out))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            merges = [pool.submit(fusion.tlam_merge, labels, p, 2) for _ in range(8)]
+            outs = [a * 3.0 for _ in range(64)]
+            assert all(m.result().shape == (4, 4, 8) for m in merges)
+        assert all(out.needs_grad and out.parents[0] is a for out in outs)
+        backward(tape.sum_all(outs[-1]))
         assert np.array_equal(a.grad, np.full(2, 3.0))
 
     def test_values_match_recorded_mode(self):
         a = Var(np.arange(4.0))
-        rec = tape.gelu(a).value
-        with no_grad():
-            plain = tape.gelu(a).value
-        assert np.array_equal(rec, plain)
+        rec = tape.gelu(a)
+        plain = tape.gelu(as_var(np.arange(4.0)))
+        assert rec.needs_grad and not plain.needs_grad
+        assert np.array_equal(rec.value, plain.value)
 
     def test_every_op_covered(self):
         ops = {
@@ -137,17 +142,41 @@ class TestNoGrad:
 
     @pytest.mark.parametrize("name", sorted(TAPE_OPS))
     def test_every_op_records_only_while_grad_enabled(self, name):
+        # constant arguments: an unrecorded constant with the bytes that
+        # leaf arguments give
         rng = np.random.default_rng(7)
         args = [Var(rng.standard_normal(shape)) for shape in ((2, 3), (2, 3), (3,), (3,), (3, 2))]
-        plain_args = [Var(a.value.copy()) for a in args]
-        with no_grad():
-            plain = TAPE_OPS[name](*plain_args)
+        plain = TAPE_OPS[name](*[as_var(a.value.copy()) for a in args])
+        assert not plain.needs_grad
         assert plain.parents == ()
         assert plain._backward is None
         recorded = TAPE_OPS[name](*args)
+        assert recorded.needs_grad
         assert recorded.parents and all(any(p is a for a in args) for p in recorded.parents)
         assert recorded._backward is not None
         assert recorded.value.tobytes() == plain.value.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(TAPE_OPS))
+    def test_constant_parents_take_no_gradient(self, name):
+        # one argument at a time is the leaf, the rest constants: the
+        # constants keep grad None after backward, and the leaf gets the
+        # bytes it gets when every argument is a leaf
+        rng = np.random.default_rng(8)
+        values = [rng.standard_normal(shape) for shape in ((2, 3), (2, 3), (3,), (3,), (3, 2))]
+        leaves = [Var(v) for v in values]
+        out = TAPE_OPS[name](*leaves)
+        weights = rng.standard_normal(out.shape)
+        backward(tape.sum_all(out * weights))
+        for i in range(len(values)):
+            args = [Var(v) if j == i else as_var(v) for j, v in enumerate(values)]
+            out = TAPE_OPS[name](*args)
+            assert out.needs_grad == (leaves[i].grad is not None)
+            if not out.needs_grad:
+                continue
+            tape_ = backward(tape.sum_all(out * weights))
+            assert all(node.needs_grad for node in tape_.nodes)
+            assert all(a.grad is None for j, a in enumerate(args) if j != i)
+            assert args[i].grad.tobytes() == leaves[i].grad.tobytes()
 
 
 class TestGelu:
@@ -156,8 +185,7 @@ class TestGelu:
         before = base.tobytes()
         for value in (base, base.T, base[::2, 1:]):  # contiguous and strided views
             x = Var(value)
-            with no_grad():
-                tape.gelu(x)
+            tape.gelu(as_var(value))
             assert base.tobytes() == before
             y = tape.gelu(x)
             assert base.tobytes() == before
@@ -294,6 +322,24 @@ class TestFlatMatmul:
         close(a.grad, np.matmul(g, np.swapaxes(w_val, -1, -2)).sum(axis=1, keepdims=True))
         close(w.grad, np.matmul(np.swapaxes(a_val, -1, -2), g).sum(axis=0))
 
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, bias",
+        [((2, 4, 3), (3, 5), True), ((2, 1, 4, 3), (3, 3, 5), False), ((2, 3, 4, 3), (2, 3, 3, 5), False)],
+    )
+    def test_constant_operand_takes_no_gradient(self, a_shape, b_shape, bias):
+        # the three shape paths: a 2-D weight with a bias, head-stacked
+        # weights and numpy's batched matmul
+        rng = np.random.default_rng(len(a_shape) + len(b_shape))
+        values = [rng.standard_normal(a_shape), rng.standard_normal(b_shape)] + [rng.standard_normal(5)] * bias
+        leaves = [Var(v) for v in values]
+        weights = rng.standard_normal(tape.matmul(*leaves).shape)
+        backward(tape.sum_all(tape.matmul(*leaves) * weights))
+        for i in range(len(values)):
+            args = [Var(v) if j == i else as_var(v) for j, v in enumerate(values)]
+            backward(tape.sum_all(tape.matmul(*args) * weights))
+            assert all(a.grad is None for j, a in enumerate(args) if j != i)
+            assert args[i].grad.tobytes() == leaves[i].grad.tobytes()
+
     @pytest.mark.parametrize("w_shape, b_shape", [((3, 2), (3,)), ((3, 2), (1, 2)), ((1, 3, 2), (2,))])
     def test_bias_shape_checked(self, w_shape, b_shape):
         a = Var(np.ones((4, 3)))
@@ -350,7 +396,10 @@ class TestTracerRule:
             name for name, fn in vars(tape).items()
             if inspect.isfunction(fn) and fn.__module__ == tape.__name__
         }
-        assert functions == set(tracer.TAPE_OPS) | tracer.SKIP["tape"] | {"backward"}
+        # grad_enabled and no_grad are deleted from tape but still named in
+        # the tracer's SKIP: stale entries until the next change to the
+        # benchmark removes them
+        assert functions | {"grad_enabled", "no_grad"} == set(tracer.TAPE_OPS) | tracer.SKIP["tape"] | {"backward"}
 
 
 def close(got, want):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from labelfuse import fusion, label_model, nn_ops, tape, train_harness as th
-from labelfuse.tape import Var, backward, no_grad
+from labelfuse.tape import Var, as_var, backward
 from labelfuse.tensor_core import Rng, save_tensor
 
 from lifting import lift, unrecorded
@@ -24,8 +24,7 @@ def heads_with_disc(d=4, seed=0, d_g=6, d_c=5):
 
 def disc_scores(z, img, hp):
     """The discriminator's per-pixel scores (H*W, 1) of an H x W x d merge and an image."""
-    with no_grad():
-        return th.discriminator_graph(Var(z.reshape(-1, z.shape[-1])), Var(img.reshape(-1, 3)), lift(hp)).value
+    return th.discriminator_graph(as_var(z.reshape(-1, z.shape[-1])), as_var(img.reshape(-1, 3)), lift(hp)).value
 
 
 def whole_grid_merge(s, merger):
@@ -37,6 +36,14 @@ def whole_grid_merge(s, merger):
 def max_rows(root):
     """The most rows of any array a graph holds."""
     return max(n.value.shape[0] for n in tape.Tape.from_root(root).nodes if n.value.ndim)
+
+
+def graph_leaves(root):
+    """The nodes without parents in the recorded graph of ``root``."""
+    return [n for n in tape.Tape.from_root(root).nodes if not n.parents]
+
+
+DISC_NAMES = ["disc.W1", "disc.W2", "disc.b1", "disc.b2"]
 
 
 @pytest.fixture(scope="module")
@@ -107,8 +114,7 @@ class TestHeads:
         scores = disc_scores(z, img, hp)
         assert scores[:, 0] == pytest.approx(per_pixel, rel=1e-12)
         # the generator's adversarial term scores the image by this mean
-        with no_grad():
-            mean = tape.mean_all(Var(scores)).item()
+        mean = tape.mean_all(as_var(scores)).item()
         assert mean == pytest.approx(np.mean(per_pixel), rel=1e-12)
 
 
@@ -176,6 +182,28 @@ class TestFiniteDiff:
         name, store, loss_fn = triples[1]  # N=3, d=8, l=2
         report = th.finite_diff_check(store, loss_fn)
         assert report.passed, f"{name}: {report.max_rel_err}"
+
+    @pytest.mark.parametrize("fail_at", [None, 2, 5])
+    def test_leaves_need_gradients_afterwards(self, fail_at):
+        # the differences run with the store's leaves constant; they need
+        # gradients again afterwards, also when loss_fn raises
+        store = th.ParamStore()
+        theta = store.add("theta", np.array([3.0, -1.0]))
+        seen = []
+
+        def loss_fn():
+            seen.append(theta.needs_grad)
+            if len(seen) == fail_at:
+                raise RuntimeError("loss failed")
+            return tape.sum_all(theta * theta)
+
+        if fail_at is None:
+            assert th.finite_diff_check(store, loss_fn).passed
+        else:
+            with pytest.raises(RuntimeError, match="loss failed"):
+                th.finite_diff_check(store, loss_fn)
+        assert seen[0] and not any(seen[1:])
+        assert theta.needs_grad
 
     def test_subsampling_above_threshold(self):
         store = th.ParamStore()
@@ -385,7 +413,8 @@ class TestTrainToy:
         rng = Rng(7)
         merger0 = fusion.init_merger_params(masked, fusion.TLAM, d=8, n_blocks=1, heads=2, rng=rng)
         heads0 = th.init_head_params(8, rng, d_g=8)
-        value, grads, held = th.tiled_grads(masked, target, merger0, heads0, th._l2_tile, threads=2)
+        names = [n for n, _ in fusion.param_items(merger0) + th.head_items(heads0)]
+        value, grads, held = th.tiled_grads(masked, target, merger0, heads0, th._l2_tile, names, threads=2)
         # only one tile's graph outlives the step
         assert max_rows(held) <= TILE_PIXELS
         store = th.ParamStore()
@@ -398,6 +427,21 @@ class TestTrainToy:
         assert sorted(grads) == sorted(whole)
         for name, g in whole.items():
             assert np.abs(grads[name] - g).max() <= 1e-12, name
+
+    def test_inputs_and_targets_take_no_gradient(self):
+        labels, inst, target = label_model.synth_scene(4, 4, 3, 5)
+        masked = label_model.apply_masks(labels, label_model.generate_sparse_masks(inst, labels, 0.5, 6))
+        assert not any(x.needs_grad for x in fusion.masked_pixels(masked, 0, 16))
+        rng = Rng(7)
+        merger = fusion.init_merger_params(masked, fusion.TLAM, d=8, n_blocks=1, heads=2, rng=rng)
+        heads = th.init_head_params(8, rng, d_g=8)
+        items = fusion.param_items(merger) + th.head_items(heads)
+        _, _, held = th.tiled_grads(masked, target.astype(np.float64), merger, heads, th._l2_tile, [n for n, _ in items])
+        # every leaf of the step's graph is a parameter array: no input
+        # pixels, no target and no scalar constant
+        leaves = graph_leaves(held)
+        assert len(leaves) == len(items)
+        assert all(any(leaf.value is t for _, t in items) for leaf in leaves)
 
     def test_adversarial_report_independent_of_threads(self):
         h, w = TILE_ROWS + 8, 8
@@ -468,7 +512,8 @@ class TestEndToEndGradcheck:
 class TestAdversarialSteps:
     def test_tiled_g_step_matches_whole_grid(self, two_tile_adv):
         masked, target, merger0, heads0 = two_tile_adv
-        value, grads, held = th.tiled_grads(masked, target, merger0, heads0, th._adv_g_tile, threads=2)
+        g_names = [n for n, _ in fusion.param_items(merger0) + th.head_items(heads0) if n not in DISC_NAMES]
+        value, grads, held = th.tiled_grads(masked, target, merger0, heads0, th._adv_g_tile, g_names, threads=2)
         assert max_rows(held) <= TILE_PIXELS
         store = th.ParamStore()
         merger = fusion.map_params(merger0, store.add)
@@ -476,16 +521,28 @@ class TestAdversarialSteps:
         loss = th._adv_g_tile(whole_grid_merge(masked, merger), heads, Var(target.reshape(-1, 3)))
         backward(loss)
         assert abs(value - float(loss.value)) <= 1e-12
+        # the generator step takes no discriminator gradients
+        assert sorted(grads) == sorted(g_names)
         whole = store.grads()
-        assert sorted(grads) == sorted(whole)
-        for name, g in whole.items():
-            assert np.abs(grads[name] - g).max() <= 1e-12, name
+        for name in g_names:
+            assert np.abs(grads[name] - whole[name]).max() <= 1e-12, name
+
+    def test_d_tile_records_only_the_discriminator(self, two_tile_adv):
+        masked, target, merger, heads = two_tile_adv
+        _, _, held = th.tiled_grads(masked, target, merger, heads, th._d_tile, DISC_NAMES, threads=2)
+        # no merge node (the merge's tokens are (B, N, d)) and no leaf but
+        # the four discriminator tensors
+        assert all(n.value.ndim <= 2 for n in tape.Tape.from_root(held).nodes)
+        disc = [heads.disc_w1, heads.disc_w2, heads.disc_b1, heads.disc_b2]
+        leaves = graph_leaves(held)
+        assert len(leaves) == 4
+        assert all(any(leaf.value is t for t in disc) for leaf in leaves)
 
     def test_d_step_matches_whole_grid_graph(self, two_tile_adv):
         masked, target, merger0, heads0 = two_tile_adv
-        value, grads, _ = th.tiled_grads(masked, target, merger0, heads0, th._d_tile, threads=2)
-        # the merge and the generator enter the D step as data
-        assert sorted(grads) == ["disc.W1", "disc.W2", "disc.b1", "disc.b2"]
+        value, grads, _ = th.tiled_grads(masked, target, merger0, heads0, th._d_tile, DISC_NAMES, threads=2)
+        # the merge and the generator enter the D step as constants
+        assert sorted(grads) == DISC_NAMES
         store = th.ParamStore()
         merger = fusion.map_params(merger0, store.add)
         heads = nn_ops.map_tensors(heads0, store.add)
@@ -499,17 +556,16 @@ class TestAdversarialSteps:
     def test_d_step_finite_differences(self, two_tile_adv):
         masked, target, merger, heads0 = two_tile_adv
         store = th.ParamStore()
-        heads = nn_ops.map_tensors(heads0, lambda n, t: store.add(n, t) if n.startswith("disc.") else Var(t))
-        assert store.names() == ["disc.W1", "disc.W2", "disc.b1", "disc.b2"]
-        with no_grad():
-            z = whole_grid_merge(masked, fusion.map_params(merger, lambda _n, t: Var(t)))
-        t = Var(target.reshape(-1, 3))
+        heads = nn_ops.map_tensors(heads0, lambda n, t: store.add(n, t) if n.startswith("disc.") else as_var(t))
+        assert store.names() == DISC_NAMES
+        z = whole_grid_merge(masked, fusion.map_params(merger, lambda _n, t: as_var(t)))
+        t = as_var(target.reshape(-1, 3))
         report = th.finite_diff_check(store, lambda: th._d_tile(z, heads, t))
         assert report.passed, report.max_rel_err
 
     def test_d_step_tile_bounded_and_independent_of_threads(self, two_tile_adv):
         masked, target, merger, heads = two_tile_adv
-        runs = [th.tiled_grads(masked, target, merger, heads, th._d_tile, threads) for threads in (1, 3)]
+        runs = [th.tiled_grads(masked, target, merger, heads, th._d_tile, DISC_NAMES, threads) for threads in (1, 3)]
         assert max_rows(runs[1][2]) <= TILE_PIXELS
         (v1, g1, _), (v3, g3, _) = runs
         assert v1 == v3
