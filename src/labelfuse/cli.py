@@ -76,8 +76,8 @@ def cmd_gradcheck(args) -> int:
     corrupt = 0.1 if args.corrupt else 0.0
     all_ok = True
     print(f"{'group':<16} {'checked':>8} {'max rel err':>14} {'round-off':>11} result")
-    for name, store, loss_fn in suite:
-        report = train_harness.finite_diff_check(store, loss_fn, corrupt_scale=corrupt)
+    for name, params, loss_fn in suite:
+        report = train_harness.finite_diff_check(params, loss_fn, corrupt_scale=corrupt)
         status = "pass" if report.passed else "FAIL"
         all_ok = all_ok and report.passed
         print(

@@ -92,7 +92,7 @@ def map_params(p: MergerParams, fn) -> MergerParams:
     """A copy of ``p`` with each tensor t replaced by ``fn(name, t)``, called
     in definition order (projections, encodings, blocks, clam stacks).
 
-    The names double as serialization file stems and parameter-store keys.
+    The names double as serialization file stems and optimizer keys.
     """
     projections = {k: map_tensors(q, fn, f"proj.{k}.") for k, q in p.projections.items()}
     encodings = {k: fn(f"enc.{k}", e) for k, e in p.encodings.items()}

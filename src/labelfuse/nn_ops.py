@@ -13,7 +13,7 @@ one pixel or (B, N, d) for a batch of pixels; all math is per pixel either way.
 The parameter dataclasses declare, per tensor field, its file stem and its
 symbolic shape (``tensor``).  ``map_tensors`` walks those fields in
 declaration order; initialization (``blank`` then ``init_tensors``), lifting
-to Vars, registering in a parameter store, serialization and loading with
+to Vars, the optimizers' named arrays, serialization and loading with
 shape checks (``check_shape``) all go through it, so the names, their order
 and the shapes live only in the field declarations.
 """

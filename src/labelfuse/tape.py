@@ -12,9 +12,9 @@ each exactly once in reverse.
 
 A training step is bound by numpy passes over small arrays, not by FLOPs,
 so the ops keep their passes few: ``matmul`` runs a weight product as one
-flat GEMM and folds an optional bias into it, it and ``mul`` skip the
-products of operands that need no gradient, ``accumulate`` copies the
-first gradient instead of zero-filling and adding, and ``softmax`` and
+flat GEMM and folds an optional bias into it, ``matmul``, ``add``, ``sub``
+and ``mul`` skip the gradients of operands that need none, ``accumulate``
+copies the first gradient instead of zero-filling and adding, and ``softmax`` and
 ``layer_norm`` reduce their short last axis without numpy's generic
 reductions.  Every module-level function here is either a tape op or in
 the benchmark tracer's skip list, so helpers are nested inside their op.
@@ -117,16 +117,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Var, b: Var) -> Var:
     def backward(g):
-        a.accumulate(_unbroadcast(g, a.value.shape))
-        b.accumulate(_unbroadcast(g, b.value.shape))
+        if a.needs_grad:
+            a.accumulate(_unbroadcast(g, a.value.shape))
+        if b.needs_grad:
+            b.accumulate(_unbroadcast(g, b.value.shape))
 
     return Var(a.value + b.value, (a, b), backward)
 
 
 def sub(a: Var, b: Var) -> Var:
     def backward(g):
-        a.accumulate(_unbroadcast(g, a.value.shape))
-        b.accumulate(_unbroadcast(-g, b.value.shape))
+        if a.needs_grad:
+            a.accumulate(_unbroadcast(g, a.value.shape))
+        if b.needs_grad:
+            b.accumulate(_unbroadcast(-g, b.value.shape))
 
     return Var(a.value - b.value, (a, b), backward)
 

@@ -1,8 +1,12 @@
-"""Reverse-mode training machinery for the toy generation task: a parameter
-store over tape leaves, finite-difference gradient verification, Adam
-(beta1 = 0) with the bias-corrected update, hinge adversarial losses, per-pixel
+"""Reverse-mode training machinery for the toy generation task:
+finite-difference gradient verification, Adam (beta1 = 0) with the
+bias-corrected update, hinge adversarial losses, per-pixel
 generator/discriminator heads, and the desk-scale training loop on synthetic
 scenes.
+
+Parameters are named float64 arrays (``fusion.param_items``, ``head_items``),
+in training as at rest: Adam updates them in place, and a loss lifts them to
+Vars only for the call that differentiates it.
 
 Every training step runs on the merge tiler (``tiled_grads``): the l2 loss,
 the adversarial generator loss (``_adv_g_tile``) and the discriminator's
@@ -33,39 +37,6 @@ from .label_model import (
 from .nn_ops import blank, init_block_params, init_tensors, map_tensors, tensor
 from .tape import Var, as_var, backward
 from .tensor_core import Rng
-
-
-class ParamStore:
-    """Named parameter tensors held as tape leaves, iterated in name order."""
-
-    def __init__(self):
-        self._params: dict[str, Var] = {}
-
-    def add(self, name: str, value) -> Var:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        v = Var(value)
-        if not np.isfinite(v.value).all():
-            raise ValueError(f"parameter {name!r} contains non-finite values")
-        self._params[name] = v
-        return v
-
-    def names(self) -> list[str]:
-        return sorted(self._params)
-
-    def var(self, name: str) -> Var:
-        return self._params[name]
-
-    def zero_grad(self) -> None:
-        for v in self._params.values():
-            v.grad = None
-
-    def grads(self) -> dict[str, np.ndarray]:
-        """Accumulated gradients by name; parameters unused by the loss get zeros."""
-        return {
-            name: (v.grad if v.grad is not None else np.zeros_like(v.value))
-            for name, v in self._params.items()
-        }
 
 
 # toy-training constants: hidden widths of the generator and discriminator
@@ -165,22 +136,17 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Adam optimizer state over a subset of a parameter store."""
+    """Adam optimizer state over named float64 parameter arrays, which
+    ``adam_step`` updates in place."""
 
-    store: ParamStore
-    names: list[str]
+    params: dict[str, np.ndarray]
     lr: float
     t: int = 0
     v: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.names = sorted(self.names)
-        for n in self.names:
-            self.v[n] = np.zeros_like(self.store.var(n).value)
-
-
-def make_adam(store: ParamStore, names=None, lr: float = 1e-4) -> AdamState:
-    return AdamState(store=store, names=list(names if names is not None else store.names()), lr=lr)
+        for n, p in self.params.items():
+            self.v[n] = np.zeros_like(p)
 
 
 def adam_step(state: AdamState, grads: dict) -> None:
@@ -192,7 +158,7 @@ def adam_step(state: AdamState, grads: dict) -> None:
     bit-identical to evaluating it with temporaries."""
     state.t += 1
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for n in state.names:
+    for n, p in state.params.items():
         g, v = grads[n], state.v[n]
         step = np.multiply(g, g)
         step *= 1.0 - ADAM_BETA2
@@ -202,7 +168,7 @@ def adam_step(state: AdamState, grads: dict) -> None:
         np.sqrt(step, out=step)
         step += ADAM_EPS
         np.divide(state.lr * g, step, out=step)
-        state.store.var(n).value -= step
+        p -= step
 
 
 @dataclass
@@ -229,7 +195,7 @@ class FdReport:
 
 
 # Central-difference step, the largest relative error that passes, and the
-# elements sampled (with seed 0) from a store of more than 10^4
+# elements sampled (with seed 0) from parameters of more than 10^4 elements
 FD_STEP = 1e-5
 FD_TOL = 1e-4
 FD_SAMPLES = 200
@@ -240,12 +206,20 @@ FD_ROUNDOFF_C = 16.0
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def finite_diff_check(store: ParamStore, loss_fn, corrupt_scale: float = 0.0) -> FdReport:
+def finite_diff_check(params: dict, loss_fn, corrupt_scale: float = 0.0) -> FdReport:
     """Compare tape gradients against central differences element by element.
 
-    Checks every element when the store holds at most 10^4; otherwise a
-    random subsample of ``FD_SAMPLES`` elements, drawn with seed 0.  The
-    error of analytic gradient a against numeric n is
+    ``loss_fn(vars)`` returns a scalar Var from ``vars``, which maps each name
+    of ``params`` (a dict of arrays) to a Var.  Its gradients are taken with
+    every array lifted to a leaf; a parameter the loss does not use gets
+    zeros.  The differences need only loss values, so they lift constants
+    over private float64 copies: the caller's arrays are never written, even
+    when ``loss_fn`` raises.
+
+    Checks every element when the parameters hold at most 10^4; otherwise a
+    random subsample of ``FD_SAMPLES`` elements, drawn with seed 0 over the
+    names in sorted order.  The error of analytic gradient a against
+    numeric n is
 
         max(0, |a - n| - r) / max(1e-8, |a| + |n|),
         r = FD_ROUNDOFF_C * eps * max(|f+|, |f-|) / FD_STEP,
@@ -260,17 +234,17 @@ def finite_diff_check(store: ParamStore, loss_fn, corrupt_scale: float = 0.0) ->
     ``corrupt_scale`` inflates the analytic gradients (a debug hook used as
     a negative control).
     """
-    store.zero_grad()
-    loss = loss_fn()
-    backward(loss)
-    grads = {n: g.copy() for n, g in store.grads().items()}
+    names = sorted(params)
+    leaves = {n: Var(params[n]) for n in names}
+    backward(loss_fn(leaves))
+    grads = {n: np.zeros_like(v.value) if v.grad is None else v.grad for n, v in leaves.items()}
     if corrupt_scale:
         for g in grads.values():
             g *= 1.0 + corrupt_scale
 
-    names = store.names()
-    leaves = [store.var(n) for n in names]
-    sizes = [v.value.size for v in leaves]
+    copies = {n: np.array(params[n], dtype=np.float64) for n in names}
+    constants = {n: as_var(a) for n, a in copies.items()}
+    sizes = [copies[n].size for n in names]
     total = sum(sizes)
     if total <= 10_000:
         targets = [(n, i) for n, size in zip(names, sizes) for i in range(size)]
@@ -288,31 +262,24 @@ def finite_diff_check(store: ParamStore, loss_fn, corrupt_scale: float = 0.0) ->
     per_param_max: dict[str, float] = {}  # only parameters with a checked element
     max_rel = 0.0
     max_roundoff = 0.0
-    # the differences need only loss values, so the leaves are constants
-    for v in leaves:
-        v.needs_grad = False
-    try:
-        for name, idx in targets:
-            arr = store.var(name).value
-            old = arr.flat[idx]
-            arr.flat[idx] = old + FD_STEP
-            f_plus = float(loss_fn().value)
-            arr.flat[idx] = old - FD_STEP
-            f_minus = float(loss_fn().value)
-            arr.flat[idx] = old
-            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
-            analytic = float(grads[name].flat[idx])
-            roundoff = FD_ROUNDOFF_C * _EPS * max(abs(f_plus), abs(f_minus)) / FD_STEP
-            excess = max(0.0, abs(analytic - numeric) - roundoff)
-            rel = excess / max(1e-8, abs(analytic) + abs(numeric))
-            max_rel = max(max_rel, rel)
-            max_roundoff = max(max_roundoff, roundoff)
-            per_param_max[name] = max(per_param_max.get(name, 0.0), rel)
-            if rel > FD_TOL:
-                failures.append(FdFailure(name, idx, analytic, numeric, rel, roundoff))
-    finally:
-        for v in leaves:
-            v.needs_grad = True
+    for name, idx in targets:
+        arr = copies[name]
+        old = arr.flat[idx]
+        arr.flat[idx] = old + FD_STEP
+        f_plus = float(loss_fn(constants).value)
+        arr.flat[idx] = old - FD_STEP
+        f_minus = float(loss_fn(constants).value)
+        arr.flat[idx] = old
+        numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
+        analytic = float(grads[name].flat[idx])
+        roundoff = FD_ROUNDOFF_C * _EPS * max(abs(f_plus), abs(f_minus)) / FD_STEP
+        excess = max(0.0, abs(analytic - numeric) - roundoff)
+        rel = excess / max(1e-8, abs(analytic) + abs(numeric))
+        max_rel = max(max_rel, rel)
+        max_roundoff = max(max_roundoff, roundoff)
+        per_param_max[name] = max(per_param_max.get(name, 0.0), rel)
+        if rel > FD_TOL:
+            failures.append(FdFailure(name, idx, analytic, numeric, rel, roundoff))
     return FdReport(
         max_rel_err=max_rel,
         checked=len(targets),
@@ -360,7 +327,7 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, wrt, thr
     """A per-pixel mean loss and its gradients, by merge tile (``fusion.map_tiles``).
 
     The merger and head params hold arrays.  Each tile lifts those named in ``wrt``
-    (an optimizer's ``names``) to leaves and all else to constants, so only they get gradients.
+    (an optimizer's ``params``) to leaves and all else to constants, so only they get gradients.
 
     ``tile_loss(z, heads, t)`` (``_l2_tile``, ``_adv_g_tile`` or ``_d_tile``) is
     the loss of a tile's merge ``z`` (B, d) against its target pixels ``t`` (B, 3).
@@ -416,8 +383,8 @@ def train_toy(cfg: ToyTrainConfig) -> dict:
 
 def train_toy_with_params(cfg: ToyTrainConfig):
     """As train_toy, but also returns the trained merger and head params, as
-    arrays.  The parameter store's leaves alias those arrays and Adam updates
-    them in place, so they are current after every step."""
+    arrays.  The optimizers hold those arrays and Adam updates them in place,
+    so they are current after every step."""
     if cfg.mode not in ("l2", "adversarial"):
         raise ValueError(f"unknown training mode {cfg.mode!r}")
     if cfg.iters < 0:
@@ -436,18 +403,13 @@ def train_toy_with_params(cfg: ToyTrainConfig):
     )
     heads = init_head_params(cfg.d, init_rng, discriminator=cfg.mode == "adversarial")
 
-    store = ParamStore()
-    fusion.map_params(merger, store.add)
-    map_tensors(heads, store.add)
-    g_names = [n for n in store.names() if not n.startswith("disc.")]
-    d_names = [n for n in store.names() if n.startswith("disc.")]
-
+    items = fusion.param_items(merger) + head_items(heads)
     if cfg.mode == "l2":
         tile_loss, lr = _l2_tile, cfg.lr
     else:
         tile_loss, lr = _adv_g_tile, LR_G
-        opt_d = make_adam(store, d_names, lr=LR_D)
-    opt = make_adam(store, g_names, lr=lr)
+        opt_d = AdamState({n: t for n, t in items if n.startswith("disc.")}, LR_D)
+    opt = AdamState({n: t for n, t in items if not n.startswith("disc.")}, lr)
 
     mask_rng = Rng(seed_masks)
     losses: list[float] = []
@@ -456,10 +418,10 @@ def train_toy_with_params(cfg: ToyTrainConfig):
         mseed = mask_rng.next_u64()
         masked = apply_masks(labels, generate_sparse_masks(inst, labels, cfg.sparsity, mseed))
         if cfg.mode == "adversarial":
-            adam_step(opt_d, tiled_grads(masked, target64, merger, heads, _d_tile, opt_d.names, cfg.threads)[1])
+            adam_step(opt_d, tiled_grads(masked, target64, merger, heads, _d_tile, opt_d.params, cfg.threads)[1])
         # ``held`` (one tile's graph) is rebound only once the next step's
         # graphs exist, so the heap is not trimmed and faulted back in
-        value, grads, held = tiled_grads(masked, target64, merger, heads, tile_loss, opt.names, cfg.threads)
+        value, grads, held = tiled_grads(masked, target64, merger, heads, tile_loss, opt.params, cfg.threads)
         adam_step(opt, grads)
         losses.append(value)
         if not math.isfinite(value):
@@ -520,112 +482,90 @@ def make_random_label_set(
     return LabelSet(labels=labels)
 
 
-def _normal_param(store, rng, name, shape):
-    return store.add(name, rng.normals(*shape))
-
-
-def block_store(store: ParamStore, rng: Rng, d: int, heads: int, n: int):
-    """Register a transformer block, an (n, d) input Z and fixed (n, d) loss
-    weights in ``store``, drawn from ``rng`` in that order."""
-    bp = map_tensors(init_block_params(d, heads, rng), store.add)
-    z = _normal_param(store, rng, "Z", (n, d))
-    return bp, z, rng.normals(n, d)
-
-
-def _op_check(name, seed, build):
-    """Helper assembling one (name, store, loss_fn) gradcheck entry."""
-    store = ParamStore()
-    loss_fn = build(store, Rng(seed))
-    return name, store, loss_fn
+def block_check(stage, rng: Rng, d: int, heads: int, n: int):
+    """A gradient check of ``stage(z, bp)`` on a transformer block: the block's
+    tensors and an (n, d) input "Z" by name, and the loss, the mean of the
+    stage's output weighted by fixed (n, d) weights.  Block, input and
+    weights are drawn from ``rng`` in that order."""
+    params = {}
+    bp = map_tensors(init_block_params(d, heads, rng), params.setdefault)
+    params["Z"] = rng.normals(n, d)
+    c = rng.normals(n, d)
+    return params, lambda p: tape.mean_all(stage(p["Z"], map_tensors(bp, lambda name, _t: p[name])) * c)
 
 
 def gradcheck_suite(preset: str = "small", seed: int = 0):
-    """Named (group, store, loss_fn) triples for finite-difference checking.
+    """Named (group, params, loss_fn) triples for ``finite_diff_check``.
 
     The ``small`` preset covers each primitive op plus one tiny end-to-end
     configuration; ``full`` runs seeded random end-to-end configurations over
     N in {1, 3, 5}, d in {8, 16} and depth in {1, 2} on a 4x4 grid.
     """
 
-    def build_gelu(store, rng):
-        x = _normal_param(store, rng, "x", (3, 4))
-        return lambda: tape.mean_all(tape.gelu(x))
+    def check_gelu(rng):
+        params = {"x": rng.normals(3, 4)}
+        return params, lambda p: tape.mean_all(tape.gelu(p["x"]))
 
-    def build_linear(store, rng):
-        a = _normal_param(store, rng, "A", (4, 3))
-        b = _normal_param(store, rng, "b", (4,))
-        x = _normal_param(store, rng, "x", (5, 3))
+    def check_linear(rng):
+        params = {"A": rng.normals(4, 3), "b": rng.normals(4), "x": rng.normals(5, 3)}
         c = rng.normals(5, 4)
-        return lambda: tape.mean_all(
-            (tape.matmul(x, tape.transpose(a, (1, 0))) + b) * c
-        )
+        return params, lambda p: tape.mean_all((tape.matmul(p["x"], tape.transpose(p["A"], (1, 0))) + p["b"]) * c)
 
-    def build_linear_bias(store, rng):
-        w = _normal_param(store, rng, "W", (4, 3))
-        b = _normal_param(store, rng, "b", (3,))
-        x = _normal_param(store, rng, "x", (2, 3, 4))
+    def check_linear_bias(rng):
+        params = {"W": rng.normals(4, 3), "b": rng.normals(3), "x": rng.normals(2, 3, 4)}
         c = rng.normals(2, 3, 3)
-        return lambda: tape.mean_all(tape.matmul(x, w, b) * c)
+        return params, lambda p: tape.mean_all(tape.matmul(p["x"], p["W"], p["b"]) * c)
 
-    def build_layer_norm(store, rng):
-        x = _normal_param(store, rng, "x", (5, 6))
-        gamma = _normal_param(store, rng, "gamma", (6,))
-        beta = _normal_param(store, rng, "beta", (6,))
+    def check_layer_norm(rng):
+        params = {"x": rng.normals(5, 6), "gamma": rng.normals(6), "beta": rng.normals(6)}
         c = rng.normals(5, 6)
-        return lambda: tape.mean_all(tape.layer_norm(x, gamma, beta, 1e-5) * c)
+        return params, lambda p: tape.mean_all(tape.layer_norm(p["x"], p["gamma"], p["beta"], 1e-5) * c)
 
-    def build_softmax(store, rng):
-        x = _normal_param(store, rng, "x", (4, 5))
+    def check_softmax(rng):
+        params = {"x": rng.normals(4, 5)}
         c = rng.normals(4, 5)
-        return lambda: tape.mean_all(tape.softmax(x) * c)
+        return params, lambda p: tape.mean_all(tape.softmax(p["x"]) * c)
 
-    def block_builder(stage):
+    def check_block(stage):
         """Check ``stage(z, bp)`` of a d=8, 2-head block on 3 tokens."""
+        return lambda rng: block_check(stage, rng, 8, 2, 3)
 
-        def build(store, rng):
-            bp, z, c = block_store(store, rng, 8, 2, 3)
-            return lambda: tape.mean_all(stage(z, bp) * c)
-
-        return build
-
-    def e2e_builder(n_labels, d, blocks, h, w, heads=2):
-        def build(store, rng):
+    def check_e2e(n_labels, d, blocks, h, w, heads=2):
+        def check(rng):
             labels = make_random_label_set(n_labels, h, w, rng.next_u64(), sparsity=0.3)
-            merger_init = fusion.init_merger_params(
-                labels, fusion.TLAM, d=d, n_blocks=blocks, heads=heads, rng=rng
-            )
-            heads_init = init_head_params(d, rng, d_g=16)
-            merger = fusion.map_params(merger_init, store.add)
-            head_vars = map_tensors(heads_init, store.add)
+            merger = fusion.init_merger_params(labels, fusion.TLAM, d=d, n_blocks=blocks, heads=heads, rng=rng)
+            head_params = init_head_params(d, rng, d_g=16)
             target = as_var(rng.uniforms(h * w, 3))
-            merge = lambda: tlam_graph(fusion.masked_pixels(labels, 0, h * w), [lab.name for lab in labels], merger)
-            return lambda: _l2_tile(merge(), head_vars, target)
+            xs = fusion.masked_pixels(labels, 0, h * w)
+            names = [lab.name for lab in labels]
 
-        return build
+            def loss_fn(p):
+                by_name = lambda name, _t: p[name]
+                z = tlam_graph(xs, names, fusion.map_params(merger, by_name))
+                return _l2_tile(z, map_tensors(head_params, by_name), target)
+
+            return dict(fusion.param_items(merger) + head_items(head_params)), loss_fn
+
+        return check
 
     if preset == "small":
-        entries = [
-            _op_check("gelu", seed + 1, build_gelu),
-            _op_check("linear", seed + 2, build_linear),
-            _op_check("linear_bias", seed + 9, build_linear_bias),
-            _op_check("layer_norm", seed + 3, build_layer_norm),
-            _op_check("softmax", seed + 4, build_softmax),
-            _op_check("attention", seed + 5, block_builder(lambda z, bp: nn_ops.multi_head_self_attention(z, bp.attn))),
-            _op_check("msa_block", seed + 6, block_builder(nn_ops.msa_block)),
-            _op_check("mlp_block", seed + 7, block_builder(nn_ops.mlp_block)),
-            _op_check("e2e.N2.d8.l1", seed + 8, e2e_builder(2, 8, 1, 4, 4)),
+        checks = [
+            ("gelu", 1, check_gelu),
+            ("linear", 2, check_linear),
+            ("linear_bias", 9, check_linear_bias),
+            ("layer_norm", 3, check_layer_norm),
+            ("softmax", 4, check_softmax),
+            ("attention", 5, check_block(lambda z, bp: nn_ops.multi_head_self_attention(z, bp.attn))),
+            ("msa_block", 6, check_block(nn_ops.msa_block)),
+            ("mlp_block", 7, check_block(nn_ops.mlp_block)),
+            ("e2e.N2.d8.l1", 8, check_e2e(2, 8, 1, 4, 4)),
         ]
     elif preset == "full":
         configs = [(1, 8, 1), (3, 8, 2), (5, 8, 1), (3, 16, 1), (5, 16, 2)]
-        entries = [
-            _op_check(
-                f"e2e.N{n}.d{d}.l{l}", seed + 10 + i, e2e_builder(n, d, l, 4, 4)
-            )
-            for i, (n, d, l) in enumerate(configs)
-        ]
+        checks = [(f"e2e.N{n}.d{d}.l{l}", 10 + i, check_e2e(n, d, l, 4, 4)) for i, (n, d, l) in enumerate(configs)]
     else:
         raise ValueError(f"unknown gradcheck preset {preset!r}")
-    return entries
+    return [(name, *check(Rng(seed + offset))) for name, offset, check in checks]
 
 
 def save_head_params(hp: HeadParams, dirpath) -> None:

@@ -50,8 +50,8 @@ def test_criterion_1_gradient_suite():
     t0 = time.perf_counter()
     ok = True
     configs = 0
-    for name, store, loss_fn in th.gradcheck_suite("full", seed=0):
-        r = th.finite_diff_check(store, loss_fn)
+    for name, params, loss_fn in th.gradcheck_suite("full", seed=0):
+        r = th.finite_diff_check(params, loss_fn)
         ok = ok and r.passed
         configs += 1
     elapsed = time.perf_counter() - t0
@@ -235,9 +235,8 @@ def test_criterion_7_toy_training_properties(trained):
 
 def test_criterion_8_adam_settings():
     # two-step hand recurrence, beta1=0, beta2=0.999
-    store = th.ParamStore()
-    store.add("w", np.array([0.25]))
-    opt = th.make_adam(store, lr=0.002)
+    w = np.array([0.25])
+    opt = th.AdamState({"w": w}, lr=0.002)
     g1, g2 = 0.8, -0.4
     th.adam_step(opt, {"w": np.array([g1])})
     th.adam_step(opt, {"w": np.array([g2])})
@@ -247,14 +246,13 @@ def test_criterion_8_adam_settings():
     m2 = g2
     v2 = 0.999 * v1 + (1 - 0.999) * g2 * g2
     t2 = t1 - 0.002 * m2 / (math.sqrt(v2 / (1 - 0.999 ** 2)) + 1e-8)
-    ok = store.var("w").value[0] == t2
+    ok = w[0] == t2
 
     # first-step magnitude ~ lr for |g| >> eps
-    store2 = th.ParamStore()
-    store2.add("w", np.array([1.0]))
-    opt2 = th.make_adam(store2, lr=0.01)
+    w2 = np.array([1.0])
+    opt2 = th.AdamState({"w": w2}, lr=0.01)
     th.adam_step(opt2, {"w": np.array([100.0])})
-    step = abs(1.0 - store2.var("w").value[0])
+    step = abs(1.0 - w2[0])
     ok = ok and abs(step - 0.01) / 0.01 <= 1e-6
     report_line(8, "Adam beta1=0 recurrence exact, first step = lr", ok)
 

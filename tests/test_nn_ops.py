@@ -220,19 +220,15 @@ class TestBlocks:
 
 class TestGradients:
     def test_every_op_matches_finite_differences(self):
-        for name, store, loss_fn in train_harness.gradcheck_suite("small", seed=0):
-            report = train_harness.finite_diff_check(store, loss_fn)
+        for name, params, loss_fn in train_harness.gradcheck_suite("small", seed=0):
+            report = train_harness.finite_diff_check(params, loss_fn)
             assert report.passed, f"{name}: max rel err {report.max_rel_err}"
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     @pytest.mark.parametrize("d", [2, 8])
     def test_block_gradients_at_pinned_sizes(self, n, d):
         # inputs and all parameters of a full block, against central differences
-        from labelfuse.train_harness import ParamStore, finite_diff_check
-
         heads = 1 if d == 2 else 2
-        store = ParamStore()
-        bp, z, weights = train_harness.block_store(store, Rng(n * 17 + d), d, heads, n)
-        loss_fn = lambda: tape.mean_all(nn_ops.transformer_block(z, bp) * weights)
-        report = finite_diff_check(store, loss_fn)
+        params, loss_fn = train_harness.block_check(nn_ops.transformer_block, Rng(n * 17 + d), d, heads, n)
+        report = train_harness.finite_diff_check(params, loss_fn)
         assert report.passed, f"N={n} d={d}: max rel err {report.max_rel_err}"

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from labelfuse import fusion, tape
 from labelfuse.tape import Tape, Var, as_var, backward
-from labelfuse.train_harness import ParamStore, finite_diff_check, make_random_label_set
+from labelfuse.train_harness import finite_diff_check, make_random_label_set
 from lifting import unrecorded
 from oracles import gelu_scalar
 
@@ -178,6 +178,19 @@ class TestNoGrad:
             assert all(a.grad is None for j, a in enumerate(args) if j != i)
             assert args[i].grad.tobytes() == leaves[i].grad.tobytes()
 
+    @pytest.mark.parametrize("op, sign", [
+        (lambda x, c: x - c, 1.0),
+        (lambda x, c: c - x, -1.0),
+        (lambda x, c: x + c, 1.0),
+        (lambda x, c: c + x, 1.0),
+    ], ids=["x-c", "c-x", "x+c", "c+x"])
+    def test_add_and_sub_build_no_gradient_for_a_constant(self, unbroadcast_calls, op, sign):
+        # the constant operand's gradient is never summed down to its shape
+        x = Var(np.ones((4, 3)))
+        backward(tape.mean_all(op(x, as_var(np.full((4, 3), 2.0)))))
+        assert unbroadcast_calls == [((4, 3), (4, 3))]
+        assert np.array_equal(x.grad, np.full((4, 3), sign / 12))
+
 
 class TestGelu:
     def test_input_bytes_unchanged(self):
@@ -219,18 +232,14 @@ class TestGelu:
             assert yi == pytest.approx(gelu_scalar(float(xi)), rel=1e-12, abs=1e-15)
         # the "+ v" term keeps the loss of order |x|; the negative tail on
         # its own is test_finite_differences_in_negative_tail
-        store = ParamStore()
-        v = store.add("x", x.copy())
         w = np.linspace(0.5, 1.5, x.size).reshape(x.shape)
-        report = finite_diff_check(store, lambda: tape.sum_all((tape.gelu(v) + v) * w))
+        report = finite_diff_check({"x": x}, lambda p: tape.sum_all((tape.gelu(p["x"]) + p["x"]) * w))
         assert report.passed, report.failures[:3]
 
     def test_finite_differences_in_negative_tail(self):
         # gelu(-6) is about -8e-11: a form that rounds at the scale of |x|,
         # as 0.5 x (1 + tanh u) does, fails this check
-        store = ParamStore()
-        v = store.add("x", np.array([-6.0]))
-        report = finite_diff_check(store, lambda: tape.sum_all(tape.gelu(v) * 0.5))
+        report = finite_diff_check({"x": np.array([-6.0])}, lambda p: tape.sum_all(tape.gelu(p["x"]) * 0.5))
         assert report.passed, report.failures
 
     def test_matches_decimal_reference(self):

@@ -33,6 +33,25 @@ def whole_grid_merge(s, merger):
     return fusion.tlam_graph(xs, [lab.name for lab in s], merger)
 
 
+def lift_leaves(merger, heads):
+    """``merger`` and ``heads`` with every tensor lifted to a leaf, and those leaves by name."""
+    leaves = {}
+    leaf = lambda name, t: leaves.setdefault(name, Var(t))
+    return fusion.map_params(merger, leaf), nn_ops.map_tensors(heads, leaf), leaves
+
+
+def whole_grid_loss(tile_loss, labels, merger, heads, target):
+    """A ``finite_diff_check`` loss: ``tile_loss`` of the whole-grid merge of
+    ``labels``, with each merger and head tensor taken from the check's Vars."""
+
+    def loss_fn(p):
+        by_name = lambda name, _t: p[name]
+        z = whole_grid_merge(labels, fusion.map_params(merger, by_name))
+        return tile_loss(z, nn_ops.map_tensors(heads, by_name), target)
+
+    return loss_fn
+
+
 def max_rows(root):
     """The most rows of any array a graph holds."""
     return max(n.value.shape[0] for n in tape.Tape.from_root(root).nodes if n.value.ndim)
@@ -159,57 +178,82 @@ class TestLosses:
         backward(th.hinge_g_loss(g))
         assert g.grad == -1.0
 
+    def test_hinge_builds_no_gradient_for_its_margins(self, unbroadcast_calls):
+        # the constant 1.0 of each margin takes no gradient: the only sums
+        # down to a shape are those of the two scores and of the two terms
+        real, fake = Var(np.array([[0.3], [1.5]])), Var(np.array([[-2.0], [0.2]]))
+        backward(th.hinge_d_loss(real, fake))
+        assert sorted(unbroadcast_calls) == [((), ())] * 2 + [((2, 1), (2, 1))] * 2
+        assert np.array_equal(real.grad, [[-0.5], [0.0]]) and np.array_equal(fake.grad, [[0.0], [0.5]])
+
 
 class TestFiniteDiff:
     def test_quadratic_exact(self):
-        store = th.ParamStore()
-        theta = store.add("theta", np.array([3.0]))
-        report = th.finite_diff_check(store, lambda: tape.sum_all(theta * theta * 0.5))
+        params = {"theta": np.array([3.0])}
+        report = th.finite_diff_check(params, lambda p: tape.sum_all(p["theta"] * p["theta"] * 0.5))
         assert report.passed
         assert report.max_rel_err <= 1e-9
 
     def test_corrupted_gradient_detected(self):
-        store = th.ParamStore()
-        theta = store.add("theta", np.array([3.0]))
         report = th.finite_diff_check(
-            store, lambda: tape.sum_all(theta * theta * 0.5), corrupt_scale=0.1
+            {"theta": np.array([3.0])}, lambda p: tape.sum_all(p["theta"] * p["theta"] * 0.5), corrupt_scale=0.1
         )
         assert not report.passed
         assert report.failures
 
     def test_randomized_tlam_config_passes(self):
         triples = th.gradcheck_suite("full", seed=3)
-        name, store, loss_fn = triples[1]  # N=3, d=8, l=2
-        report = th.finite_diff_check(store, loss_fn)
+        name, params, loss_fn = triples[1]  # N=3, d=8, l=2
+        report = th.finite_diff_check(params, loss_fn)
         assert report.passed, f"{name}: {report.max_rel_err}"
 
     @pytest.mark.parametrize("fail_at", [None, 2, 5])
-    def test_leaves_need_gradients_afterwards(self, fail_at):
-        # the differences run with the store's leaves constant; they need
-        # gradients again afterwards, also when loss_fn raises
-        store = th.ParamStore()
-        theta = store.add("theta", np.array([3.0, -1.0]))
+    def test_inputs_bit_identical_afterwards(self, fail_at):
+        # the analytic pass lifts leaves over the caller's arrays, the
+        # differences constants over copies; also when loss_fn raises
+        params = {"theta": np.array([3.0, -1.0]), "phi": np.array([[0.5, 2.0]])}
+        before = {n: a.copy() for n, a in params.items()}
         seen = []
 
-        def loss_fn():
-            seen.append(theta.needs_grad)
+        def loss_fn(p):
+            seen.append([p[n].needs_grad for n in sorted(p)])
             if len(seen) == fail_at:
                 raise RuntimeError("loss failed")
-            return tape.sum_all(theta * theta)
+            return tape.sum_all(p["theta"] * p["theta"]) + tape.sum_all(p["phi"] * p["phi"] * p["phi"])
 
         if fail_at is None:
-            assert th.finite_diff_check(store, loss_fn).passed
+            assert th.finite_diff_check(params, loss_fn).passed
         else:
             with pytest.raises(RuntimeError, match="loss failed"):
-                th.finite_diff_check(store, loss_fn)
-        assert seen[0] and not any(seen[1:])
-        assert theta.needs_grad
+                th.finite_diff_check(params, loss_fn)
+        assert seen[0] == [True, True] and not any(any(s) for s in seen[1:])
+        for name, a in params.items():
+            assert a.tobytes() == before[name].tobytes(), name
+
+    def test_unused_parameter_zero_grad(self):
+        # the loss never reads "unused": its analytic gradient is zeros, which
+        # the central differences (also zero) confirm with no error at all
+        params = {"used": np.array([2.0]), "unused": np.array([1.0])}
+        report = th.finite_diff_check(params, lambda p: tape.sum_all(p["used"] * 3.0))
+        assert report.passed and report.checked == 2
+        assert report.per_param_max["unused"] == 0.0
+
+    def test_iteration_sorted_by_name(self):
+        params = {name: np.zeros(1) for name in ("zeta", "alpha", "mid")}
+        seen = []
+
+        def loss_fn(p):
+            seen.append(list(p))
+            return tape.sum_all(p["alpha"] + p["mid"] + p["zeta"])
+
+        report = th.finite_diff_check(params, loss_fn)
+        assert list(report.per_param_max) == ["alpha", "mid", "zeta"]
+        assert all(names == ["alpha", "mid", "zeta"] for names in seen)
 
     def test_subsampling_above_threshold(self):
-        store = th.ParamStore()
-        big = store.add("big", np.random.default_rng(0).standard_normal(20_001))
+        params = {"big": np.random.default_rng(0).standard_normal(20_001)}
         w = np.random.default_rng(1).standard_normal(20_001)
-        report = th.finite_diff_check(store, lambda: tape.sum_all(big * w))
+        report = th.finite_diff_check(params, lambda p: tape.sum_all(p["big"] * w))
         assert report.checked >= 200
         assert report.checked < 20_001
         assert report.passed
@@ -218,10 +262,8 @@ class TestFiniteDiff:
         # f = 1 + 1e-11 * theta: the true slope is below eps * |f| / step, so
         # the central difference returns only ulps of f, and a pure relative
         # test with the 1e-8 floor would read 1e-3
-        store = th.ParamStore()
-        theta = store.add("theta", np.array([0.5]))
-        one = Var(np.array([1.0]))
-        report = th.finite_diff_check(store, lambda: tape.sum_all(theta * 1e-11 + one))
+        one = as_var(np.array([1.0]))
+        report = th.finite_diff_check({"theta": np.array([0.5])}, lambda p: tape.sum_all(p["theta"] * 1e-11 + one))
         assert report.passed, report.failures
         assert report.max_roundoff > 1e-11
         assert report.max_roundoff < 1e-9
@@ -229,11 +271,9 @@ class TestFiniteDiff:
     def test_error_above_roundoff_still_fails(self):
         # same |f| ~ 1, so r ~ 3.5e-10, but a 1e-8 slope reported as 2e-8:
         # an error thirty times the allowance must fail
-        store = th.ParamStore()
-        theta = store.add("theta", np.array([0.5]))
-        one = Var(np.array([1.0]))
+        one = as_var(np.array([1.0]))
         report = th.finite_diff_check(
-            store, lambda: tape.sum_all(theta * 1e-8 + one), corrupt_scale=1.0
+            {"theta": np.array([0.5])}, lambda p: tape.sum_all(p["theta"] * 1e-8 + one), corrupt_scale=1.0
         )
         assert not report.passed
         (fail,) = report.failures
@@ -243,12 +283,10 @@ class TestFiniteDiff:
 
     def test_subsample_lists_only_checked_params(self):
         # a 1-element parameter no draw lands on must not read as a pass (0.0)
-        store = th.ParamStore()
-        big = store.add("big", np.random.default_rng(0).standard_normal(20_001))
-        small = store.add("small", np.array([0.7]))
+        params = {"big": np.random.default_rng(0).standard_normal(20_001), "small": np.array([0.7])}
         w = np.random.default_rng(1).standard_normal(20_001)
         report = th.finite_diff_check(
-            store, lambda: tape.sum_all(big * w) + tape.sum_all(small * 3.0), corrupt_scale=0.5
+            params, lambda p: tape.sum_all(p["big"] * w) + tape.sum_all(p["small"] * 3.0), corrupt_scale=0.5
         )
         assert set(report.per_param_max) == {"big"}
         assert report.per_param_max["big"] == pytest.approx(0.2)
@@ -257,11 +295,9 @@ class TestFiniteDiff:
         # the N=2, d=2, one-head block of the pinned-size gradient test, where
         # the attention gradients sit below the round-off scale: the allowance
         # must not hide a 10% error in the others
-        store = th.ParamStore()
-        bp, z, c = th.block_store(store, Rng(2 * 17 + 2), d=2, heads=1, n=2)
-        loss_fn = lambda: tape.mean_all(nn_ops.transformer_block(z, bp) * c)
-        assert th.finite_diff_check(store, loss_fn).passed
-        report = th.finite_diff_check(store, loss_fn, corrupt_scale=0.1)
+        params, loss_fn = th.block_check(nn_ops.transformer_block, Rng(2 * 17 + 2), d=2, heads=1, n=2)
+        assert th.finite_diff_check(params, loss_fn).passed
+        report = th.finite_diff_check(params, loss_fn, corrupt_scale=0.1)
         assert not report.passed
         assert report.max_rel_err > 0.04
         assert {f.name for f in report.failures} >= {"Z", "mlp.W1", "mlp.W2"}
@@ -269,53 +305,46 @@ class TestFiniteDiff:
 
 class TestAdam:
     def test_first_step_is_signed_lr(self):
-        store = th.ParamStore()
-        store.add("w", np.array([1.0, -2.0]))
-        opt = th.make_adam(store, lr=0.01)
+        w = np.array([1.0, -2.0])
+        opt = th.AdamState({"w": w}, lr=0.01)
         g = np.array([100.0, -50.0])
         th.adam_step(opt, {"w": g})
-        w = store.var("w").value
         # beta1=0: delta = -lr * g / (|g| + eps) ~ -lr * sign(g)
         assert abs((1.0 - w[0]) - 0.01) <= 0.01 * 1e-6
         assert abs((w[1] + 2.0) - 0.01) <= 0.01 * 1e-6
 
     def test_zero_gradient_no_move(self):
-        store = th.ParamStore()
-        store.add("w", np.array([4.0]))
-        opt = th.make_adam(store, lr=0.5)
+        w = np.array([4.0])
+        opt = th.AdamState({"w": w}, lr=0.5)
         th.adam_step(opt, {"w": np.zeros(1)})
-        assert store.var("w").value[0] == 4.0
+        assert w[0] == 4.0
 
     def test_two_steps_match_hand_recurrence(self):
-        store = th.ParamStore()
-        store.add("w", np.array([0.7]))
-        opt = th.make_adam(store, lr=0.1)
+        w = np.array([0.7])
+        opt = th.AdamState({"w": w}, lr=0.1)
         th.adam_step(opt, {"w": np.array([0.3])})
         th.adam_step(opt, {"w": np.array([0.3])})
         expect = adam_recurrence(0.7, [0.3, 0.3], 0.1, 0.0, 0.999, 1e-8)
-        assert store.var("w").value[0] == pytest.approx(expect, rel=1e-15)
+        assert w[0] == pytest.approx(expect, rel=1e-15)
 
     def test_momentum_free_when_beta1_zero(self):
         # each step moves along its own gradient only: the first moment is g
-        store = th.ParamStore()
-        store.add("w", np.zeros(3))
-        opt = th.make_adam(store, lr=0.1)
+        w = np.zeros(3)
+        opt = th.AdamState({"w": w}, lr=0.1)
         for step in range(3):
             g = np.random.default_rng(step).standard_normal(3)
-            before = store.var("w").value.copy()
+            before = w.copy()
             th.adam_step(opt, {"w": g})
             v_hat = opt.v["w"] / (1.0 - th.ADAM_BETA2 ** (step + 1))
-            assert np.array_equal(store.var("w").value, before - 0.1 * g / (np.sqrt(v_hat) + th.ADAM_EPS))
+            assert np.array_equal(w, before - 0.1 * g / (np.sqrt(v_hat) + th.ADAM_EPS))
 
     def test_in_place_step_matches_the_formula_bit_for_bit(self):
         rng = np.random.default_rng(4)
         shapes = {"a": (3, 4), "b": (5,), "c": (2, 1, 3)}
-        store = th.ParamStore()
-        for name, shape in shapes.items():
-            store.add(name, rng.standard_normal(shape))
-        theta = {name: store.var(name).value.copy() for name in shapes}
+        params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        theta = {name: p.copy() for name, p in params.items()}
         v = {name: np.zeros(shape) for name, shape in shapes.items()}
-        opt = th.make_adam(store, lr=0.03)
+        opt = th.AdamState(params, lr=0.03)
         for t in range(1, 4):
             grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
             th.adam_step(opt, grads)
@@ -325,36 +354,7 @@ class TestAdam:
                 v_hat = v[name] / (1.0 - th.ADAM_BETA2 ** t)
                 theta[name] = theta[name] - 0.03 * g / (np.sqrt(v_hat) + th.ADAM_EPS)
                 assert np.array_equal(opt.v[name], v[name])
-                assert np.array_equal(store.var(name).value, theta[name])
-
-
-class TestParamStore:
-    def test_duplicate_name_rejected(self):
-        store = th.ParamStore()
-        store.add("a", np.zeros(2))
-        with pytest.raises(ValueError, match="duplicate"):
-            store.add("a", np.zeros(2))
-
-    def test_nonfinite_rejected(self):
-        store = th.ParamStore()
-        with pytest.raises(ValueError, match="finite"):
-            store.add("bad", np.array([np.nan]))
-
-    def test_iteration_sorted_by_name(self):
-        store = th.ParamStore()
-        for name in ("zeta", "alpha", "mid"):
-            store.add(name, np.zeros(1))
-        assert store.names() == ["alpha", "mid", "zeta"]
-
-    def test_unused_parameter_zero_grad(self):
-        store = th.ParamStore()
-        used = store.add("used", np.array([2.0]))
-        store.add("unused", np.array([1.0]))
-        store.zero_grad()
-        backward(used * 3.0)
-        grads = store.grads()
-        assert grads["used"][()] == 3.0
-        assert not grads["unused"].any()
+                assert np.array_equal(params[name], theta[name])
 
 
 class TestTrainToy:
@@ -417,13 +417,11 @@ class TestTrainToy:
         value, grads, held = th.tiled_grads(masked, target, merger0, heads0, th._l2_tile, names, threads=2)
         # only one tile's graph outlives the step
         assert max_rows(held) <= TILE_PIXELS
-        store = th.ParamStore()
-        merger = fusion.map_params(merger0, store.add)
-        heads = nn_ops.map_tensors(heads0, store.add)
-        loss = th._l2_tile(whole_grid_merge(masked, merger), heads, Var(target.reshape(-1, 3)))
+        merger, heads, leaves = lift_leaves(merger0, heads0)
+        loss = th._l2_tile(whole_grid_merge(masked, merger), heads, as_var(target.reshape(-1, 3)))
         backward(loss)
         assert abs(value - float(loss.value)) <= 1e-12
-        whole = store.grads()
+        whole = {n: v.grad for n, v in leaves.items()}
         assert sorted(grads) == sorted(whole)
         for name, g in whole.items():
             assert np.abs(grads[name] - g).max() <= 1e-12, name
@@ -446,10 +444,17 @@ class TestTrainToy:
     def test_adversarial_report_independent_of_threads(self):
         h, w = TILE_ROWS + 8, 8
         assert len(fusion.pixel_spans(h * w, PIXEL_SIZE)) >= 2
-        a = th.train_toy(self.small_cfg(mode="adversarial", iters=4, threads=1, height=h, width=w))
-        b = th.train_toy(self.small_cfg(mode="adversarial", iters=4, threads=3, height=h, width=w))
-        del a["config"]["threads"], b["config"]["threads"]
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        reports, trained = [], []
+        for threads in (1, 3):
+            cfg = self.small_cfg(mode="adversarial", iters=4, threads=threads, height=h, width=w)
+            report, merger, heads = th.train_toy_with_params(cfg)
+            del report["config"]["threads"]
+            reports.append(json.dumps(report, sort_keys=True))
+            trained.append([(n, t.tobytes()) for n, t in fusion.param_items(merger) + th.head_items(heads)])
+        assert reports[0] == reports[1]
+        # the trained arrays too, bit for bit: the report passes them only
+        # through losses, which can hide low-bit differences
+        assert trained[0] == trained[1]
 
     def test_parallel_mode_deterministic(self):
         h, w = TILE_ROWS + 8, 8
@@ -477,35 +482,23 @@ class TestTrainToy:
 class TestEndToEndGradcheck:
     def test_merge_generate_l2_gradients(self):
         # the composition used by training, at a non-suite configuration
-        store = th.ParamStore()
         rng = Rng(1)
         labels = th.make_random_label_set(2, 4, 4, seed=2, sparsity=0.5)
-        merger = fusion.map_params(
-            fusion.init_merger_params(labels, fusion.TLAM, d=8, n_blocks=1, heads=2, rng=rng),
-            store.add,
-        )
-        heads = nn_ops.map_tensors(th.init_head_params(8, rng, d_g=8), store.add)
-        target = Var(np.random.default_rng(0).uniform(size=(16, 3)))
-        report = th.finite_diff_check(
-            store, lambda: th._l2_tile(whole_grid_merge(labels, merger), heads, target)
-        )
+        merger = fusion.init_merger_params(labels, fusion.TLAM, d=8, n_blocks=1, heads=2, rng=rng)
+        heads = th.init_head_params(8, rng, d_g=8)
+        target = as_var(np.random.default_rng(0).uniform(size=(16, 3)))
+        params = dict(fusion.param_items(merger) + th.head_items(heads))
+        report = th.finite_diff_check(params, whole_grid_loss(th._l2_tile, labels, merger, heads, target))
         assert report.passed, report.max_rel_err
 
     def test_adversarial_graph_gradients(self):
-        store = th.ParamStore()
         rng = Rng(2)
         labels = th.make_random_label_set(2, 3, 3, seed=3, sparsity=0.4)
-        merger = fusion.map_params(
-            fusion.init_merger_params(labels, fusion.TLAM, d=4, n_blocks=1, heads=2, rng=rng),
-            store.add,
-        )
-        heads = nn_ops.map_tensors(
-            th.init_head_params(4, rng, d_g=6, d_c=5, discriminator=True), store.add
-        )
-        target = Var(np.random.default_rng(1).uniform(size=(9, 3)))
-        report = th.finite_diff_check(
-            store, lambda: th._adv_g_tile(whole_grid_merge(labels, merger), heads, target)
-        )
+        merger = fusion.init_merger_params(labels, fusion.TLAM, d=4, n_blocks=1, heads=2, rng=rng)
+        heads = th.init_head_params(4, rng, d_g=6, d_c=5, discriminator=True)
+        target = as_var(np.random.default_rng(1).uniform(size=(9, 3)))
+        params = dict(fusion.param_items(merger) + th.head_items(heads))
+        report = th.finite_diff_check(params, whole_grid_loss(th._adv_g_tile, labels, merger, heads, target))
         assert report.passed, report.max_rel_err
 
 
@@ -515,15 +508,13 @@ class TestAdversarialSteps:
         g_names = [n for n, _ in fusion.param_items(merger0) + th.head_items(heads0) if n not in DISC_NAMES]
         value, grads, held = th.tiled_grads(masked, target, merger0, heads0, th._adv_g_tile, g_names, threads=2)
         assert max_rows(held) <= TILE_PIXELS
-        store = th.ParamStore()
-        merger = fusion.map_params(merger0, store.add)
-        heads = nn_ops.map_tensors(heads0, store.add)
-        loss = th._adv_g_tile(whole_grid_merge(masked, merger), heads, Var(target.reshape(-1, 3)))
+        merger, heads, leaves = lift_leaves(merger0, heads0)
+        loss = th._adv_g_tile(whole_grid_merge(masked, merger), heads, as_var(target.reshape(-1, 3)))
         backward(loss)
         assert abs(value - float(loss.value)) <= 1e-12
         # the generator step takes no discriminator gradients
         assert sorted(grads) == sorted(g_names)
-        whole = store.grads()
+        whole = {n: v.grad for n, v in leaves.items()}
         for name in g_names:
             assert np.abs(grads[name] - whole[name]).max() <= 1e-12, name
 
@@ -543,24 +534,22 @@ class TestAdversarialSteps:
         value, grads, _ = th.tiled_grads(masked, target, merger0, heads0, th._d_tile, DISC_NAMES, threads=2)
         # the merge and the generator enter the D step as constants
         assert sorted(grads) == DISC_NAMES
-        store = th.ParamStore()
-        merger = fusion.map_params(merger0, store.add)
-        heads = nn_ops.map_tensors(heads0, store.add)
+        merger, heads, leaves = lift_leaves(merger0, heads0)
         reference = adv_d_loss_whole_grid(masked, target, merger, heads)
         backward(reference)
         assert abs(value - float(reference.value)) <= 1e-12
-        whole = store.grads()
+        whole = {n: v.grad for n, v in leaves.items()}
         for name, g in grads.items():
             assert np.abs(g - whole[name]).max() <= 1e-12, name
 
     def test_d_step_finite_differences(self, two_tile_adv):
         masked, target, merger, heads0 = two_tile_adv
-        store = th.ParamStore()
-        heads = nn_ops.map_tensors(heads0, lambda n, t: store.add(n, t) if n.startswith("disc.") else as_var(t))
-        assert store.names() == DISC_NAMES
+        disc = {n: t for n, t in th.head_items(heads0) if n.startswith("disc.")}
+        assert sorted(disc) == DISC_NAMES
         z = whole_grid_merge(masked, fusion.map_params(merger, lambda _n, t: as_var(t)))
         t = as_var(target.reshape(-1, 3))
-        report = th.finite_diff_check(store, lambda: th._d_tile(z, heads, t))
+        lifted = lambda p: nn_ops.map_tensors(heads0, lambda n, a: p[n] if n in p else as_var(a))
+        report = th.finite_diff_check(disc, lambda p: th._d_tile(z, lifted(p), t))
         assert report.passed, report.max_rel_err
 
     def test_d_step_tile_bounded_and_independent_of_threads(self, two_tile_adv):
