@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn_ops, tape
-from .label_model import LabelSet, validate_label_set
+from .label_model import FILE_STEM, LabelSet, validate_label_set
 from .nn_ops import (
     BlockParams,
     blank,
@@ -135,7 +135,8 @@ def init_merger_params(
     """Fresh parameters bound to a label set: per label, a projection sized
     from its channel count, then a ``tlam`` encoding or a ``clam`` stack.
 
-    The sizes must pass ``_check_sizes``.  Weight matrices are
+    The sizes must pass ``_check_sizes``, and for ``tlam`` the heads must
+    divide d (``clam`` has no attention).  Weight matrices are
     Xavier-uniform, biases zero, layer-norm gamma/beta 1/0, and the ``tlam``
     label encodings are 0.02-scaled normal draws; the draw order is fixed
     (projections, then encodings and blocks for ``tlam`` or stacks for
@@ -143,7 +144,8 @@ def init_merger_params(
     """
     if variant not in (TLAM, CLAM):
         raise ValueError(f"unknown merger variant {variant!r}")
-    nn_ops._head_width({"d": d, "heads": heads})
+    if variant == TLAM:
+        nn_ops._head_width({"d": d, "heads": heads})
     _check_sizes(d, heads, n_blocks)
     if rng is None:
         rng = Rng(seed)
@@ -338,8 +340,8 @@ def load_merger_params(dirpath) -> MergerParams:
 
     ``params.json`` must be an object with variant ``tlam`` or ``clam``,
     integers d and heads >= 1 and n_blocks >= 0 (a merger may have no
-    blocks), and a labels list of objects with a string name that is a file
-    stem (see ``validate_label_set``) and an integer channels >= 1; every
+    blocks), and a labels list of objects with a string name that is a
+    ``FILE_STEM`` and an integer channels >= 1; every
     tensor's shape is checked against it.  Anything else raises ValueError.
     """
     with open(os.path.join(dirpath, "params.json")) as f:
@@ -352,7 +354,7 @@ def load_merger_params(dirpath) -> MergerParams:
     _check_sizes(doc.get("d"), doc.get("heads"), doc.get("n_blocks"), "params.json")
     for i, e in enumerate(labels):
         name = e["name"]
-        if not name or "/" in name or "\\" in name:
+        if not FILE_STEM.fullmatch(name):
             raise ValueError(f"params.json label {i} name {name!r} must be a non-empty file stem without '/' or '\\'")
         _check_int(f"params.json label {i} 'channels'", e.get("channels"), 1)
     p = MergerParams(variant=doc["variant"], d=doc["d"], heads=doc["heads"])

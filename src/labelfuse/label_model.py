@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,10 @@ from .tensor_core import Rng, load_tensor, save_tensor
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
+
+# A label name becomes a file stem (``<name>.values.tlt``, ``proj.<name>.A.tlt``):
+# the whole name must match, so it is non-empty and holds no '/' or '\'.
+FILE_STEM = re.compile(r"[^/\\]+")
 
 
 @dataclass
@@ -94,15 +99,14 @@ def make_label(name: str, kind: str, values: np.ndarray, mask: np.ndarray | None
 
 
 def validate_label_set(s: LabelSet) -> None:
-    """Raise ValueError unless all LabelSet invariants hold.  Names become file
-    stems (``<name>.values.tlt``, ``proj.<name>.A.tlt``), so one that is empty
-    or holds ``/`` or ``\\`` is rejected (as in ``fusion.load_merger_params``)."""
+    """Raise ValueError unless all LabelSet invariants hold, names that are
+    not a ``FILE_STEM`` included (as in ``fusion.load_merger_params``)."""
     if len(s.labels) == 0:
         raise ValueError("label set is empty (need N >= 1 labels)")
     dims = s.labels[0].values.shape[:2]  # a tuple: rank is checked per label below
     seen: set[str] = set()
     for lab in s.labels:
-        if not lab.name or "/" in lab.name or "\\" in lab.name:
+        if not FILE_STEM.fullmatch(lab.name):
             raise ValueError(f"label name {lab.name!r} must be a non-empty file stem without '/' or '\\'")
         if lab.kind not in (DISCRETE, CONTINUOUS):
             raise ValueError(f"label {lab.name!r}: unknown kind {lab.kind!r}")
@@ -124,27 +128,18 @@ def generate_sparse_masks(
 ) -> SparsityMaskSet:
     """Drop whole (label, region) areas independently with probability ``sparsity``.
 
-    Pairs are visited in ascending (label index, region id) order with one
-    uniform draw each, so the mask set is reproducible bit-exactly from the
-    seed.
+    Pairs get one uniform draw each, in ascending (label index, region id)
+    order: one (labels, regions) array of draws in row-major order, so the
+    mask set is reproducible bit-exactly from the seed.
     """
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
     h, w = labels.height, labels.width
     if inst.ids.shape != (h, w):
         raise ValueError(f"instance map dims {inst.ids.shape} differ from ({h}, {w})")
-    flat_ids = inst.ids.ravel()
-    region_ids, inverse = np.unique(flat_ids, return_inverse=True)
-    pixel_lists = [np.nonzero(inverse == i)[0] for i in range(len(region_ids))]
-    rng = Rng(seed)
-    masks: dict[str, np.ndarray] = {}
-    for lab in labels:
-        m = np.ones(h * w, dtype=np.uint8)
-        for pixels in pixel_lists:
-            if rng.uniform() < sparsity:
-                m[pixels] = 0
-        masks[lab.name] = m.reshape(h, w)
-    return SparsityMaskSet(masks=masks)
+    region_ids, inverse = np.unique(inst.ids, return_inverse=True)
+    keep = (Rng(seed).uniforms(len(labels), len(region_ids)) >= sparsity).astype(np.uint8)
+    return SparsityMaskSet(masks={lab.name: keep[i][inverse].reshape(h, w) for i, lab in enumerate(labels)})
 
 
 def apply_masks(s: LabelSet, m: SparsityMaskSet) -> LabelSet:

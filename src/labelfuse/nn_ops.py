@@ -70,7 +70,6 @@ class AttentionParams:
     learned output map (d, d) with bias bo (d,).
     """
 
-    heads: int
     wq: object = tensor("Wq", "heads", "d", "d/heads")
     wk: object = tensor("Wk", "heads", "d", "d/heads")
     wv: object = tensor("Wv", "heads", "d", "d/heads")
@@ -157,14 +156,12 @@ def check_shape(name: str, t, shape: tuple, dims: dict):
 
 def blank(cls, **dims):
     """A ``cls`` whose tensor fields hold their shapes, resolved as far as
-    ``dims`` allows, and whose other fields are taken from ``dims``."""
+    ``dims`` allows."""
 
     def value(f):
         if "part" in f.metadata:
             return blank(f.metadata["part"], **dims)
-        if "shape" in f.metadata:
-            return _resolve_shape(f.metadata["shape"], dims)
-        return dims[f.name]
+        return _resolve_shape(f.metadata["shape"], dims)
 
     return cls(**{f.name: value(f) for f in fields(cls)})
 

@@ -1,20 +1,21 @@
 """A minimal reverse-mode tape over numpy float64 arrays.
 
 Operations execute eagerly.  Each op computes its value, defines a closure
-that pushes the output gradient back to its inputs, and returns
+that maps the output gradient to one gradient per input, and returns
 ``Var(value, parents, backward)``; the ``Var`` constructor alone decides
 whether that is recorded.  As in PyTorch autograd, a result needs a gradient
 only when an input does: ``Var(x)`` is a leaf that needs one, ``as_var(x)``
 a constant, and only results that need one keep parents and closure, so a
 merge over constants records nothing.  ``Tape.from_root(loss)`` collects
 the nodes that need a gradient in topological order and ``backward`` visits
-each exactly once in reverse.
+each exactly once in reverse.  As with PyTorch's and JAX's backward rules,
+a closure returns one gradient per parent (``None`` for one that needs none)
+and only the tape sums them: no op writes into a gradient, which may be a view.
 
 A training step is bound by numpy passes over small arrays, not by FLOPs,
 so the ops keep their passes few: ``matmul`` runs a weight product as one
-flat GEMM and folds an optional bias into it, ``matmul``, ``add``, ``sub``
-and ``mul`` skip the gradients of operands that need none, ``accumulate``
-copies the first gradient instead of zero-filling and adding, and ``softmax`` and
+flat GEMM and folds an optional bias into it, every op with several
+operands skips the gradients of those that need none, and ``softmax`` and
 ``layer_norm`` reduce their short last axis without numpy's generic
 reductions.  Every module-level function here is either a tape op or in
 the benchmark tracer's skip list, so helpers are nested inside their op.
@@ -28,7 +29,7 @@ import numpy as np
 
 
 class Var:
-    """A float64 array plus an accumulated gradient of the same shape.  A
+    """A float64 array plus the summed gradient of the same shape.  A
     ``Var(value)`` leaf needs a gradient, an ``as_var`` constant does not,
     and an op's result needs one (and keeps ``parents`` and ``backward``)
     only if some parent does."""
@@ -47,18 +48,6 @@ class Var:
                 break
         else:
             self.needs_grad, self.parents, self._backward = not parents, (), None
-
-    def accumulate(self, g: np.ndarray) -> None:
-        """Add ``g``, an array of the value's shape, into ``grad`` (a constant
-        drops it).  The first gradient is stored as a copy, never as an alias:
-        ``grad`` is owned by this node and later gradients are added into it
-        in place, while ops such as ``add`` hand the same ``g`` to several parents."""
-        if not self.needs_grad:
-            return
-        if self.grad is None:
-            self.grad = np.array(g)
-        else:
-            self.grad += g
 
     @property
     def shape(self):
@@ -117,37 +106,31 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Var, b: Var) -> Var:
     def backward(g):
-        if a.needs_grad:
-            a.accumulate(_unbroadcast(g, a.value.shape))
-        if b.needs_grad:
-            b.accumulate(_unbroadcast(g, b.value.shape))
+        return (_unbroadcast(g, a.value.shape) if a.needs_grad else None,
+                _unbroadcast(g, b.value.shape) if b.needs_grad else None)
 
     return Var(a.value + b.value, (a, b), backward)
 
 
 def sub(a: Var, b: Var) -> Var:
     def backward(g):
-        if a.needs_grad:
-            a.accumulate(_unbroadcast(g, a.value.shape))
-        if b.needs_grad:
-            b.accumulate(_unbroadcast(-g, b.value.shape))
+        return (_unbroadcast(g, a.value.shape) if a.needs_grad else None,
+                _unbroadcast(-g, b.value.shape) if b.needs_grad else None)
 
     return Var(a.value - b.value, (a, b), backward)
 
 
 def mul(a: Var, b: Var) -> Var:
     def backward(g):
-        if a.needs_grad:
-            a.accumulate(_unbroadcast(g * b.value, a.value.shape))
-        if b.needs_grad:
-            b.accumulate(_unbroadcast(g * a.value, b.value.shape))
+        return (_unbroadcast(g * b.value, a.value.shape) if a.needs_grad else None,
+                _unbroadcast(g * a.value, b.value.shape) if b.needs_grad else None)
 
     return Var(a.value * b.value, (a, b), backward)
 
 
 def neg(a: Var) -> Var:
     def backward(g):
-        a.accumulate(-g)
+        return (-g,)
 
     return Var(-a.value, (a,), backward)
 
@@ -185,12 +168,8 @@ def matmul(a: Var, b: Var, bias: Var | None = None) -> Var:
 
         def backward(g):
             g2 = g.reshape(rows, m)
-            if a.needs_grad:
-                a.accumulate((g2 @ bv.T).reshape(av.shape))
-            if b.needs_grad:
-                b.accumulate(a2.T @ g2)
-            if bias is not None and bias.needs_grad:
-                bias.accumulate(g2.sum(axis=0))
+            grads = ((g2 @ bv.T).reshape(av.shape) if a.needs_grad else None, a2.T @ g2 if b.needs_grad else None)
+            return grads if bias is None else (*grads, g2.sum(axis=0) if bias.needs_grad else None)
 
         parents = (a, b) if bias is None else (a, b, bias)
         return Var(out.reshape(*av.shape[:-1], m), parents, backward)
@@ -203,19 +182,15 @@ def matmul(a: Var, b: Var, bias: Var | None = None) -> Var:
 
         def backward(g):
             g2 = g.transpose(0, 2, 1, 3).reshape(batch * n, h * m)
-            if a.needs_grad:
-                a.accumulate((g2 @ w2.T).reshape(av.shape))
-            if b.needs_grad:
-                b.accumulate((a2.T @ g2).reshape(k, h, m).transpose(1, 0, 2))
+            return ((g2 @ w2.T).reshape(av.shape) if a.needs_grad else None,
+                    (a2.T @ g2).reshape(k, h, m).transpose(1, 0, 2) if b.needs_grad else None)
 
         out = (a2 @ w2).reshape(batch, n, h, m).transpose(0, 2, 1, 3)
         return Var(out, (a, b), backward)
 
     def backward(g):
-        if a.needs_grad:
-            a.accumulate(_unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
-        if b.needs_grad:
-            b.accumulate(_unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
+        return (_unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape) if a.needs_grad else None,
+                _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape) if b.needs_grad else None)
 
     return Var(av @ bv, (a, b), backward)
 
@@ -224,14 +199,14 @@ def transpose(a: Var, axes: tuple) -> Var:
     inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        a.accumulate(np.transpose(g, inverse))
+        return (np.transpose(g, inverse),)
 
     return Var(np.transpose(a.value, axes), (a,), backward)
 
 
 def reshape(a: Var, shape: tuple) -> Var:
     def backward(g):
-        a.accumulate(g.reshape(a.value.shape))
+        return (g.reshape(a.value.shape),)
 
     return Var(a.value.reshape(shape), (a,), backward)
 
@@ -240,23 +215,17 @@ def stack(vars_: list, axis: int) -> Var:
     vars_ = [as_var(v) for v in vars_]
 
     def backward(g):
-        for i, v in enumerate(vars_):
-            v.accumulate(np.take(g, i, axis=axis))
+        return tuple(np.take(g, i, axis=axis) if v.needs_grad else None for i, v in enumerate(vars_))
 
     return Var(np.stack([v.value for v in vars_], axis=axis), tuple(vars_), backward)
 
 
 def concat(vars_: list, axis: int) -> Var:
     vars_ = [as_var(v) for v in vars_]
-    sizes = [v.value.shape[axis] for v in vars_]
+    splits = np.cumsum([v.value.shape[axis] for v in vars_])[:-1]
 
     def backward(g):
-        start = 0
-        for v, size in zip(vars_, sizes):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(start, start + size)
-            v.accumulate(g[tuple(index)])
-            start += size
+        return tuple(part if v.needs_grad else None for v, part in zip(vars_, np.split(g, splits, axis)))
 
     return Var(np.concatenate([v.value for v in vars_], axis=axis), tuple(vars_), backward)
 
@@ -269,14 +238,14 @@ def take_index(a: Var, i: int, axis: int) -> Var:
         index = [slice(None)] * a.value.ndim
         index[axis] = i
         full[tuple(index)] = g
-        a.accumulate(full)
+        return (full,)
 
     return Var(np.take(a.value, i, axis=axis), (a,), backward)
 
 
 def sum_all(a: Var) -> Var:
     def backward(g):
-        a.accumulate(np.broadcast_to(g, a.value.shape).copy())
+        return (np.broadcast_to(g, a.value.shape),)
 
     return Var(a.value.sum(), (a,), backward)
 
@@ -285,14 +254,14 @@ def mean_all(a: Var) -> Var:
     n = a.value.size
 
     def backward(g):
-        a.accumulate(np.broadcast_to(g / n, a.value.shape).copy())
+        return (np.broadcast_to(g / n, a.value.shape),)
 
     return Var(a.value.mean(), (a,), backward)
 
 
 def relu(a: Var) -> Var:
     def backward(g):
-        a.accumulate(g * (a.value > 0.0))
+        return (g * (a.value > 0.0),)
 
     return Var(np.maximum(a.value, 0.0), (a,), backward)
 
@@ -335,7 +304,7 @@ def gelu(a: Var) -> Var:
         local *= 1.0 - s
         local += s
         local *= g
-        a.accumulate(local)
+        return (local,)
 
     return Var(x / t, (a,), backward)
 
@@ -364,7 +333,7 @@ def softmax(a: Var) -> Var:
     def backward(g):
         dx = g - rows(g * s, np.add)
         dx *= s
-        a.accumulate(dx)
+        return (dx,)
 
     return Var(s, (a,), backward)
 
@@ -390,11 +359,14 @@ def layer_norm(a: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        gamma.accumulate(_unbroadcast((g * xh).sum(axis=lead), gamma.value.shape))
-        beta.accumulate(_unbroadcast(g.sum(axis=lead), beta.value.shape))
-        dxh = g * gamma.value
-        term = np.einsum("...i->...", dxh)[..., None] + xh * np.einsum("...i,...i->...", dxh, xh)[..., None]
-        a.accumulate(inv / d * (d * dxh - term))
+        da = None
+        if a.needs_grad:
+            dxh = g * gamma.value
+            term = np.einsum("...i->...", dxh)[..., None] + xh * np.einsum("...i,...i->...", dxh, xh)[..., None]
+            da = inv / d * (d * dxh - term)
+        return (da,
+                _unbroadcast((g * xh).sum(axis=lead), gamma.value.shape) if gamma.needs_grad else None,
+                _unbroadcast(g.sum(axis=lead), beta.value.shape) if beta.needs_grad else None)
 
     out = xh * gamma.value
     out += beta.value
@@ -427,12 +399,18 @@ class Tape:
         return cls(order)
 
     def backward_from(self, root: Var) -> None:
-        """Accumulate d root / d node into every leaf.  An interior node's
-        gradient is dropped once it has gone to the node's parents."""
-        root.accumulate(np.ones_like(root.value))
+        """Add d root / d leaf into every leaf's ``grad``.  The closures return
+        their parents' gradients, summed here alone, out of place, into the
+        parents that need one.  An interior node's gradient is dropped once
+        it has gone to the node's parents."""
+        if root.needs_grad:
+            ones = np.ones_like(root.value)
+            root.grad = ones if root.grad is None else root.grad + ones
         for node in reversed(self.nodes):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                for p, g in zip(node.parents, node._backward(node.grad)):
+                    if p.needs_grad:
+                        p.grad = g if p.grad is None else p.grad + g
                 node.grad = None
 
 

@@ -185,7 +185,7 @@ class Rng:
         The k-th draw's state is ``state + k * _GAMMA`` (mod 2**64), so the
         whole array is mixed at once in uint64 arithmetic, which wraps.
         """
-        n = math.prod(shape)
+        n = int(math.prod(shape))
         z = np.arange(1, n + 1, dtype=np.uint64)
         z *= np.uint64(_GAMMA)
         z += np.uint64(self.state)

@@ -239,8 +239,7 @@ def finite_diff_check(params: dict, loss_fn, corrupt_scale: float = 0.0) -> FdRe
     backward(loss_fn(leaves))
     grads = {n: np.zeros_like(v.value) if v.grad is None else v.grad for n, v in leaves.items()}
     if corrupt_scale:
-        for g in grads.values():
-            g *= 1.0 + corrupt_scale
+        grads = {n: g * (1.0 + corrupt_scale) for n, g in grads.items()}
 
     copies = {n: np.array(params[n], dtype=np.float64) for n in names}
     constants = {n: as_var(a) for n, a in copies.items()}

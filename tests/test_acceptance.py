@@ -158,7 +158,7 @@ def test_criterion_5_oracle_equivalences():
 
     # 2-token scalar attention against the closed-form oracle
     p = AttentionParams(
-        heads=1, wq=np.ones((1, 1, 1)), wk=np.ones((1, 1, 1)), wv=np.ones((1, 1, 1)),
+        wq=np.ones((1, 1, 1)), wk=np.ones((1, 1, 1)), wv=np.ones((1, 1, 1)),
         wo=np.ones((1, 1)), bo=np.zeros(1),
     )
     out = unrecorded(multi_head_self_attention, np.array([[0.0], [1.0]]), p)

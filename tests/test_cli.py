@@ -252,6 +252,12 @@ class TestInitParams:
         assert code == EXIT_USAGE
         assert "0 heads" in capsys.readouterr().err
 
+    def test_clam_width_indivisible_by_heads_exits_0(self, tmp_path, scene):
+        # clam has no attention, so the default 3 heads put no rule on d
+        code = run("init-params", "--manifest", str(scene / "manifest.json"),
+                   "--variant", "clam", "--d", "16", "--out", str(tmp_path / "p"))
+        assert code == EXIT_OK
+
 
 class TestSparsify:
     def test_zero_sparsity_identical_tensors(self, tmp_path, scene):

@@ -367,9 +367,25 @@ class TestMacCounting:
     def test_zero_heads_rejected(self):
         with pytest.raises(ValueError, match="0 heads"):
             count_attention_macs(2, 8, 0, 1, 4)
-        for variant in (fusion.TLAM, fusion.CLAM):
-            with pytest.raises(ValueError, match="0 heads"):
-                init_merger_params(tiny_set(), variant, d=8, n_blocks=1, heads=0)
+        with pytest.raises(ValueError, match="0 heads"):
+            init_merger_params(tiny_set(), fusion.TLAM, d=8, n_blocks=1, heads=0)
+        # clam has no heads to divide d into, only the size rule of the saved params
+        with pytest.raises(ValueError, match="merger 'heads' must be an integer >= 1"):
+            init_merger_params(tiny_set(), fusion.CLAM, d=8, n_blocks=1, heads=0)
+
+    def test_clam_width_indivisible_by_heads(self, tmp_path):
+        # clam has no attention: d=16 with the default 3 heads initializes,
+        # saves, loads and merges, while tlam still rejects it
+        labels = tiny_set(n=2)
+        p = init_merger_params(labels, fusion.CLAM, d=16, n_blocks=1, seed=31)
+        assert p.heads == 3
+        save_merger_params(p, tmp_path / "params")
+        q = load_merger_params(tmp_path / "params")
+        assert (q.d, q.heads) == (16, 3)
+        assert clam_merge(labels, q).tobytes() == clam_merge(labels, p).tobytes()
+        assert clam_merge(labels, q).shape == (4, 4, 16)
+        with pytest.raises(ValueError, match="token width 16 not divisible by 3 heads"):
+            init_merger_params(labels, fusion.TLAM, d=16, n_blocks=1, seed=31)
 
     @pytest.mark.parametrize("variant", [fusion.TLAM, fusion.CLAM])
     @pytest.mark.parametrize(

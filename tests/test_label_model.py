@@ -19,6 +19,7 @@ from labelfuse.label_model import (
     synth_scene,
     validate_label_set,
 )
+from labelfuse.tensor_core import Rng
 
 
 def two_label_set(h=8, w=8):
@@ -104,6 +105,22 @@ class TestSparseMasks:
         drop_b = 1.0 - m.masks["b"].ravel().astype(float)
         corr = np.corrcoef(drop_a, drop_b)[0, 1]
         assert abs(corr) <= 0.03
+
+    @pytest.mark.parametrize("sparsity", [0.0, 0.3, 0.5, 1.0])
+    def test_one_draw_per_label_then_region(self, sparsity):
+        # the protocol's order: one scalar draw per (label, ascending region
+        # id) pair, regions given by arbitrary ids, negative ones included
+        labels, _, _ = synth_scene(9, 7, 4, seed=2)
+        ids = np.random.default_rng(4).integers(-2, 6, (9, 7))
+        m = generate_sparse_masks(InstanceMap(ids=ids), labels, sparsity, seed=21)
+        rng = Rng(21)
+        for lab in labels:
+            want = np.ones((9, 7), dtype=np.uint8)
+            for rid in np.unique(ids):
+                if rng.uniform() < sparsity:
+                    want[ids == rid] = 0
+            assert m.masks[lab.name].dtype == np.uint8
+            assert m.masks[lab.name].tobytes() == want.tobytes()
 
     def test_deterministic_given_seed(self):
         labels, inst, _ = synth_scene(12, 12, 4, seed=5)

@@ -116,7 +116,6 @@ class TestAttention:
 
     def test_two_token_scalar_oracle(self):
         p = AttentionParams(
-            heads=1,
             wq=np.ones((1, 1, 1)),
             wk=np.ones((1, 1, 1)),
             wv=np.ones((1, 1, 1)),

@@ -1,5 +1,6 @@
 import importlib.util
 import inspect
+import itertools
 import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -363,15 +364,25 @@ class TestAccumulate:
         backward(tape.sum_all((x + x) * g))
         assert np.array_equal(x.grad, 2.0 * g)
 
-    def test_first_gradient_is_copied(self):
-        x = Var(np.zeros((2, 3)))
-        g = np.arange(6.0).reshape(2, 3)
-        x.accumulate(g)
-        g[0, 0] = 100.0
-        assert x.grad is not g
-        assert np.array_equal(x.grad, np.arange(6.0).reshape(2, 3))
-        x.accumulate(g)
-        assert x.grad[0, 0] == 100.0 and x.grad[1, 2] == 10.0
+    @pytest.mark.parametrize("name", sorted(TAPE_OPS))
+    def test_backward_returns_one_gradient_per_parent(self, name):
+        # under every mix of leaf and constant arguments, a recorded node's
+        # closure returns one gradient per parent, of that parent's shape and
+        # None exactly for the constants, and leaves its own gradient as it was
+        rng = np.random.default_rng(9)
+        values = [rng.standard_normal(shape) for shape in ((2, 3), (2, 3), (3,), (3,), (3, 2))]
+        for leaf in itertools.product((True, False), repeat=len(values)):
+            out = TAPE_OPS[name](*[Var(v) if is_leaf else as_var(v) for v, is_leaf in zip(values, leaf)])
+            if not out.needs_grad:
+                continue
+            g = rng.standard_normal(out.shape)
+            before = g.tobytes()
+            grads = out._backward(g)
+            assert g.tobytes() == before
+            assert len(grads) == len(out.parents)
+            for parent, grad in zip(out.parents, grads):
+                assert (grad is None) == (not parent.needs_grad)
+                assert grad is None or np.shape(grad) == parent.shape
 
 
 class TestSoftmax:

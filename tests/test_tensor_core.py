@@ -230,3 +230,11 @@ class TestRng:
         assert arr.tobytes() == scalars.tobytes()
         assert arr_rng.state == scalar_rng.state
         assert arr_rng.uniform() == scalar_rng.uniform()
+
+    @pytest.mark.parametrize("shape", [(np.int64(3),), (np.int32(2), np.int64(3)), (np.uint64(4), 2)])
+    def test_uniforms_take_numpy_integer_sizes(self, shape):
+        # math.prod of numpy integers is a numpy integer, which overflowed
+        # once multiplied into the state advance
+        np_rng, int_rng = Rng(1), Rng(1)
+        assert np_rng.uniforms(*shape).tobytes() == int_rng.uniforms(*map(int, shape)).tobytes()
+        assert np_rng.state == int_rng.state and type(np_rng.state) is int
