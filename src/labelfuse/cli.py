@@ -289,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=[fusion.TLAM, fusion.CLAM], default=fusion.TLAM)
     p.add_argument("--d", type=int, default=fusion.DEFAULT_D)
     p.add_argument("--blocks", type=int, default=fusion.DEFAULT_BLOCKS)
-    p.add_argument("--heads", type=int, default=fusion.DEFAULT_HEADS)
+    p.add_argument("--heads", type=int, default=fusion.DEFAULT_HEADS,
+                   help=f"attention heads, tlam only (default {fusion.DEFAULT_HEADS})")
     p.add_argument("--out", required=True, help="output params directory")
     p.set_defaults(func=cmd_init_params)
 

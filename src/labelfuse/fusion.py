@@ -74,7 +74,7 @@ class MergerParams:
 
     variant: str
     d: int
-    heads: int
+    heads: int | None  # attention heads: tlam only, None for clam
     projections: dict = field(default_factory=dict)
     encodings: dict = field(default_factory=dict)
     blocks: list = field(default_factory=list)
@@ -111,11 +111,14 @@ def param_items(p: MergerParams) -> list:
     return items
 
 
-def _check_sizes(d, heads, n_blocks, where: str = "merger") -> None:
-    """Raise ValueError unless d and heads are integers >= 1 and n_blocks an
-    integer >= 0 (a merger may have no blocks); ``where`` starts the message."""
-    for key, value, least in (("d", d, 1), ("heads", heads, 1), ("n_blocks", n_blocks, 0)):
-        _check_int(f"{where} {key!r}", value, least)
+def _check_sizes(variant, d, heads, n_blocks, where: str = "merger") -> None:
+    """Raise ValueError unless d is an integer >= 1, heads (``tlam`` only) an
+    integer >= 1 and n_blocks an integer >= 0 (a merger may have no blocks);
+    ``where`` starts the message."""
+    _check_int(f"{where} 'd'", d, 1)
+    if variant == TLAM:
+        _check_int(f"{where} 'heads'", heads, 1)
+    _check_int(f"{where} 'n_blocks'", n_blocks, 0)
 
 
 def _check_int(what: str, value, least: int) -> None:
@@ -136,17 +139,20 @@ def init_merger_params(
     from its channel count, then a ``tlam`` encoding or a ``clam`` stack.
 
     The sizes must pass ``_check_sizes``, and for ``tlam`` the heads must
-    divide d (``clam`` has no attention).  Weight matrices are
-    Xavier-uniform, biases zero, layer-norm gamma/beta 1/0, and the ``tlam``
-    label encodings are 0.02-scaled normal draws; the draw order is fixed
-    (projections, then encodings and blocks for ``tlam`` or stacks for
-    ``clam``) so a seed pins the parameters bit-exactly.
+    divide d.  ``clam`` has no attention: it ignores ``heads`` and stores
+    None.  Weight matrices are Xavier-uniform, biases zero, layer-norm
+    gamma/beta 1/0, and the ``tlam`` label encodings are 0.02-scaled normal
+    draws; the draw order is fixed (projections, then encodings and blocks
+    for ``tlam`` or stacks for ``clam``) so a seed pins the parameters
+    bit-exactly.
     """
     if variant not in (TLAM, CLAM):
         raise ValueError(f"unknown merger variant {variant!r}")
     if variant == TLAM:
         nn_ops._head_width({"d": d, "heads": heads})
-    _check_sizes(d, heads, n_blocks)
+    else:
+        heads = None
+    _check_sizes(variant, d, heads, n_blocks)
     if rng is None:
         rng = Rng(seed)
     p = MergerParams(variant=variant, d=d, heads=heads)
@@ -182,13 +188,14 @@ def _bind_check(s: LabelSet, p: MergerParams) -> None:
 
 # Bytes of one tile's widest intermediate: half of a 2 MiB per-core L2
 # cache, so a tile's elementwise ops run from L2 rather than L3.  Measured
-# on a 2-core Xeon (2 MiB L2 a core, OpenBLAS on one thread): a 64x64 merge
-# at N=5, d=96 in 1,024-pixel tiles, whose (1024, 5, 384) MLP hidden layer
-# alone is 15.7 MB, took 1.07 s and 88,056 minor page faults, against
-# 0.67 s and 1,672 in the 64-pixel tiles this rule gives.  Not a pixel
-# count: 64-pixel tiles everywhere would cut 16x16 toy training at d=16
-# into 4 tiles, and the extra per-op Python cost took 50 iterations from
-# 1.16-1.51 s to 1.84-1.94 s.
+# on a 2-core Xeon (2 MiB L2 a core, OpenBLAS on one thread, malloc set as
+# ``labelfuse/__init__`` sets it): a 64x64 merge at N=5, d=96 in 1,024-pixel
+# tiles, whose (1024, 5, 384) MLP hidden layer alone is 15.7 MB, took
+# 0.76-0.87 s and up to 8,750 minor page faults, against 0.64-0.75 s and 0
+# in 64-pixel tiles, near the 68 this rule gives.  Not a pixel count:
+# 64-pixel tiles everywhere would cut 16x16 toy training at d=16 into 4
+# tiles, and the extra per-op Python cost took 50 iterations from
+# 0.71-0.89 s to 1.15-1.28 s.
 TILE_BYTES = 1 << 20
 
 
@@ -325,13 +332,10 @@ def save_merger_params(p: MergerParams, dirpath) -> None:
         {"name": name, "channels": int(proj.A.shape[1])}
         for name, proj in p.projections.items()
     ]
-    doc = {
-        "variant": p.variant,
-        "d": p.d,
-        "heads": p.heads,
-        "n_blocks": p.n_blocks,
-        "labels": labels,
-    }
+    doc = {"variant": p.variant, "d": p.d}
+    if p.variant == TLAM:
+        doc["heads"] = p.heads
+    doc.update(n_blocks=p.n_blocks, labels=labels)
     _save_params_dir(dirpath, "params.json", doc, param_items(p))
 
 
@@ -339,10 +343,10 @@ def load_merger_params(dirpath) -> MergerParams:
     """Read a params directory written by ``save_merger_params``.
 
     ``params.json`` must be an object with variant ``tlam`` or ``clam``,
-    integers d and heads >= 1 and n_blocks >= 0 (a merger may have no
-    blocks), and a labels list of objects with a string name that is a
-    ``FILE_STEM`` and an integer channels >= 1; every
-    tensor's shape is checked against it.  Anything else raises ValueError.
+    integers d >= 1, heads >= 1 (``tlam`` only; a ``clam`` file's heads, if
+    any, is ignored) and n_blocks >= 0 (a merger may have no blocks), and a
+    labels list of objects with a string name that is a ``FILE_STEM`` and an
+    integer channels >= 1; every tensor's shape is checked against it.  Anything else raises ValueError.
     """
     with open(os.path.join(dirpath, "params.json")) as f:
         doc = json.load(f)
@@ -351,13 +355,13 @@ def load_merger_params(dirpath) -> MergerParams:
     labels = doc.get("labels")
     if not isinstance(labels, list) or not all(isinstance(e, dict) and isinstance(e.get("name"), str) for e in labels):
         raise ValueError("params.json 'labels' must be a list of objects with a string 'name'")
-    _check_sizes(doc.get("d"), doc.get("heads"), doc.get("n_blocks"), "params.json")
+    _check_sizes(doc["variant"], doc.get("d"), doc.get("heads"), doc.get("n_blocks"), "params.json")
     for i, e in enumerate(labels):
         name = e["name"]
         if not FILE_STEM.fullmatch(name):
             raise ValueError(f"params.json label {i} name {name!r} must be a non-empty file stem without '/' or '\\'")
         _check_int(f"params.json label {i} 'channels'", e.get("channels"), 1)
-    p = MergerParams(variant=doc["variant"], d=doc["d"], heads=doc["heads"])
+    p = MergerParams(variant=doc["variant"], d=doc["d"], heads=doc["heads"] if doc["variant"] == TLAM else None)
     dims = {"d": p.d, "heads": p.heads}
     channels = {e["name"]: e["channels"] for e in doc["labels"]}
     p.projections = {k: blank(LabelProjection, c=c, **dims) for k, c in channels.items()}

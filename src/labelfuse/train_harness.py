@@ -418,9 +418,7 @@ def train_toy_with_params(cfg: ToyTrainConfig):
         masked = apply_masks(labels, generate_sparse_masks(inst, labels, cfg.sparsity, mseed))
         if cfg.mode == "adversarial":
             adam_step(opt_d, tiled_grads(masked, target64, merger, heads, _d_tile, opt_d.params, cfg.threads)[1])
-        # ``held`` (one tile's graph) is rebound only once the next step's
-        # graphs exist, so the heap is not trimmed and faulted back in
-        value, grads, held = tiled_grads(masked, target64, merger, heads, tile_loss, opt.params, cfg.threads)
+        value, grads, _ = tiled_grads(masked, target64, merger, heads, tile_loss, opt.params, cfg.threads)
         adam_step(opt, grads)
         losses.append(value)
         if not math.isfinite(value):

@@ -258,6 +258,13 @@ class TestInitParams:
                    "--variant", "clam", "--d", "16", "--out", str(tmp_path / "p"))
         assert code == EXIT_OK
 
+    def test_clam_heads_ignored(self, tmp_path, scene):
+        # --heads applies to tlam only: clam writes no heads, so any value passes
+        code = run("init-params", "--manifest", str(scene / "manifest.json"),
+                   "--variant", "clam", "--heads", "0", "--out", str(tmp_path / "p"))
+        assert code == EXIT_OK
+        assert "heads" not in json.loads((tmp_path / "p" / "params.json").read_text())
+
 
 class TestSparsify:
     def test_zero_sparsity_identical_tensors(self, tmp_path, scene):

@@ -369,19 +369,18 @@ class TestMacCounting:
             count_attention_macs(2, 8, 0, 1, 4)
         with pytest.raises(ValueError, match="0 heads"):
             init_merger_params(tiny_set(), fusion.TLAM, d=8, n_blocks=1, heads=0)
-        # clam has no heads to divide d into, only the size rule of the saved params
-        with pytest.raises(ValueError, match="merger 'heads' must be an integer >= 1"):
-            init_merger_params(tiny_set(), fusion.CLAM, d=8, n_blocks=1, heads=0)
+        # clam has no attention: it ignores the heads argument and stores None
+        assert init_merger_params(tiny_set(), fusion.CLAM, d=8, n_blocks=1, heads=0).heads is None
 
     def test_clam_width_indivisible_by_heads(self, tmp_path):
         # clam has no attention: d=16 with the default 3 heads initializes,
         # saves, loads and merges, while tlam still rejects it
         labels = tiny_set(n=2)
         p = init_merger_params(labels, fusion.CLAM, d=16, n_blocks=1, seed=31)
-        assert p.heads == 3
+        assert p.heads is None
         save_merger_params(p, tmp_path / "params")
         q = load_merger_params(tmp_path / "params")
-        assert (q.d, q.heads) == (16, 3)
+        assert (q.d, q.heads) == (16, None)
         assert clam_merge(labels, q).tobytes() == clam_merge(labels, p).tobytes()
         assert clam_merge(labels, q).shape == (4, 4, 16)
         with pytest.raises(ValueError, match="token width 16 not divisible by 3 heads"):
@@ -414,8 +413,12 @@ class TestParamsSerialization:
         labels = tiny_set(n=2)
         p = init_merger_params(labels, variant, d=6, n_blocks=2, heads=2, seed=21)
         save_merger_params(p, tmp_path / "params")
+        # heads is saved for tlam only: clam has no attention
+        doc = json.loads((tmp_path / "params" / "params.json").read_text())
+        assert doc.get("heads", "absent") == (2 if variant == fusion.TLAM else "absent")
         q = load_merger_params(tmp_path / "params")
-        assert q.variant == variant and q.d == 6 and q.heads == 2 and q.n_blocks == 2
+        assert q.variant == variant and q.d == 6 and q.n_blocks == 2
+        assert q.heads == (2 if variant == fusion.TLAM else None)
         z1 = (tlam_merge if variant == fusion.TLAM else clam_merge)(labels, p)
         z2 = (tlam_merge if variant == fusion.TLAM else clam_merge)(labels, q)
         assert z1.tobytes() == z2.tobytes()
@@ -472,6 +475,27 @@ class TestParamsSerialization:
         assert q.encodings == {}
         assert [n for n, _ in fusion.param_items(q)] == [n for n, _ in fusion.param_items(p)]
         assert clam_merge(labels, q).tobytes() == clam_merge(labels, p).tobytes()
+
+    @pytest.mark.parametrize("heads", [3, 0, "x", None])
+    def test_clam_dir_with_heads_loads(self, tmp_path, heads):
+        # clam directories written before clam dropped its heads hold one;
+        # loading ignores it, whatever it is
+        labels = tiny_set(n=2)
+        p = init_merger_params(labels, fusion.CLAM, d=6, n_blocks=1, seed=24)
+        save_merger_params(p, tmp_path)
+        doc = json.loads((tmp_path / "params.json").read_text())
+        (tmp_path / "params.json").write_text(json.dumps({**doc, "heads": heads}))
+        q = load_merger_params(tmp_path)
+        assert q.heads is None
+        assert clam_merge(labels, q).tobytes() == clam_merge(labels, p).tobytes()
+
+    def test_tlam_dir_without_heads_rejected(self, tmp_path):
+        save_merger_params(init_merger_params(tiny_set(n=2), fusion.TLAM, d=6, n_blocks=1, heads=2), tmp_path)
+        doc = json.loads((tmp_path / "params.json").read_text())
+        del doc["heads"]
+        (tmp_path / "params.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="params.json 'heads' must be an integer >= 1"):
+            load_merger_params(tmp_path)
 
     @pytest.mark.parametrize("name", ["", "../escaped", "a\\b"])
     def test_label_name_not_a_file_stem_rejected(self, tmp_path, name):
