@@ -15,7 +15,8 @@ import platform
 # train-toy call).  Fixed thresholds keep freed memory for the next step:
 # chunks up to 32 MiB (glibc's ceiling for its dynamic mmap threshold on
 # 64-bit) come from the heap, and up to 64 MiB of free heap top is kept.
-# Larger arrays are still mmapped and unmapped, so big grids stay bounded.
+# A larger array is mmapped, and unmapped when freed, unless the heap has a
+# free chunk that holds it.
 if platform.libc_ver()[0] == "glibc":
     _mallopt = ctypes.CDLL(None).mallopt
     _mallopt.argtypes = [ctypes.c_int, ctypes.c_int]

@@ -224,13 +224,23 @@ def masked_pixels(s: LabelSet, p0: int, p1: int) -> list[Var]:
 
 def map_tiles(fn, s: LabelSet, p: MergerParams, threads: int) -> list:
     """``fn(p0, p1, masked_pixels(s, p0, p1))`` for each of the ``pixel_spans``
-    of a ``p`` merge of ``s``, on up to ``threads`` threads, in span order."""
+    of a ``p`` merge of ``s``, on up to ``threads`` threads, in span order.
+    A thread takes the next span when it finishes one: no task (~2 KB) is
+    queued per span."""
     spans = pixel_spans(s.height * s.width, pixel_bytes(p.variant, len(s), p.d))
     run = lambda span: fn(*span, masked_pixels(s, *span))
     if threads <= 1 or len(spans) <= 1:
         return [run(span) for span in spans]
+    results = [None] * len(spans)
+    todo = iter(range(len(spans)))  # shared: next() on a range iterator is atomic under the GIL
+
+    def work(_):
+        for i in todo:
+            results[i] = run(spans[i])
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, spans))
+        list(pool.map(work, range(threads)))
+    return results
 
 
 def _projected_tokens(xs: list[Var], names: list[str], p: MergerParams) -> list[Var]:
@@ -282,11 +292,12 @@ def _run_tiled(s: LabelSet, p: MergerParams, variant: str, threads: int) -> np.n
     flat = out.reshape(-1, p.d)
 
     def tile(p0, p1, xs):
-        flat[p0:p1] = graph(xs, names, lifted).value
+        z = graph(xs, names, lifted).value
+        if not np.isfinite(z).all():
+            raise FloatingPointError("merge produced non-finite values")
+        flat[p0:p1] = z
 
     map_tiles(tile, s, p, threads)
-    if not np.isfinite(out).all():
-        raise FloatingPointError("merge produced non-finite values")
     return out
 
 
@@ -346,7 +357,9 @@ def load_merger_params(dirpath) -> MergerParams:
     integers d >= 1, heads >= 1 (``tlam`` only; a ``clam`` file's heads, if
     any, is ignored) and n_blocks >= 0 (a merger may have no blocks), and a
     labels list of objects with a string name that is a ``FILE_STEM`` and an
-    integer channels >= 1; every tensor's shape is checked against it.  Anything else raises ValueError.
+    integer channels >= 1; every tensor's shape is checked against it, and
+    n_blocks may not exceed the directory's entries (each block has a file).
+    Anything else raises ValueError.
     """
     with open(os.path.join(dirpath, "params.json")) as f:
         doc = json.load(f)
@@ -356,6 +369,9 @@ def load_merger_params(dirpath) -> MergerParams:
     if not isinstance(labels, list) or not all(isinstance(e, dict) and isinstance(e.get("name"), str) for e in labels):
         raise ValueError("params.json 'labels' must be a list of objects with a string 'name'")
     _check_sizes(doc["variant"], doc.get("d"), doc.get("heads"), doc.get("n_blocks"), "params.json")
+    files = len(os.listdir(dirpath))
+    if doc["n_blocks"] > files:
+        raise ValueError(f"params.json 'n_blocks' is {doc['n_blocks']}, but the directory holds {files} files")
     for i, e in enumerate(labels):
         name = e["name"]
         if not FILE_STEM.fullmatch(name):

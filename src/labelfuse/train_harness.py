@@ -14,6 +14,7 @@ per-pixel hinge (``_d_tile``) are means over pixels, so they split exactly
 into pixel-weighted tile losses.  A step's leaves are the tensors its
 optimizer updates, all else is constant, so the discriminator step records
 neither merge nor generator and the generator step takes no ``disc.*`` gradient.
+Each tile's graph is freed once its gradients are taken.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ FD_ROUNDOFF_C = 16.0
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def finite_diff_check(params: dict, loss_fn, corrupt_scale: float = 0.0) -> FdReport:
+def finite_diff_check(params: dict, loss_fn) -> FdReport:
     """Compare tape gradients against central differences element by element.
 
     ``loss_fn(vars)`` returns a scalar Var from ``vars``, which maps each name
@@ -231,15 +232,11 @@ def finite_diff_check(params: dict, loss_fn, corrupt_scale: float = 0.0) -> FdRe
     by the relative test.  An element fails when its error exceeds
     ``FD_TOL``; the report records r (``FdReport.max_roundoff``,
     ``FdFailure.roundoff``).
-    ``corrupt_scale`` inflates the analytic gradients (a debug hook used as
-    a negative control).
     """
     names = sorted(params)
     leaves = {n: Var(params[n]) for n in names}
     backward(loss_fn(leaves))
     grads = {n: np.zeros_like(v.value) if v.grad is None else v.grad for n, v in leaves.items()}
-    if corrupt_scale:
-        grads = {n: g * (1.0 + corrupt_scale) for n, g in grads.items()}
 
     copies = {n: np.array(params[n], dtype=np.float64) for n in names}
     constants = {n: as_var(a) for n, a in copies.items()}
@@ -333,13 +330,12 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, wrt, thr
     Each tile has its own leaves and may run on its own thread; tile losses
     and gradients are weighted by the tile's share of pixels and summed in
     ascending tile order, so nothing depends on ``threads``.  A tile's graph
-    is dropped once its gradients are taken, except the last one to finish:
-    returns ``(loss, grads, last_tile_loss)``.
+    is freed once its gradients are taken, so a step holds at most one graph
+    per thread: returns ``(loss, grads)``.
     """
     names = [lab.name for lab in masked]
     pixels = masked.height * masked.width
     flat_target = target.reshape(-1, 3)
-    last = [None]
 
     def run(p0, p1, xs):
         leaves: dict[str, Var] = {}
@@ -349,7 +345,6 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, wrt, thr
         t = as_var(flat_target[p0:p1].astype(np.float64))
         loss = tile_loss(tlam_graph(xs, names, merger), heads, t)
         backward(loss)
-        last[0] = loss
         return (p1 - p0) / pixels, float(loss.value), {n: v.grad for n, v in leaves.items() if v.grad is not None}
 
     total = 0.0
@@ -358,7 +353,7 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, wrt, thr
         total += w * value
         for n, g in tile_grads.items():
             grads[n] = grads[n] + w * g if n in grads else w * g
-    return total, grads, last[0]
+    return total, grads
 
 
 def _recon_l2(s: LabelSet, target, merger, heads, threads: int) -> float:
@@ -418,7 +413,7 @@ def train_toy_with_params(cfg: ToyTrainConfig):
         masked = apply_masks(labels, generate_sparse_masks(inst, labels, cfg.sparsity, mseed))
         if cfg.mode == "adversarial":
             adam_step(opt_d, tiled_grads(masked, target64, merger, heads, _d_tile, opt_d.params, cfg.threads)[1])
-        value, grads, _ = tiled_grads(masked, target64, merger, heads, tile_loss, opt.params, cfg.threads)
+        value, grads = tiled_grads(masked, target64, merger, heads, tile_loss, opt.params, cfg.threads)
         adam_step(opt, grads)
         losses.append(value)
         if not math.isfinite(value):

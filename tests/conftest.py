@@ -24,3 +24,25 @@ def unbroadcast_calls(monkeypatch):
 
     monkeypatch.setattr(tape, "_unbroadcast", counted)
     return calls
+
+
+@pytest.fixture
+def corrupt_gradients(monkeypatch):
+    """``corrupt_gradients(c)``: from then on, the test's
+    ``train_harness.backward`` multiplies every leaf gradient by (1 + c), a
+    gradient error for ``finite_diff_check`` to catch."""
+    from labelfuse import train_harness
+
+    backward = train_harness.backward
+
+    def corrupt(c):
+        def corrupted(loss):
+            walked = backward(loss)
+            for node in walked.nodes:
+                if not node.parents and node.grad is not None:
+                    node.grad = node.grad * (1.0 + c)
+            return walked
+
+        monkeypatch.setattr(train_harness, "backward", corrupted)
+
+    return corrupt

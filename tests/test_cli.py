@@ -132,6 +132,13 @@ class TestMerge:
         assert code == EXIT_USAGE
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["tlam", "clam"])
+    def test_missing_params_option_exits_1(self, tmp_path, scene, capsys, variant):
+        code = run("merge", "--manifest", str(scene / "manifest.json"), "--variant", variant,
+                   "--out", str(tmp_path / "z.tlt"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --params is required for --variant tlam and clam\n"
+
     def test_variant_mismatch(self, tmp_path, scene, params, capsys):
         code = run("merge", "--manifest", str(scene / "manifest.json"),
                    "--params", str(params), "--variant", "clam",
@@ -155,9 +162,10 @@ class TestMerge:
             lambda doc: [1],
             lambda doc: {**doc, "d": "8"},
             lambda doc: {**doc, "n_blocks": "2"},
+            lambda doc: {**doc, "n_blocks": 10**18},
             lambda doc: {**doc, "labels": [{**doc["labels"][0], "channels": "7"}] + doc["labels"][1:]},
         ],
-        ids=["labels-not-list", "document-not-object", "d-string", "n_blocks-string", "channels-string"],
+        ids=["labels-not-list", "document-not-object", "d-string", "n_blocks-string", "n_blocks-huge", "channels-string"],
     )
     def test_malformed_params_json_exits_1(self, tmp_path, scene, params, capsys, edit):
         doc = json.loads((params / "params.json").read_text())
@@ -315,8 +323,12 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "gelu" in out and "pass" in out
 
-    def test_corrupted_gradients_fail(self):
-        assert run("gradcheck", "--preset", "small", "--corrupt") == EXIT_NUMERIC
+    def test_corrupted_gradients_fail(self, corrupt_gradients):
+        corrupt_gradients(0.1)
+        assert run("gradcheck", "--preset", "small") == EXIT_NUMERIC
+
+    def test_corrupt_flag_rejected(self):
+        assert run("gradcheck", "--preset", "small", "--corrupt") == EXIT_USAGE
 
 
 class TestTrainToy:

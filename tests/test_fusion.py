@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,19 @@ class TestTlamMerge:
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
             tlam_merge(labels, p)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("variant", [fusion.TLAM, fusion.CLAM])
+    def test_nonfinite_pixel_in_a_later_tile_rejected(self, variant, threads):
+        pixel_size = fusion.pixel_bytes(variant, 3, 8)
+        h, w = 2 * (fusion.TILE_BYTES // (8 * pixel_size)) + 3, 8
+        assert len(fusion.pixel_spans(h * w, pixel_size)) >= 3
+        labels = tiny_set(h=h, w=w, seed=11, sparsity=0.0)
+        labels.labels[1].values[-1, -1, 0] = np.nan
+        p = init_merger_params(labels, variant, d=8, n_blocks=1, heads=2, seed=12)
+        merge = tlam_merge if variant == fusion.TLAM else clam_merge
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="merge produced non-finite values"):
+            merge(labels, p, threads=threads)
+
     def test_chunked_parallel_matches_sequential_bitwise(self):
         for variant, merge in ((fusion.TLAM, tlam_merge), (fusion.CLAM, clam_merge)):
             pixel_size = fusion.pixel_bytes(variant, 3, 8)
@@ -263,6 +277,43 @@ class TestRowSpans:
         expect[3] = 0.0  # pixel (1, 2), flat index 6
         assert x.value.dtype == np.float64
         assert x.value.tobytes() == expect.tobytes()
+
+
+def beside_output(variant, h, w, d, threads):
+    """The ``tracemalloc`` peak of a one-label, no-block merge of an h x w
+    random grid at width d, less its output."""
+    labels = make_random_label_set(1, h, w, 3)
+    p = init_merger_params(labels, variant, d=d, n_blocks=0, heads=2, seed=1)
+    merge = tlam_merge if variant == fusion.TLAM else clam_merge
+    tracemalloc.start()
+    try:
+        out = merge(labels, p, threads=threads)
+        return tracemalloc.get_traced_memory()[1] - out.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+class TestMergeMemory:
+    # At one label a clam tile's intermediates (projection, GeLU, stacked
+    # tokens and their average) peak near 4 TILE_BYTES and a tlam tile's
+    # (no blocks) near 1; a merge holds a tile per thread at most, beside
+    # its output.  The large grid's H x W x d boolean array alone is twice
+    # the two-thread budget.
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("variant", [fusion.TLAM, fusion.CLAM])
+    @pytest.mark.parametrize("h, w", [(64, 64), (512, 640)])
+    def test_peak_bounded_by_tiles_in_flight(self, h, w, variant, threads):
+        beside = beside_output(variant, h, w, 64, threads)
+        assert beside <= 5 * threads * fusion.TILE_BYTES, beside
+
+    @pytest.mark.parametrize("variant", [fusion.TLAM, fusion.CLAM])
+    def test_threads_queue_no_task_per_span(self, monkeypatch, variant):
+        # 4-pixel tiles: 256 at 32x32, 2,048 at 64x128.  A span beyond the
+        # tiles in flight costs its (p0, p1) tuple and result slot; a task
+        # queued for every span cost about 2 KB each
+        monkeypatch.setattr(fusion, "TILE_BYTES", 4 * fusion.pixel_bytes(variant, 1, 8))
+        small, large = (beside_output(variant, h, w, 8, 2) for h, w in ((32, 32), (64, 128)))
+        assert large - small <= 512 * (2048 - 256), (small, large)
 
 
 class TestClamAndNaive:
@@ -488,6 +539,15 @@ class TestParamsSerialization:
         q = load_merger_params(tmp_path)
         assert q.heads is None
         assert clam_merge(labels, q).tobytes() == clam_merge(labels, p).tobytes()
+
+    @pytest.mark.parametrize("variant", [fusion.TLAM, fusion.CLAM])
+    def test_more_blocks_than_files_rejected(self, tmp_path, variant):
+        # checked before any list of n_blocks entries is built
+        save_merger_params(init_merger_params(tiny_set(n=2), variant, d=6, n_blocks=1, heads=2), tmp_path)
+        doc = json.loads((tmp_path / "params.json").read_text())
+        (tmp_path / "params.json").write_text(json.dumps({**doc, "n_blocks": 10**18}))
+        with pytest.raises(ValueError, match="params.json 'n_blocks' is 1000000000000000000, but the directory holds"):
+            load_merger_params(tmp_path)
 
     def test_tlam_dir_without_heads_rejected(self, tmp_path):
         save_merger_params(init_merger_params(tiny_set(n=2), fusion.TLAM, d=6, n_blocks=1, heads=2), tmp_path)

@@ -1,5 +1,8 @@
+import gc
 import json
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,21 +65,46 @@ def graph_leaves(root):
     return [n for n in tape.Tape.from_root(root).nodes if not n.parents]
 
 
+def recorded(tile_loss):
+    """``tile_loss`` that also keeps the loss of each tile it is run on, and
+    the list it keeps them in (in finishing order)."""
+    losses = []
+
+    def record(z, heads, t):
+        loss = tile_loss(z, heads, t)
+        losses.append(loss)
+        return loss
+
+    return record, losses
+
+
 DISC_NAMES = ["disc.W1", "disc.W2", "disc.b1", "disc.b2"]
 
 
-@pytest.fixture(scope="module")
-def two_tile_adv():
-    """A masked scene of two or more pixel tiles, its target, and merger and
-    head (discriminator included) arrays for it."""
-    h, w = TILE_ROWS + 8, 8
-    assert len(fusion.pixel_spans(h * w, PIXEL_SIZE)) >= 2
+def adv_scene(h, w):
+    """A masked h x w scene, its target, and merger and head (discriminator
+    included) arrays for it."""
     labels, inst, target = label_model.synth_scene(h, w, 3, 5)
     masked = label_model.apply_masks(labels, label_model.generate_sparse_masks(inst, labels, 0.5, 6))
     rng = Rng(8)
     merger = fusion.init_merger_params(masked, fusion.TLAM, d=8, n_blocks=1, heads=2, rng=rng)
     heads = th.init_head_params(8, rng, d_g=8, d_c=4, discriminator=True)
     return masked, target.astype(np.float64), merger, heads
+
+
+@pytest.fixture(scope="module")
+def two_tile_adv():
+    """``adv_scene`` of two or more pixel tiles."""
+    h, w = TILE_ROWS + 8, 8
+    assert len(fusion.pixel_spans(h * w, PIXEL_SIZE)) >= 2
+    return adv_scene(h, w)
+
+
+def step_names(tile_loss, merger, heads):
+    """The tensors a step on ``tile_loss`` updates: the discriminator's for
+    ``_d_tile``, every other one for the generator's losses."""
+    names = [n for n, _ in fusion.param_items(merger) + th.head_items(heads)]
+    return [n for n in names if (n in DISC_NAMES) == (tile_loss is th._d_tile)]
 
 
 class TestHeads:
@@ -194,10 +222,9 @@ class TestFiniteDiff:
         assert report.passed
         assert report.max_rel_err <= 1e-9
 
-    def test_corrupted_gradient_detected(self):
-        report = th.finite_diff_check(
-            {"theta": np.array([3.0])}, lambda p: tape.sum_all(p["theta"] * p["theta"] * 0.5), corrupt_scale=0.1
-        )
+    def test_corrupted_gradient_detected(self, corrupt_gradients):
+        corrupt_gradients(0.1)
+        report = th.finite_diff_check({"theta": np.array([3.0])}, lambda p: tape.sum_all(p["theta"] * p["theta"] * 0.5))
         assert not report.passed
         assert report.failures
 
@@ -268,36 +295,35 @@ class TestFiniteDiff:
         assert report.max_roundoff > 1e-11
         assert report.max_roundoff < 1e-9
 
-    def test_error_above_roundoff_still_fails(self):
+    def test_error_above_roundoff_still_fails(self, corrupt_gradients):
         # same |f| ~ 1, so r ~ 3.5e-10, but a 1e-8 slope reported as 2e-8:
         # an error thirty times the allowance must fail
         one = as_var(np.array([1.0]))
-        report = th.finite_diff_check(
-            {"theta": np.array([0.5])}, lambda p: tape.sum_all(p["theta"] * 1e-8 + one), corrupt_scale=1.0
-        )
+        corrupt_gradients(1.0)
+        report = th.finite_diff_check({"theta": np.array([0.5])}, lambda p: tape.sum_all(p["theta"] * 1e-8 + one))
         assert not report.passed
         (fail,) = report.failures
         assert 0.0 < fail.roundoff == report.max_roundoff
         assert abs(fail.analytic - fail.numeric) > 20 * fail.roundoff
         assert fail.rel_err > 0.3
 
-    def test_subsample_lists_only_checked_params(self):
+    def test_subsample_lists_only_checked_params(self, corrupt_gradients):
         # a 1-element parameter no draw lands on must not read as a pass (0.0)
         params = {"big": np.random.default_rng(0).standard_normal(20_001), "small": np.array([0.7])}
         w = np.random.default_rng(1).standard_normal(20_001)
-        report = th.finite_diff_check(
-            params, lambda p: tape.sum_all(p["big"] * w) + tape.sum_all(p["small"] * 3.0), corrupt_scale=0.5
-        )
+        corrupt_gradients(0.5)
+        report = th.finite_diff_check(params, lambda p: tape.sum_all(p["big"] * w) + tape.sum_all(p["small"] * 3.0))
         assert set(report.per_param_max) == {"big"}
         assert report.per_param_max["big"] == pytest.approx(0.2)
 
-    def test_corruption_detected_at_pinned_d2_block(self):
+    def test_corruption_detected_at_pinned_d2_block(self, corrupt_gradients):
         # the N=2, d=2, one-head block of the pinned-size gradient test, where
         # the attention gradients sit below the round-off scale: the allowance
         # must not hide a 10% error in the others
         params, loss_fn = th.block_check(nn_ops.transformer_block, Rng(2 * 17 + 2), d=2, heads=1, n=2)
         assert th.finite_diff_check(params, loss_fn).passed
-        report = th.finite_diff_check(params, loss_fn, corrupt_scale=0.1)
+        corrupt_gradients(0.1)
+        report = th.finite_diff_check(params, loss_fn)
         assert not report.passed
         assert report.max_rel_err > 0.04
         assert {f.name for f in report.failures} >= {"Z", "mlp.W1", "mlp.W2"}
@@ -414,9 +440,10 @@ class TestTrainToy:
         merger0 = fusion.init_merger_params(masked, fusion.TLAM, d=8, n_blocks=1, heads=2, rng=rng)
         heads0 = th.init_head_params(8, rng, d_g=8)
         names = [n for n, _ in fusion.param_items(merger0) + th.head_items(heads0)]
-        value, grads, held = th.tiled_grads(masked, target, merger0, heads0, th._l2_tile, names, threads=2)
-        # only one tile's graph outlives the step
-        assert max_rows(held) <= TILE_PIXELS
+        tile_loss, tiles = recorded(th._l2_tile)
+        value, grads = th.tiled_grads(masked, target, merger0, heads0, tile_loss, names, threads=2)
+        # each tile's graph holds only its own pixels
+        assert len(tiles) >= 2 and all(max_rows(loss) <= TILE_PIXELS for loss in tiles)
         merger, heads, leaves = lift_leaves(merger0, heads0)
         loss = th._l2_tile(whole_grid_merge(masked, merger), heads, as_var(target.reshape(-1, 3)))
         backward(loss)
@@ -434,12 +461,15 @@ class TestTrainToy:
         merger = fusion.init_merger_params(masked, fusion.TLAM, d=8, n_blocks=1, heads=2, rng=rng)
         heads = th.init_head_params(8, rng, d_g=8)
         items = fusion.param_items(merger) + th.head_items(heads)
-        _, _, held = th.tiled_grads(masked, target.astype(np.float64), merger, heads, th._l2_tile, [n for n, _ in items])
+        tile_loss, tiles = recorded(th._l2_tile)
+        th.tiled_grads(masked, target.astype(np.float64), merger, heads, tile_loss, [n for n, _ in items])
         # every leaf of the step's graph is a parameter array: no input
         # pixels, no target and no scalar constant
-        leaves = graph_leaves(held)
-        assert len(leaves) == len(items)
-        assert all(any(leaf.value is t for _, t in items) for leaf in leaves)
+        assert tiles
+        for loss in tiles:
+            leaves = graph_leaves(loss)
+            assert len(leaves) == len(items)
+            assert all(any(leaf.value is t for _, t in items) for leaf in leaves)
 
     def test_adversarial_report_independent_of_threads(self):
         h, w = TILE_ROWS + 8, 8
@@ -506,8 +536,9 @@ class TestAdversarialSteps:
     def test_tiled_g_step_matches_whole_grid(self, two_tile_adv):
         masked, target, merger0, heads0 = two_tile_adv
         g_names = [n for n, _ in fusion.param_items(merger0) + th.head_items(heads0) if n not in DISC_NAMES]
-        value, grads, held = th.tiled_grads(masked, target, merger0, heads0, th._adv_g_tile, g_names, threads=2)
-        assert max_rows(held) <= TILE_PIXELS
+        tile_loss, tiles = recorded(th._adv_g_tile)
+        value, grads = th.tiled_grads(masked, target, merger0, heads0, tile_loss, g_names, threads=2)
+        assert len(tiles) >= 2 and all(max_rows(loss) <= TILE_PIXELS for loss in tiles)
         merger, heads, leaves = lift_leaves(merger0, heads0)
         loss = th._adv_g_tile(whole_grid_merge(masked, merger), heads, as_var(target.reshape(-1, 3)))
         backward(loss)
@@ -520,18 +551,21 @@ class TestAdversarialSteps:
 
     def test_d_tile_records_only_the_discriminator(self, two_tile_adv):
         masked, target, merger, heads = two_tile_adv
-        _, _, held = th.tiled_grads(masked, target, merger, heads, th._d_tile, DISC_NAMES, threads=2)
+        tile_loss, tiles = recorded(th._d_tile)
+        th.tiled_grads(masked, target, merger, heads, tile_loss, DISC_NAMES, threads=2)
         # no merge node (the merge's tokens are (B, N, d)) and no leaf but
-        # the four discriminator tensors
-        assert all(n.value.ndim <= 2 for n in tape.Tape.from_root(held).nodes)
+        # the four discriminator tensors, in every tile
         disc = [heads.disc_w1, heads.disc_w2, heads.disc_b1, heads.disc_b2]
-        leaves = graph_leaves(held)
-        assert len(leaves) == 4
-        assert all(any(leaf.value is t for t in disc) for leaf in leaves)
+        assert len(tiles) >= 2
+        for loss in tiles:
+            assert all(n.value.ndim <= 2 for n in tape.Tape.from_root(loss).nodes)
+            leaves = graph_leaves(loss)
+            assert len(leaves) == 4
+            assert all(any(leaf.value is t for t in disc) for leaf in leaves)
 
     def test_d_step_matches_whole_grid_graph(self, two_tile_adv):
         masked, target, merger0, heads0 = two_tile_adv
-        value, grads, _ = th.tiled_grads(masked, target, merger0, heads0, th._d_tile, DISC_NAMES, threads=2)
+        value, grads = th.tiled_grads(masked, target, merger0, heads0, th._d_tile, DISC_NAMES, threads=2)
         # the merge and the generator enter the D step as constants
         assert sorted(grads) == DISC_NAMES
         merger, heads, leaves = lift_leaves(merger0, heads0)
@@ -554,13 +588,48 @@ class TestAdversarialSteps:
 
     def test_d_step_tile_bounded_and_independent_of_threads(self, two_tile_adv):
         masked, target, merger, heads = two_tile_adv
-        runs = [th.tiled_grads(masked, target, merger, heads, th._d_tile, DISC_NAMES, threads) for threads in (1, 3)]
-        assert max_rows(runs[1][2]) <= TILE_PIXELS
-        (v1, g1, _), (v3, g3, _) = runs
+        tile_loss, tiles = recorded(th._d_tile)
+        runs = [th.tiled_grads(masked, target, merger, heads, tile_loss, DISC_NAMES, threads) for threads in (1, 3)]
+        assert len(tiles) >= 4 and all(max_rows(loss) <= TILE_PIXELS for loss in tiles)
+        (v1, g1), (v3, g3) = runs
         assert v1 == v3
         assert sorted(g1) == sorted(g3)
         for name in g1:
             assert g1[name].tobytes() == g3[name].tobytes(), name
+
+
+STEPS = pytest.mark.parametrize("tile_loss", [th._l2_tile, th._adv_g_tile, th._d_tile], ids=["l2", "adv_g", "d"])
+
+# A tile's recorded graph (five labels, d=8, one block, the heads) peaks near
+# 13 TILE_BYTES; a step holds one graph per thread at most.
+GRAPH_BYTES = 16 * fusion.TILE_BYTES
+
+
+class TestStepMemory:
+    @STEPS
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_graph_outlives_the_step(self, two_tile_adv, tile_loss, threads):
+        masked, target, merger, heads = two_tile_adv
+        gc.collect()
+        value, grads = th.tiled_grads(masked, target, merger, heads, tile_loss, step_names(tile_loss, merger, heads), threads)
+        assert math.isfinite(value) and grads
+        # Var has __slots__ and no __weakref__: count the instances the collector tracks
+        assert not [o for o in gc.get_objects() if type(o) is tape.Var]
+
+    @STEPS
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_bounded_by_tiles_in_flight(self, tile_loss, threads):
+        h, w = 4 * TILE_ROWS + 8, 8
+        assert len(fusion.pixel_spans(h * w, PIXEL_SIZE)) >= 5
+        masked, target, merger, heads = adv_scene(h, w)
+        names = step_names(tile_loss, merger, heads)
+        tracemalloc.start()
+        try:
+            th.tiled_grads(masked, target, merger, heads, tile_loss, names, threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= threads * GRAPH_BYTES, peak
 
 
 @pytest.mark.parametrize("stem, bad_shape", [("gen.b1", (1,)), ("disc.W1", (6, 5))])
