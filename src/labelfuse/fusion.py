@@ -8,7 +8,10 @@ Three variants produce a per-pixel fused representation from a label set:
   blocks, and average the output tokens (always dividing by N, in ascending
   label order).
 * ``clam_merge``: the same projection followed by per-label stacks of
-  d x d affine + GeLU layers, then the same token average.
+  d x d affine + GeLU layers, then the same token average.  A stack sees one
+  label's pixels one at a time, so every absent pixel of label k leaves it
+  as one vector c_k: ``clam_merge`` computes c_k once per merge, and in each
+  tile runs a label's stack on that label's present pixels only.
 * ``naive_concat``: plain channel concatenation in label order.
 
 Merging is embarrassingly parallel over pixels: attention never crosses
@@ -18,7 +21,10 @@ and training alike: it cuts the flattened grid into ``pixel_spans`` of
 ``masked_pixels`` and runs them on a thread pool in span order.  Results
 never depend on the thread count.  At some widths (d=12) a pixel's last bit
 can depend on the grid's pixel count, as OpenBLAS picks its dgemm kernel by
-GEMM size (the CHANGES.md ``FOUND:`` note on tile row counts).
+GEMM size (the CHANGES.md ``FOUND:`` note on tile row counts).  For the same
+reason a ``clam`` pixel's last bit may depend on how many pixels of its tile
+hold each of its present labels, when that count is small: under 13 at
+d=96 and under 26 at d=47 with OpenBLAS 0.3.31 on an AVX-512 Xeon.
 
 ``map_params`` walks every tensor of a ``MergerParams`` under its canonical
 name (``proj.<label>.A``, ``enc.<label>``, ``block<m>.`` plus the block's
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -222,25 +229,36 @@ def masked_pixels(s: LabelSet, p0: int, p1: int) -> list[Var]:
     ]
 
 
-def map_tiles(fn, s: LabelSet, p: MergerParams, threads: int) -> list:
+def map_tiles(fn, s: LabelSet, p: MergerParams, threads: int, fold) -> None:
     """``fn(p0, p1, masked_pixels(s, p0, p1))`` for each of the ``pixel_spans``
-    of a ``p`` merge of ``s``, on up to ``threads`` threads, in span order.
-    A thread takes the next span when it finishes one: no task (~2 KB) is
-    queued per span."""
+    of a ``p`` merge of ``s``, on up to ``threads`` threads.  ``fold`` takes
+    the results in span order, each as soon as every earlier one is folded,
+    so only the results of spans in flight, or done ahead of an earlier
+    span, are held.  A thread takes the next span when it finishes one: no
+    task (~2 KB) is queued per span."""
     spans = pixel_spans(s.height * s.width, pixel_bytes(p.variant, len(s), p.d))
     run = lambda span: fn(*span, masked_pixels(s, *span))
     if threads <= 1 or len(spans) <= 1:
-        return [run(span) for span in spans]
-    results = [None] * len(spans)
+        for span in spans:
+            fold(run(span))
+        return
     todo = iter(range(len(spans)))  # shared: next() on a range iterator is atomic under the GIL
+    done: dict = {}  # results not yet folded, by span index
+    lock = threading.Lock()
+    folded = 0
 
     def work(_):
+        nonlocal folded
         for i in todo:
-            results[i] = run(spans[i])
+            result = run(spans[i])
+            with lock:
+                done[i] = result
+                while folded in done:
+                    fold(done.pop(folded))
+                    folded += 1
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(work, range(threads)))
-    return results
 
 
 def _projected_tokens(xs: list[Var], names: list[str], p: MergerParams) -> list[Var]:
@@ -271,33 +289,58 @@ def tlam_graph(xs: list[Var], names: list[str], p: MergerParams) -> Var:
     return _token_average(Z)
 
 
-def clam_graph(xs: list[Var], names: list[str], p: MergerParams) -> Var:
+def clam_graph(xs: list[Var], names: list[str], p: MergerParams, present: list, absent: dict) -> Var:
+    """The ``clam`` merge for one pixel batch: (B, C_k) inputs -> (B, d).
+
+    ``present[k]`` is a (B,) bool array of the rows where label k is present.
+    Its stack runs on those rows only, and every other row takes
+    ``absent[names[k]]``, the stack's (d,) output for an absent pixel.  A
+    label present on every row, or with no stack, runs on all rows.  The
+    tokens are written into one (B, N, d) array, so nothing is recorded.
+    """
     vs = _projected_tokens(xs, names, p)
-    out = []
-    for v, name in zip(vs, names):
-        for proj in p.clam_stacks[name]:
+    tokens = np.empty((len(xs[0].value), len(xs), p.d))
+    for k, (v, name, rows) in enumerate(zip(vs, names, present)):
+        stack = p.clam_stacks[name]
+        if stack and not rows.all():
+            tokens[:, k] = absent[name]
+            v = as_var(v.value[rows])
+        else:
+            rows = slice(None)
+        for proj in stack:
             v = tape.gelu(tape.matmul(v, tape.transpose(proj.A, (1, 0)), proj.b))
-        out.append(v)
-    return _token_average(tape.stack(out, axis=1))
+        tokens[rows, k] = v.value
+    return _token_average(as_var(tokens))
 
 
 def _run_tiled(s: LabelSet, p: MergerParams, variant: str, threads: int) -> np.ndarray:
     if p.variant != variant:
         raise ValueError(f"params are for variant {p.variant!r}, expected {variant!r}")
     _bind_check(s, p)
-    graph = tlam_graph if variant == TLAM else clam_graph
     names = [lab.name for lab in s]
     lifted = map_params(p, lambda _name, t: as_var(t))
+    if variant == TLAM:
+        graph = lambda p0, p1, xs: tlam_graph(xs, names, lifted)
+    else:
+        absent = {}  # each label's stack output for an absent pixel: one all-zero pixel, pushed through
+        for lab in s:
+            zero = as_var(np.zeros((1, lab.channels)))
+            absent[lab.name] = clam_graph([zero], [lab.name], lifted, [np.ones(1, bool)], {}).value[0]
+
+        def graph(p0, p1, xs):
+            present = [lab.mask.reshape(-1)[p0:p1] != 0 for lab in s]
+            return clam_graph(xs, names, lifted, present, absent)
+
     out = np.empty((s.height, s.width, p.d), dtype=np.float64)
     flat = out.reshape(-1, p.d)
 
     def tile(p0, p1, xs):
-        z = graph(xs, names, lifted).value
+        z = graph(p0, p1, xs).value
         if not np.isfinite(z).all():
             raise FloatingPointError("merge produced non-finite values")
         flat[p0:p1] = z
 
-    map_tiles(tile, s, p, threads)
+    map_tiles(tile, s, p, threads, lambda _none: None)
     return out
 
 
@@ -308,7 +351,9 @@ def tlam_merge(s: LabelSet, p: MergerParams, threads: int = 1) -> np.ndarray:
 
 
 def clam_merge(s: LabelSet, p: MergerParams, threads: int = 1) -> np.ndarray:
-    """Stacked per-label affine+GeLU merging; returns H x W x d."""
+    """Stacked per-label affine+GeLU merging; returns H x W x d.  Each
+    label's stack runs on its present pixels only: every absent pixel of a
+    label leaves its stack as one vector, computed once per merge."""
     return _run_tiled(s, p, CLAM, threads)
 
 

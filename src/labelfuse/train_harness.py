@@ -330,8 +330,9 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, wrt, thr
     Each tile has its own leaves and may run on its own thread; tile losses
     and gradients are weighted by the tile's share of pixels and summed in
     ascending tile order, so nothing depends on ``threads``.  A tile's graph
-    is freed once its gradients are taken, so a step holds at most one graph
-    per thread: returns ``(loss, grads)``.
+    is freed once its gradients are taken, and its gradients once they are
+    summed, as soon as every earlier tile's are: a step holds at most one
+    graph per thread, and no gradient set per tile.  Returns ``(loss, grads)``.
     """
     names = [lab.name for lab in masked]
     pixels = masked.height * masked.width
@@ -349,10 +350,15 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, wrt, thr
 
     total = 0.0
     grads: dict[str, np.ndarray] = {}
-    for w, value, tile_grads in fusion.map_tiles(run, masked, merger_arrays, threads):
+
+    def fold(result):
+        nonlocal total
+        w, value, tile_grads = result
         total += w * value
         for n, g in tile_grads.items():
             grads[n] = grads[n] + w * g if n in grads else w * g
+
+    fusion.map_tiles(run, masked, merger_arrays, threads, fold)
     return total, grads
 
 
@@ -368,8 +374,9 @@ def train_toy(cfg: ToyTrainConfig) -> dict:
     Each iteration resamples sparsity masks with a fresh seed, merges via
     the transformer variant, generates, and Adam-updates (``adam_step``).
     The report carries per-iteration losses, final eval
-    losses at sparsity {0.0, 0.3, 0.5, 0.7} (masks seeded deterministically)
-    and a per-label full-ablation eval.
+    losses at sparsity {0.0, 0.3, 0.5, 0.7} (masks seeded deterministically;
+    a mask set drawn again is not merged again) and a per-label
+    full-ablation eval.
     """
     report, _, _ = train_toy_with_params(cfg)
     return report
@@ -422,14 +429,17 @@ def train_toy_with_params(cfg: ToyTrainConfig):
 
     if diverged_at is None:
         eval_rng = Rng(seed_eval)
+        recon: dict[bytes, float] = {}  # by mask set: at sparsity 0 every draw keeps every label
+
+        def sparse_l2(s: float) -> float:
+            masks = generate_sparse_masks(inst, labels, s, eval_rng.next_u64())
+            key = b"".join(m.tobytes() for m in masks.masks.values())
+            if key not in recon:
+                recon[key] = _recon_l2(apply_masks(labels, masks), target64, merger, heads, cfg.threads)
+            return recon[key]
+
         evals = {
-            f"s{s:.1f}": float(np.mean([
-                _recon_l2(
-                    apply_masks(labels, generate_sparse_masks(inst, labels, s, eval_rng.next_u64())),
-                    target64, merger, heads, cfg.threads,
-                )
-                for _ in range(EVAL_REPEATS)
-            ]))
+            f"s{s:.1f}": float(np.mean([sparse_l2(s) for _ in range(EVAL_REPEATS)]))
             for s in EVAL_SPARSITIES
         }
         ablation = {

@@ -19,6 +19,25 @@ def gelu_scalar(x: float) -> float:
     return 0.5 * x * (1.0 + math.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)))
 
 
+def clam_per_pixel(labels, p):
+    """The ``clam`` merge one pixel at a time: per label, the pixel's values
+    (zeros where the label is absent) through its projection and stack, each
+    layer an affine map and a scalar GeLU, then the mean over the labels."""
+    gelu = lambda v: np.array([gelu_scalar(float(t)) for t in v])
+    out = np.zeros((labels.height, labels.width, p.d))
+    for i in range(labels.height):
+        for j in range(labels.width):
+            for lab in labels:
+                x = lab.values[i, j].astype(np.float64) if lab.mask[i, j] else np.zeros(lab.channels)
+                proj = p.projections[lab.name]
+                v = gelu(proj.A @ x + proj.b)
+                for layer in p.clam_stacks[lab.name]:
+                    v = gelu(layer.A @ v + layer.b)
+                out[i, j] += v
+            out[i, j] /= len(labels)
+    return out
+
+
 def softmax_list(scores):
     m = max(scores)
     e = [math.exp(s - m) for s in scores]

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,11 +21,22 @@ from labelfuse.tensor_core import load_tensor, save_tensor
 from labelfuse.train_harness import make_random_label_set
 
 from lifting import unrecorded
-from oracles import gelu_scalar
+from oracles import clam_per_pixel, gelu_scalar
 
 
 def tiny_set(h=4, w=4, seed=0, sparsity=0.3, n=3):
     return make_random_label_set(n, h, w, seed, sparsity=sparsity)
+
+
+def random_biases(p, seed):
+    """``p`` (``clam``) with standard normal projection and stack biases, so
+    that no label's absent pixels leave its stack as zero."""
+    rng = np.random.default_rng(seed)
+    for name, proj in p.projections.items():
+        proj.b = rng.standard_normal(p.d)
+        for layer in p.clam_stacks[name]:
+            layer.b = rng.standard_normal(p.d)
+    return p
 
 
 def one_label_merge(x, mask_bit: int, A, b):
@@ -266,6 +278,22 @@ class TestRowSpans:
         spans = fusion.pixel_spans(h * w, fusion.pixel_bytes(variant, 5, d))
         assert spans == [(p0, min(p0 + pixels, h * w)) for p0 in range(0, h * w, pixels)]
 
+    def test_map_tiles_folds_each_span_once_in_span_order(self, monkeypatch):
+        # 86 three-pixel spans on four threads (more than the cores), with a
+        # short switch interval so that threads interleave around the fold;
+        # every other span sleeps, so later spans finish before earlier ones
+        labels = tiny_set(h=16, w=16, seed=51)
+        p = init_merger_params(labels, fusion.CLAM, d=4, n_blocks=0, seed=52)
+        monkeypatch.setattr(fusion, "TILE_BYTES", 3 * fusion.pixel_bytes(fusion.CLAM, 3, 4))
+        folded = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fusion.map_tiles(lambda p0, p1, xs: time.sleep(p0 % 2 / 1000) or (p0, p1), labels, p, 4, folded.append)
+        finally:
+            sys.setswitchinterval(interval)
+        assert folded == fusion.pixel_spans(16 * 16, fusion.pixel_bytes(fusion.CLAM, 3, 4))
+
     def test_masked_pixels_flattens_rows_and_zeroes_absent(self):
         values = np.arange(24, dtype=np.float32).reshape(3, 4, 2)
         mask = np.ones((3, 4), dtype=np.uint8)
@@ -348,6 +376,47 @@ class TestClamAndNaive:
         expect = gelu_scalar(a1 * gelu_scalar(a0 * float(vals[0, 0, 0]) + b0) + b1)
         out = clam_merge(labels, p)
         assert out[0, 0, 0] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [8, 47])
+    @pytest.mark.parametrize("sparsity", [0.0, 0.5, 1.0])
+    def test_clam_matches_per_pixel_oracle(self, monkeypatch, sparsity, d):
+        # 4-pixel tiles, so that some tiles hold a label on every pixel or on none
+        monkeypatch.setattr(fusion, "TILE_BYTES", 4 * fusion.pixel_bytes(fusion.CLAM, 3, d))
+        labels = tiny_set(h=6, w=8, seed=41, sparsity=sparsity)
+        p = random_biases(init_merger_params(labels, fusion.CLAM, d=d, n_blocks=2, seed=42), 43)
+        want = clam_per_pixel(labels, p)
+        got = clam_merge(labels, p)
+        # within 2^12 ulps of the largest output
+        assert np.abs(got - want).max() <= 2**12 * np.spacing(np.abs(want).max())
+
+    def test_stacks_run_on_present_pixels_only(self, monkeypatch):
+        # per label, its stack layers' products see its present pixels once
+        # and the one absent pixel pushed through per merge
+        monkeypatch.setattr(fusion, "TILE_BYTES", 16 * fusion.pixel_bytes(fusion.CLAM, 3, 8))
+        labels = tiny_set(h=8, w=8, seed=44, sparsity=0.5)
+        p = init_merger_params(labels, fusion.CLAM, d=8, n_blocks=2, seed=45)
+        label_of = {id(layer.b): name for name, stack in p.clam_stacks.items() for layer in stack}
+        rows = dict.fromkeys(p.clam_stacks, 0)
+        matmul = tape.matmul
+
+        def counted(a, b, bias=None):
+            if bias is not None and id(bias.value) in label_of:
+                rows[label_of[id(bias.value)]] += a.value.shape[0]
+            return matmul(a, b, bias)
+
+        monkeypatch.setattr(tape, "matmul", counted)
+        clam_merge(labels, p)
+        assert rows == {lab.name: (int(np.count_nonzero(lab.mask)) + 1) * 2 for lab in labels}
+
+    def test_pixel_with_every_label_absent_same_bits_everywhere(self, monkeypatch):
+        monkeypatch.setattr(fusion, "TILE_BYTES", 64 * fusion.pixel_bytes(fusion.CLAM, 3, 8))
+        labels = tiny_set(h=32, w=16, seed=46, sparsity=0.5)
+        p = random_biases(init_merger_params(labels, fusion.CLAM, d=8, n_blocks=2, seed=47), 48)
+        none = np.flatnonzero(~np.any([lab.mask.reshape(-1) != 0 for lab in labels], axis=0))
+        assert len(set(none // 64)) >= 4  # in four tiles or more
+        outs = [clam_merge(labels, p, threads=threads).reshape(-1, 8) for threads in (1, 2)]
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert len({row.tobytes() for row in outs[0][none]}) == 1
 
     def test_naive_concat_order_and_width(self):
         h = w = 3

@@ -413,6 +413,30 @@ class TestTrainToy:
             assert th._recon_l2(ablated, target.astype(np.float64), merger, heads, 1) == value
         assert fusion.tlam_merge(labels, merger).tobytes() == fusion.tlam_merge(labels, back).tobytes()
 
+    def test_eval_merges_each_mask_set_once(self, monkeypatch):
+        merges = []
+        tlam_merge = fusion.tlam_merge
+        monkeypatch.setattr(fusion, "tlam_merge", lambda *args: merges.append(args) or tlam_merge(*args))
+        cfg = self.small_cfg(iters=2)
+        report, merger, heads = th.train_toy_with_params(cfg)
+        merged = len(merges)
+        # the eval with every draw merged, from the same draws of the eval seed
+        labels, inst, target = label_model.synth_scene(cfg.height, cfg.width, cfg.regions, cfg.seed)
+        master = Rng(cfg.seed)
+        eval_rng = Rng([master.next_u64() for _ in range(3)][2])
+        sets, evals = set(), {}
+        for s in th.EVAL_SPARSITIES:
+            l2 = []
+            for _ in range(th.EVAL_REPEATS):
+                masks = label_model.generate_sparse_masks(inst, labels, s, eval_rng.next_u64())
+                sets.add(b"".join(m.tobytes() for m in masks.masks.values()))
+                l2.append(th._recon_l2(label_model.apply_masks(labels, masks), target.astype(np.float64), merger, heads, 1))
+            evals[f"s{s:.1f}"] = float(np.mean(l2))
+        assert report["eval"] == evals
+        # sparsity 0 keeps every label in each of its draws: one merge for all of them
+        assert len(sets) <= len(th.EVAL_SPARSITIES) * th.EVAL_REPEATS - (th.EVAL_REPEATS - 1)
+        assert merged == len(sets) + len(labels)
+
     def test_fixed_seed_bit_identical_reports(self):
         a = th.train_toy(self.small_cfg())
         b = th.train_toy(self.small_cfg())
@@ -630,6 +654,33 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert peak <= threads * GRAPH_BYTES, peak
+
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_does_not_grow_with_tiles(self, threads):
+        # an l2 step at d=64 (one block) cuts 16 and 64 rows of 64 into 11
+        # and 41 tiles, each with 0.42 MiB of gradients; summed as they come,
+        # the gradient sets of earlier tiles are not held.  At two threads the
+        # peak depends on whether both threads' graphs peak at once, which
+        # more tiles make likelier, so the bound is threads one-thread
+        # 11-tile peaks, plus 2 MiB
+        def peak(h, threads):
+            labels, inst, target = label_model.synth_scene(h, 64, 4, 3)
+            masked = label_model.apply_masks(labels, label_model.generate_sparse_masks(inst, labels, 0.5, 4))
+            rng = Rng(5)
+            merger = fusion.init_merger_params(masked, fusion.TLAM, d=64, n_blocks=1, heads=2, rng=rng)
+            heads = th.init_head_params(64, rng)
+            names = [n for n, _ in fusion.param_items(merger) + th.head_items(heads)]
+            assert len(fusion.pixel_spans(h * 64, fusion.pixel_bytes(fusion.TLAM, 5, 64))) == {16: 11, 64: 41}[h]
+            tracemalloc.start()
+            try:
+                th.tiled_grads(masked, target.astype(np.float64), merger, heads, th._l2_tile, names, threads)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        base, large = peak(16, 1), peak(64, threads)
+        assert large <= threads * base + 2 * 2**20, (base, large)
 
 
 @pytest.mark.parametrize("stem, bad_shape", [("gen.b1", (1,)), ("disc.W1", (6, 5))])
