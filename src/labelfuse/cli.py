@@ -35,7 +35,6 @@ def cmd_merge(args) -> int:
     if args.variant != fusion.NAIVE and args.params is None:
         raise ValueError("--params is required for --variant tlam and clam")
     labels = label_model.load_label_set(args.manifest)
-    nn_ops.attention_mac_counter.reset()
     if args.variant == fusion.NAIVE:
         out = fusion.naive_concat(labels)
     else:
@@ -44,7 +43,8 @@ def cmd_merge(args) -> int:
         out = merge(labels, params, threads=args.threads)
     save_tensor(args.out, out)
     print(f"wrote {args.out} dims {list(out.shape)}")
-    print(f"attention MACs: {nn_ops.attention_mac_counter.count}")
+    if args.variant == fusion.TLAM:
+        print(f"attention MACs: {nn_ops.attention_mac_counter.count}")
     return EXIT_OK
 
 

@@ -8,10 +8,11 @@ Three variants produce a per-pixel fused representation from a label set:
   blocks, and average the output tokens (always dividing by N, in ascending
   label order).
 * ``clam_merge``: the same projection followed by per-label stacks of
-  d x d affine + GeLU layers, then the same token average.  A stack sees one
-  label's pixels one at a time, so every absent pixel of label k leaves it
-  as one vector c_k: ``clam_merge`` computes c_k once per merge, and in each
-  tile runs a label's stack on that label's present pixels only.
+  d x d affine + GeLU layers, then the same token average.  A label's chain
+  (projection and stack) sees one label's pixels one at a time, so every
+  absent pixel of label k leaves it as one vector c_k: ``clam_merge``
+  computes c_k once per merge, and in each tile runs a label's chain on
+  that label's present pixels only.
 * ``naive_concat``: plain channel concatenation in label order.
 
 Merging is embarrassingly parallel over pixels: attention never crosses
@@ -56,7 +57,7 @@ from .nn_ops import (
     tensor,
 )
 from .tape import Var, as_var
-from .tensor_core import Rng, load_tensor, save_tensor
+from .tensor_core import Rng, load_tensor, save_tensor_dir
 
 TLAM = "tlam"
 CLAM = "clam"
@@ -262,11 +263,12 @@ def map_tiles(fn, s: LabelSet, p: MergerParams, threads: int, fold) -> None:
 
 
 def _projected_tokens(xs: list[Var], names: list[str], p: MergerParams) -> list[Var]:
+    """``tlam``'s (B, d) token per label: affine + GeLU, plus the label's encoding."""
     toks = []
     for x, name in zip(xs, names):
         proj = p.projections[name]
         e = tape.gelu(tape.matmul(x, tape.transpose(proj.A, (1, 0)), proj.b))
-        toks.append(e)
+        toks.append(e + p.encodings[name])
     return toks
 
 
@@ -281,9 +283,7 @@ def _token_average(tokens: Var) -> Var:
 
 def tlam_graph(xs: list[Var], names: list[str], p: MergerParams) -> Var:
     """The differentiable merge for one pixel batch: (B, C_k) inputs -> (B, d)."""
-    toks = _projected_tokens(xs, names, p)
-    toks = [e + p.encodings[name] for e, name in zip(toks, names)]
-    Z = tape.stack(toks, axis=1)
+    Z = tape.stack(_projected_tokens(xs, names, p), axis=1)
     for bp in p.blocks:
         Z = nn_ops.transformer_block(Z, bp)
     return _token_average(Z)
@@ -293,21 +293,17 @@ def clam_graph(xs: list[Var], names: list[str], p: MergerParams, present: list, 
     """The ``clam`` merge for one pixel batch: (B, C_k) inputs -> (B, d).
 
     ``present[k]`` is a (B,) bool array of the rows where label k is present.
-    Its stack runs on those rows only, and every other row takes
-    ``absent[names[k]]``, the stack's (d,) output for an absent pixel.  A
-    label present on every row, or with no stack, runs on all rows.  The
+    The label's projection and stack run on those rows only, and every other
+    row takes ``absent[names[k]]``, the chain's (d,) output for an absent
+    pixel; ``absent`` is read only for a label absent on some row.  The
     tokens are written into one (B, N, d) array, so nothing is recorded.
     """
-    vs = _projected_tokens(xs, names, p)
     tokens = np.empty((len(xs[0].value), len(xs), p.d))
-    for k, (v, name, rows) in enumerate(zip(vs, names, present)):
-        stack = p.clam_stacks[name]
-        if stack and not rows.all():
+    for k, (x, name, rows) in enumerate(zip(xs, names, present)):
+        if not rows.all():
             tokens[:, k] = absent[name]
-            v = as_var(v.value[rows])
-        else:
-            rows = slice(None)
-        for proj in stack:
+        v = as_var(x.value[rows])
+        for proj in (p.projections[name], *p.clam_stacks[name]):
             v = tape.gelu(tape.matmul(v, tape.transpose(proj.A, (1, 0)), proj.b))
         tokens[rows, k] = v.value
     return _token_average(as_var(tokens))
@@ -322,7 +318,7 @@ def _run_tiled(s: LabelSet, p: MergerParams, variant: str, threads: int) -> np.n
     if variant == TLAM:
         graph = lambda p0, p1, xs: tlam_graph(xs, names, lifted)
     else:
-        absent = {}  # each label's stack output for an absent pixel: one all-zero pixel, pushed through
+        absent = {}  # each label's chain output for an absent pixel: one all-zero pixel, pushed through
         for lab in s:
             zero = as_var(np.zeros((1, lab.channels)))
             absent[lab.name] = clam_graph([zero], [lab.name], lifted, [np.ones(1, bool)], {}).value[0]
@@ -352,8 +348,9 @@ def tlam_merge(s: LabelSet, p: MergerParams, threads: int = 1) -> np.ndarray:
 
 def clam_merge(s: LabelSet, p: MergerParams, threads: int = 1) -> np.ndarray:
     """Stacked per-label affine+GeLU merging; returns H x W x d.  Each
-    label's stack runs on its present pixels only: every absent pixel of a
-    label leaves its stack as one vector, computed once per merge."""
+    label's projection and stack run on its present pixels only: every
+    absent pixel of a label leaves them as one vector, computed once per
+    merge."""
     return _run_tiled(s, p, CLAM, threads)
 
 
@@ -371,17 +368,6 @@ def count_attention_macs(n_labels: int, d: int, h: int, l: int, pixels: int) -> 
     return pixels * l * h * 2 * n_labels * n_labels * nn_ops._head_width({"d": d, "heads": h})
 
 
-def _save_params_dir(dirpath, json_name: str, doc: dict, items) -> None:
-    """Write ``doc`` to ``<dirpath>/<json_name>`` and each (name, tensor) of
-    ``items`` to ``<dirpath>/<name>.tlt`` as float64."""
-    os.makedirs(dirpath, exist_ok=True)
-    with open(os.path.join(dirpath, json_name), "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-    for name, t in items:
-        save_tensor(os.path.join(dirpath, name + ".tlt"), t.astype(np.float64))
-
-
 def save_merger_params(p: MergerParams, dirpath) -> None:
     """Serialize to a directory: params.json plus one .tlt file per parameter."""
     labels = [
@@ -392,7 +378,7 @@ def save_merger_params(p: MergerParams, dirpath) -> None:
     if p.variant == TLAM:
         doc["heads"] = p.heads
     doc.update(n_blocks=p.n_blocks, labels=labels)
-    _save_params_dir(dirpath, "params.json", doc, param_items(p))
+    save_tensor_dir(dirpath, "params.json", doc, param_items(p))
 
 
 def load_merger_params(dirpath) -> MergerParams:
@@ -431,12 +417,14 @@ def load_merger_params(dirpath) -> MergerParams:
         p.blocks = [blank(BlockParams, **dims)] * doc["n_blocks"]
     else:
         p.clam_stacks = {k: [blank(LabelProjection, c=p.d, **dims)] * doc["n_blocks"] for k in channels}
-    return map_params(p, _tlt_loader(dirpath, {}))
+    return map_params(p, _tlt_loader(dirpath))
 
 
-def _tlt_loader(dirpath, dims: dict):
+def _tlt_loader(dirpath):
     """``load(name, shape)``: read ``<dirpath>/<name>.tlt`` and check its
-    shape under ``dims`` (see ``nn_ops.check_shape``)."""
+    shape (see ``nn_ops.check_shape``); a dim name is bound by the first
+    tensor that has it, and every later shape is checked against it."""
+    dims = {}
 
     def load(name, shape):
         path = os.path.join(dirpath, name + ".tlt")

@@ -3,13 +3,12 @@ portable PPM image output."""
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import load_tensor, save_tensor, write_blobs
+from .tensor_core import load_tensor, save_tensor_dir, write_blobs
 
 
 @dataclass
@@ -157,16 +156,8 @@ def save_ppm(path, img: np.ndarray) -> int:
 
 
 def save_pca_basis(basis: PcaBasis, dirpath) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    save_tensor(os.path.join(dirpath, "mean.tlt"), basis.mean.astype(np.float64))
-    save_tensor(os.path.join(dirpath, "components.tlt"), basis.components.astype(np.float64))
-    save_tensor(
-        os.path.join(dirpath, "explained_variance.tlt"),
-        basis.explained_variance.astype(np.float64),
-    )
-    with open(os.path.join(dirpath, "basis.json"), "w") as f:
-        json.dump({"width": int(basis.mean.size), "components": 3}, f, indent=2)
-        f.write("\n")
+    items = [("mean", basis.mean), ("components", basis.components), ("explained_variance", basis.explained_variance)]
+    save_tensor_dir(dirpath, "basis.json", {"width": int(basis.mean.size), "components": 3}, items)
 
 
 def load_pca_basis(dirpath) -> PcaBasis:

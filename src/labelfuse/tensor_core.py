@@ -1,5 +1,6 @@
 """Dense tensor plumbing shared by every other module: the TLT1 binary tensor
-format and a deterministic, platform-independent random number generator.
+format, tensor directories and a deterministic, platform-independent random
+number generator.
 
 Tensors are plain ``numpy.ndarray`` values, always C-contiguous (row-major,
 channels innermost) and restricted to three dtypes: float32, float64 and
@@ -8,7 +9,9 @@ uint8.  Files use the ".tlt" extension by convention.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import struct
 from typing import BinaryIO
 
@@ -138,6 +141,17 @@ def save_tensor(path, t: np.ndarray) -> int:
 def load_tensor(path) -> np.ndarray:
     with open(path, "rb") as f:
         return read_tensor(f)
+
+
+def save_tensor_dir(dirpath, json_name: str, doc: dict, items) -> None:
+    """Write ``doc`` to ``<dirpath>/<json_name>`` and each (name, tensor) of
+    ``items`` to ``<dirpath>/<name>.tlt`` as float64."""
+    os.makedirs(dirpath, exist_ok=True)
+    with open(os.path.join(dirpath, json_name), "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+    for name, t in items:
+        save_tensor(os.path.join(dirpath, name + ".tlt"), t.astype(np.float64))
 
 
 _MASK64 = (1 << 64) - 1

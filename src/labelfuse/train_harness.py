@@ -37,7 +37,7 @@ from .label_model import (
 )
 from .nn_ops import blank, init_block_params, init_tensors, map_tensors, tensor
 from .tape import Var, as_var, backward
-from .tensor_core import Rng
+from .tensor_core import Rng, save_tensor_dir
 
 
 # toy-training constants: hidden widths of the generator and discriminator
@@ -571,7 +571,7 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
 
 
 def save_head_params(hp: HeadParams, dirpath) -> None:
-    fusion._save_params_dir(dirpath, "heads.json", {"discriminator": hp.has_discriminator}, head_items(hp))
+    save_tensor_dir(dirpath, "heads.json", {"discriminator": hp.has_discriminator}, head_items(hp))
 
 
 def load_head_params(dirpath) -> HeadParams:
@@ -582,4 +582,4 @@ def load_head_params(dirpath) -> HeadParams:
         meta = json.load(f)
     if not isinstance(meta, dict) or type(meta.get("discriminator")) is not bool:
         raise ValueError("heads.json must be an object with a bool 'discriminator'")
-    return map_tensors(_blank_heads(meta["discriminator"]), fusion._tlt_loader(dirpath, {}))
+    return map_tensors(_blank_heads(meta["discriminator"]), fusion._tlt_loader(dirpath))

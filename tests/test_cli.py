@@ -176,6 +176,22 @@ class TestMerge:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: params.json")
 
+    def test_mac_count_printed_for_tlam_only(self, tmp_path, scene, params, capsys):
+        manifest = str(scene / "manifest.json")
+        assert run("init-params", "--manifest", manifest, "--variant", "clam", "--d", "12",
+                   "--out", str(tmp_path / "clam")) == EXIT_OK
+        capsys.readouterr()
+        for variant, p in (("clam", tmp_path / "clam"), ("naive", None), ("tlam", params)):
+            argv = ["--params", str(p)] if p else []
+            assert run("merge", "--manifest", manifest, *argv, "--variant", variant,
+                       "--out", str(tmp_path / "z.tlt"), "--threads", "1") == EXIT_OK
+            out = capsys.readouterr().out
+            if variant == "tlam":
+                # 5 labels, d=12, 2 heads, 1 block, 8x8 pixels
+                assert f"attention MACs: {fusion.count_attention_macs(5, 12, 2, 1, 64)}\n" in out
+            else:
+                assert "MACs" not in out
+
     def test_threads_reproducible(self, tmp_path, wide_scene):
         scene, params = wide_scene
         a, b = tmp_path / "a.tlt", tmp_path / "b.tlt"

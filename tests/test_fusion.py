@@ -383,30 +383,37 @@ class TestClamAndNaive:
         # 4-pixel tiles, so that some tiles hold a label on every pixel or on none
         monkeypatch.setattr(fusion, "TILE_BYTES", 4 * fusion.pixel_bytes(fusion.CLAM, 3, d))
         labels = tiny_set(h=6, w=8, seed=41, sparsity=sparsity)
-        p = random_biases(init_merger_params(labels, fusion.CLAM, d=d, n_blocks=2, seed=42), 43)
-        want = clam_per_pixel(labels, p)
-        got = clam_merge(labels, p)
-        # within 2^12 ulps of the largest output
-        assert np.abs(got - want).max() <= 2**12 * np.spacing(np.abs(want).max())
+        for n_blocks in (2, 0):  # with no stack, a label's chain is its projection alone
+            p = random_biases(init_merger_params(labels, fusion.CLAM, d=d, n_blocks=n_blocks, seed=42), 43)
+            want = clam_per_pixel(labels, p)
+            got = clam_merge(labels, p)
+            # within 2^12 ulps of the largest output
+            assert np.abs(got - want).max() <= 2**12 * np.spacing(np.abs(want).max())
 
     def test_stacks_run_on_present_pixels_only(self, monkeypatch):
-        # per label, its stack layers' products see its present pixels once
-        # and the one absent pixel pushed through per merge
+        # per label, its projection's product and each of its stack layers'
+        # see its present pixels once and the one absent pixel pushed
+        # through per merge
         monkeypatch.setattr(fusion, "TILE_BYTES", 16 * fusion.pixel_bytes(fusion.CLAM, 3, 8))
         labels = tiny_set(h=8, w=8, seed=44, sparsity=0.5)
         p = init_merger_params(labels, fusion.CLAM, d=8, n_blocks=2, seed=45)
-        label_of = {id(layer.b): name for name, stack in p.clam_stacks.items() for layer in stack}
-        rows = dict.fromkeys(p.clam_stacks, 0)
+        layer_of = {id(layer.b): (name, "stack") for name, stack in p.clam_stacks.items() for layer in stack}
+        layer_of.update({id(proj.b): (name, "proj") for name, proj in p.projections.items()})
+        rows = dict.fromkeys(layer_of.values(), 0)
         matmul = tape.matmul
 
         def counted(a, b, bias=None):
-            if bias is not None and id(bias.value) in label_of:
-                rows[label_of[id(bias.value)]] += a.value.shape[0]
+            if bias is not None and id(bias.value) in layer_of:
+                rows[layer_of[id(bias.value)]] += a.value.shape[0]
             return matmul(a, b, bias)
 
         monkeypatch.setattr(tape, "matmul", counted)
         clam_merge(labels, p)
-        assert rows == {lab.name: (int(np.count_nonzero(lab.mask)) + 1) * 2 for lab in labels}
+        for lab in labels:
+            assert 0 < np.count_nonzero(lab.mask) < lab.mask.size
+            seen = int(np.count_nonzero(lab.mask)) + 1
+            assert rows[lab.name, "proj"] == seen
+            assert rows[lab.name, "stack"] == seen * 2
 
     def test_pixel_with_every_label_absent_same_bits_everywhere(self, monkeypatch):
         monkeypatch.setattr(fusion, "TILE_BYTES", 64 * fusion.pixel_bytes(fusion.CLAM, 3, 8))
