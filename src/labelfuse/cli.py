@@ -1,5 +1,10 @@
 """Command-line surface tying the modules into reproducible experiments.
 
+``build_parser`` builds the argparse tree once per process; every ``main``
+call reuses it.  The parser holds no handlers: ``main`` looks up
+``cmd_<command>`` (dashes as underscores) on this module when the command
+runs, so a replaced ``cmd_*`` attribute is the one that runs.
+
 Exit codes: 0 success, 1 usage or validation failure, 2 numerical failure
 (gradient check failure, training divergence, counter mismatch).
 """
@@ -7,6 +12,7 @@ Exit codes: 0 success, 1 usage or validation failure, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import statistics
@@ -198,12 +204,25 @@ def cmd_init_params(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares.  Parsing reads it and never
+    changes it, and no default is mutable, so calls cannot leak values into
+    each other."""
+
+    # nested, so the parser, which outlives any wrapper later set on this
+    # module's functions, keeps no module-level function
+    def thread_count(text: str) -> int:
+        n = int(text)
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+        return n
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
     common.add_argument(
         "--threads",
-        type=int,
+        type=thread_count,
         default=os.cpu_count() or 1,
         help="worker threads; results never depend on the thread count. With more"
         " than 1, set OPENBLAS_NUM_THREADS=1 so BLAS threads do not oversubscribe the cores",
@@ -220,18 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="merger params directory (not needed for naive)")
     p.add_argument("--variant", choices=[fusion.TLAM, fusion.CLAM, fusion.NAIVE], required=True)
     p.add_argument("--out", required=True, help="output concept tensor (.tlt)")
-    p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("sparsify", parents=[common], help="apply the region sparsity protocol")
     p.add_argument("--manifest", required=True)
     p.add_argument("--instances", required=True, help="instance map tensor (.tlt)")
     p.add_argument("--sparsity", type=float, required=True, help="drop probability in [0,1]")
     p.add_argument("--out-manifest", required=True)
-    p.set_defaults(func=cmd_sparsify)
 
     p = sub.add_parser("gradcheck", parents=[common], help="verify tape gradients by finite differences")
     p.add_argument("--preset", choices=["small", "full"], default="small")
-    p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", parents=[common], help="train the toy pipeline on a synthetic scene")
     p.add_argument("--size", default="16x16", help="grid as HxW (default 16x16)")
@@ -244,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heads", type=int, default=2)
     p.add_argument("--lr", type=float, default=5e-3, help="learning rate for l2 mode")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("bench", parents=[common], help="time the transformer merger and check MAC scaling")
     p.add_argument("--labels", type=int, default=5)
@@ -253,19 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, default=fusion.DEFAULT_BLOCKS)
     p.add_argument("--heads", type=int, default=fusion.DEFAULT_HEADS)
     p.add_argument("--repeat", type=int, default=3)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("visualize", parents=[common], help="PCA-project a concept tensor to a PPM image")
     p.add_argument("--concept", required=True, help="concept tensor (.tlt)")
     p.add_argument("--out", required=True, help="output image (.ppm)")
     p.add_argument("--basis-out", help="also save the PCA basis to this directory")
-    p.set_defaults(func=cmd_visualize)
 
     p = sub.add_parser("synth-scene", parents=[common], help="write a synthetic scene to a directory")
     p.add_argument("--size", default="16x16")
     p.add_argument("--regions", type=int, default=4)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_synth_scene)
 
     p = sub.add_parser("init-params", parents=[common], help="initialize fresh merger params for a manifest")
     p.add_argument("--manifest", required=True)
@@ -275,20 +287,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heads", type=int, default=fusion.DEFAULT_HEADS,
                    help=f"attention heads, tlam only (default {fusion.DEFAULT_HEADS})")
     p.add_argument("--out", required=True, help="output params directory")
-    p.set_defaults(func=cmd_init_params)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors; remap to the validation code
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -50,14 +50,14 @@ from .label_model import FILE_STEM, LabelSet, validate_label_set
 from .nn_ops import (
     BlockParams,
     blank,
-    check_shape,
     init_block_params,
     init_tensors,
     map_tensors,
     tensor,
+    tlt_loader,
 )
 from .tape import Var, as_var
-from .tensor_core import Rng, load_tensor, save_tensor_dir
+from .tensor_core import Rng, save_tensor_dir
 
 TLAM = "tlam"
 CLAM = "clam"
@@ -417,17 +417,4 @@ def load_merger_params(dirpath) -> MergerParams:
         p.blocks = [blank(BlockParams, **dims)] * doc["n_blocks"]
     else:
         p.clam_stacks = {k: [blank(LabelProjection, c=p.d, **dims)] * doc["n_blocks"] for k in channels}
-    return map_params(p, _tlt_loader(dirpath))
-
-
-def _tlt_loader(dirpath):
-    """``load(name, shape)``: read ``<dirpath>/<name>.tlt`` and check its
-    shape (see ``nn_ops.check_shape``); a dim name is bound by the first
-    tensor that has it, and every later shape is checked against it."""
-    dims = {}
-
-    def load(name, shape):
-        path = os.path.join(dirpath, name + ".tlt")
-        return check_shape(path, load_tensor(path), shape, dims)
-
-    return load
+    return map_params(p, tlt_loader(dirpath))

@@ -14,13 +14,14 @@ The parameter dataclasses declare, per tensor field, its file stem and its
 symbolic shape (``tensor``).  ``map_tensors`` walks those fields in
 declaration order; initialization (``blank`` then ``init_tensors``), lifting
 to Vars, the optimizers' named arrays, serialization and loading with
-shape checks (``check_shape``) all go through it, so the names, their order
-and the shapes live only in the field declarations.
+shape checks (``tlt_loader``, through ``check_shape``) all go through it, so
+the names, their order and the shapes live only in the field declarations.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass, field, fields, replace
 
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import tape
 from .tape import Var
+from .tensor_core import load_tensor
 
 LN_EPS = 1e-5
 
@@ -152,6 +154,19 @@ def check_shape(name: str, t, shape: tuple, dims: dict):
     if got != want:
         raise ValueError(f"{name} has shape {got}, expected {want}")
     return t
+
+
+def tlt_loader(dirpath):
+    """``load(name, shape)`` for ``map_tensors``: read ``<dirpath>/<name>.tlt``
+    and check its shape with ``check_shape``; a dim name is bound by the first
+    tensor that has it, and every later shape is checked against it."""
+    dims = {}
+
+    def load(name, shape):
+        path = os.path.join(dirpath, name + ".tlt")
+        return check_shape(path, load_tensor(path), shape, dims)
+
+    return load
 
 
 def blank(cls, **dims):

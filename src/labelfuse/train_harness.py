@@ -35,7 +35,7 @@ from .label_model import (
     mask_out_label,
     synth_scene,
 )
-from .nn_ops import blank, init_block_params, init_tensors, map_tensors, tensor
+from .nn_ops import blank, init_block_params, init_tensors, map_tensors, tensor, tlt_loader
 from .tape import Var, as_var, backward
 from .tensor_core import Rng, save_tensor_dir
 
@@ -582,4 +582,4 @@ def load_head_params(dirpath) -> HeadParams:
         meta = json.load(f)
     if not isinstance(meta, dict) or type(meta.get("discriminator")) is not bool:
         raise ValueError("heads.json must be an object with a bool 'discriminator'")
-    return map_tensors(_blank_heads(meta["discriminator"]), fusion._tlt_loader(dirpath))
+    return map_tensors(_blank_heads(meta["discriminator"]), tlt_loader(dirpath))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelfuse import fusion, metrics_viz
+from labelfuse import cli, fusion, metrics_viz
 from labelfuse.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from labelfuse.tensor_core import load_tensor, save_tensor
 
@@ -511,10 +512,90 @@ class TestUsage:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["merge", "--manifest", "{scene}", "--variant", "naive", "--out", "{tmp}/z.tlt"],
+            ["train-toy", "--size", "4x4", "--iters", "1", "--out", "{tmp}/r.json"],
+        ],
+        ids=["merge", "train-toy"],
+    )
+    def test_threads_below_one_exit_1(self, tmp_path, scene, capsys, argv, threads):
+        argv = [a.format(scene=scene / "manifest.json", tmp=tmp_path) for a in argv]
+        assert run(*argv, "--threads", threads) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument --threads: must be >= 1, got {threads}" in err and "Traceback" not in err
+        assert not (tmp_path / "z.tlt").exists() and not (tmp_path / "r.json").exists()
+
     def test_bench_without_blocks_exits_0(self, capsys):
         assert run("bench", "--labels", "2", "--size", "4x4", "--d", "4", "--blocks", "0",
                    "--heads", "1", "--repeat", "1", "--threads", "1") == EXIT_OK
         assert "attention MACs: 0" in capsys.readouterr().out
+
+
+# argv for every command; most are parsed first with optional values set and
+# then with their defaults, so a value that leaked from one parse into the next
+# would show
+PARSER_ARGVS = [
+    ["merge", "--manifest", "m.json", "--params", "p", "--variant", "clam", "--out", "z.tlt", "--threads", "2"],
+    ["merge", "--manifest", "m.json", "--variant", "naive", "--out", "z.tlt"],
+    ["sparsify", "--manifest", "m.json", "--instances", "i.tlt", "--sparsity", "0.5", "--out-manifest", "s.json"],
+    ["gradcheck", "--preset", "full", "--seed", "3"],
+    ["gradcheck"],
+    ["train-toy", "--size", "8x8", "--iters", "3", "--mode", "adv", "--lr", "0.1", "--out", "r.json"],
+    ["train-toy", "--out", "r.json"],
+    ["bench", "--labels", "2", "--size", "4x4", "--d", "8", "--repeat", "1"],
+    ["bench"],
+    ["visualize", "--concept", "z.tlt", "--out", "z.ppm", "--basis-out", "b"],
+    ["visualize", "--concept", "z.tlt", "--out", "z.ppm"],
+    ["synth-scene", "--size", "4x4", "--regions", "2", "--out-dir", "s"],
+    ["synth-scene", "--out-dir", "s"],
+    ["init-params", "--manifest", "m.json", "--variant", "clam", "--d", "8", "--blocks", "0", "--out", "p"],
+    ["init-params", "--manifest", "m.json", "--out", "p"],
+]
+
+
+class TestParser:
+    """``main`` builds the parser once per process and looks each command's
+    handler up by name when it runs."""
+
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        assert run("synth-scene", "--size", "4x4", "--out-dir", str(tmp_path / "a")) == EXIT_OK
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run("synth-scene", "--size", "4x4", "--out-dir", str(tmp_path / "b")) == EXIT_OK
+        assert run("frobnicate") == EXIT_USAGE
+        assert built == []
+        cli.build_parser.__wrapped__()
+        assert "labelfuse" in built
+
+    def test_handler_looked_up_when_command_runs(self, monkeypatch):
+        assert run("frobnicate") == EXIT_USAGE
+        seen = []
+
+        def visualize(args):
+            seen.append(vars(args))
+            return EXIT_NUMERIC
+
+        monkeypatch.setattr(cli, "cmd_visualize", visualize)
+        assert run("visualize", "--concept", "z.tlt", "--out", "z.ppm", "--threads", "1") == EXIT_NUMERIC
+        assert seen == [{"command": "visualize", "seed": 42, "threads": 1, "concept": "z.tlt",
+                         "out": "z.ppm", "basis_out": None}]
+
+    def test_cached_parser_matches_fresh_one(self):
+        handlers = {name[len("cmd_"):].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
+        assert {argv[0] for argv in PARSER_ARGVS} == handlers
+        cached = cli.build_parser()
+        for argv in PARSER_ARGVS:
+            assert vars(cached.parse_args(argv)) == vars(cli.build_parser.__wrapped__().parse_args(argv)), argv
+        assert cli.build_parser() is cached
 
 
 def test_console_script_entry():
