@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import fusion, label_model, metrics_viz, nn_ops, train_harness
-from .tensor_core import load_tensor, save_tensor
+from .tensor_core import load_tensor, save_tensor, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,9 +98,7 @@ def cmd_train_toy(args) -> int:
     report, merger, heads = train_harness.train_toy_with_params(cfg)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(args.out, report, sort_keys=True)
     if report["diverged_at"] is not None:
         print(f"diverged at iteration {report['diverged_at']}; wrote {args.out}")
         return EXIT_NUMERIC

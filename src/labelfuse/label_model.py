@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import Rng, load_tensor, save_tensor
+from .tensor_core import Rng, load_tensor, save_tensor, write_json
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
@@ -291,10 +291,7 @@ def save_label_set(s: LabelSet, manifest_path) -> None:
                 "mask": mpath,
             }
         )
-    doc = {"height": s.height, "width": s.width, "labels": entries}
-    with open(manifest_path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    write_json(manifest_path, {"height": s.height, "width": s.width, "labels": entries})
 
 
 def _manifest_entries(doc) -> list[dict]:

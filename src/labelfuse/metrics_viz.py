@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import load_tensor, save_tensor_dir, write_blobs
+from .tensor_core import load_tensor, save_tensor_dir, write_blobs, write_file
 
 
 @dataclass
@@ -150,9 +150,7 @@ def write_ppm(img: np.ndarray, dest) -> int:
 def save_ppm(path, img: np.ndarray) -> int:
     """``write_ppm`` to a file.  A rejected image raises before the file is
     opened, so it leaves the file as it was."""
-    blobs = _ppm_blobs(img)
-    with open(path, "wb") as f:
-        return write_blobs(f, *blobs)
+    return write_file(path, *_ppm_blobs(img))
 
 
 def save_pca_basis(basis: PcaBasis, dirpath) -> None:

@@ -196,10 +196,8 @@ def matmul(a: Var, b: Var, bias: Var | None = None) -> Var:
 
 
 def transpose(a: Var, axes: tuple) -> Var:
-    inverse = tuple(np.argsort(axes))
-
     def backward(g):
-        return (np.transpose(g, inverse),)
+        return (np.transpose(g, np.argsort(axes)),)
 
     return Var(np.transpose(a.value, axes), (a,), backward)
 

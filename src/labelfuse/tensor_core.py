@@ -5,6 +5,14 @@ number generator.
 Tensors are plain ``numpy.ndarray`` values, always C-contiguous (row-major,
 channels innermost) and restricted to three dtypes: float32, float64 and
 uint8.  Files use the ".tlt" extension by convention.
+
+Every file the package writes goes through ``write_file``: it overwrites an
+existing file in place and then cuts it to the bytes written, instead of
+truncating it to zero first, so an overwrite keeps the file's inode, mode
+and symlink and ends with exactly the new bytes.  A write that fails part
+way cuts the file at the bytes that landed, so a TLT1 file left that way
+fails to load.  A target that is not a regular file (``/dev/null``) is
+written and never cut.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 from typing import BinaryIO
 
@@ -63,12 +72,8 @@ def _tag_for(t: np.ndarray) -> int:
     return TAG_U8
 
 
-def write_tensor(t: np.ndarray, dest: BinaryIO) -> int:
-    """Write ``t`` to a byte sink in TLT1 format, returning the byte count.
-
-    Layout: magic "TLT1", u8 rank, rank little-endian u32 dims, u8 dtype tag
-    (0=f32, 1=f64, 2=u8), then the raw little-endian row-major payload.
-    """
+def _tlt_blobs(t: np.ndarray) -> tuple[bytes, bytes]:
+    """The TLT1 header and payload bytes of ``t``; see ``write_tensor``."""
     t = check_tensor(t)
     header = (
         MAGIC
@@ -76,8 +81,16 @@ def write_tensor(t: np.ndarray, dest: BinaryIO) -> int:
         + struct.pack(f"<{t.ndim}I", *t.shape)
         + struct.pack("<B", _tag_for(t))
     )
-    payload = t.astype(t.dtype.newbyteorder("<"), copy=False).tobytes(order="C")
-    return write_blobs(dest, header, payload)
+    return header, t.astype(t.dtype.newbyteorder("<"), copy=False).tobytes(order="C")
+
+
+def write_tensor(t: np.ndarray, dest: BinaryIO) -> int:
+    """Write ``t`` to a byte sink in TLT1 format, returning the byte count.
+
+    Layout: magic "TLT1", u8 rank, rank little-endian u32 dims, u8 dtype tag
+    (0=f32, 1=f64, 2=u8), then the raw little-endian row-major payload.
+    """
+    return write_blobs(dest, *_tlt_blobs(t))
 
 
 def write_blobs(dest: BinaryIO, *blobs: bytes) -> int:
@@ -91,6 +104,58 @@ def write_blobs(dest: BinaryIO, *blobs: bytes) -> int:
             raise OSError(f"write failed at byte offset {written}: {e}") from e
         written += len(blob)
     return written
+
+
+class _FdSink:
+    """A byte sink over an open file descriptor; ``write`` returns once the
+    whole blob has landed."""
+
+    __slots__ = ("fd",)
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, blob: bytes) -> None:
+        view = memoryview(blob)
+        while view:
+            view = view[os.write(self.fd, view):]
+
+
+# No O_TRUNC: truncating a non-empty file to zero and writing it again costs
+# tens of times what an overwrite of the old bytes does on ext4.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def write_file(path, *blobs: bytes) -> int:
+    """Write ``blobs`` to the file at ``path`` in order and return the byte count.
+
+    An existing file is overwritten in place, then cut to the bytes written;
+    a new one is created with mode 0o666 less the umask, as by ``open``.  If
+    a write fails, a regular file is cut at the bytes that landed and the
+    error (see ``write_blobs``) is re-raised.  A target that is not a regular
+    file, such as ``/dev/null``, is written and never cut.
+    """
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            written = write_blobs(_FdSink(fd), *blobs)
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            raise
+        if regular:
+            os.ftruncate(fd, written)
+        return written
+    finally:
+        os.close(fd)
+
+
+def write_json(path, doc, sort_keys: bool = False) -> int:
+    """Write ``doc`` as indented JSON and a newline with ``write_file``.  The
+    document is encoded before the file is opened, so one that cannot be
+    encoded raises and leaves the file as it was."""
+    return write_file(path, (json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n").encode())
 
 
 # Largest single read: a header that claims more payload than the stream
@@ -133,9 +198,7 @@ def read_tensor(src: BinaryIO) -> np.ndarray:
 def save_tensor(path, t: np.ndarray) -> int:
     """Write ``t`` to a TLT1 file, returning the byte count.  A rejected
     tensor raises before the file is opened, so it leaves the file as it was."""
-    t = check_tensor(t)
-    with open(path, "wb") as f:
-        return write_tensor(t, f)
+    return write_file(path, *_tlt_blobs(t))
 
 
 def load_tensor(path) -> np.ndarray:
@@ -144,12 +207,10 @@ def load_tensor(path) -> np.ndarray:
 
 
 def save_tensor_dir(dirpath, json_name: str, doc: dict, items) -> None:
-    """Write ``doc`` to ``<dirpath>/<json_name>`` and each (name, tensor) of
-    ``items`` to ``<dirpath>/<name>.tlt`` as float64."""
+    """Write ``doc`` to ``<dirpath>/<json_name>`` with ``write_json``, then
+    each (name, tensor) of ``items`` to ``<dirpath>/<name>.tlt`` as float64."""
     os.makedirs(dirpath, exist_ok=True)
-    with open(os.path.join(dirpath, json_name), "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    write_json(os.path.join(dirpath, json_name), doc)
     for name, t in items:
         save_tensor(os.path.join(dirpath, name + ".tlt"), t.astype(np.float64))
 

@@ -46,3 +46,17 @@ def corrupt_gradients(monkeypatch):
         monkeypatch.setattr(train_harness, "backward", corrupted)
 
     return corrupt
+
+
+@pytest.fixture
+def open_flags(monkeypatch):
+    """The flags of each ``os.open`` call the test makes, in call order."""
+    flags = []
+    real_open = os.open
+
+    def spy(path, how, *args, **kwargs):
+        flags.append(how)
+        return real_open(path, how, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    return flags

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -299,6 +300,34 @@ class TestManifest:
         lab.values = np.zeros(8, dtype=np.float32)
         with pytest.raises(ValueError, match="rank 3"):
             validate_label_set(LabelSet(labels=[lab]))
+
+    def test_shorter_overwrite_equals_fresh_write(self, tmp_path, open_flags):
+        big, _, _ = synth_scene(16, 16, 4, seed=7)
+        small = LabelSet(labels=[lab for lab in synth_scene(5, 4, 2, seed=9)[0] if lab.name != "semantics"])
+        save_label_set(big, tmp_path / "old" / "manifest.json")
+        save_label_set(small, tmp_path / "old" / "manifest.json")
+        save_label_set(small, tmp_path / "new" / "manifest.json")
+        for lab in small:
+            for name in (f"{lab.name}.values.tlt", f"{lab.name}.mask.tlt"):
+                assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+        old = (tmp_path / "old" / "manifest.json").read_bytes()
+        assert old == (tmp_path / "new" / "manifest.json").read_bytes()
+        assert json.loads(old)["height"] == 5
+        assert open_flags and not any(flags & os.O_TRUNC for flags in open_flags)
+
+    def test_unencodable_manifest_leaves_file_as_it_was(self, tmp_path, monkeypatch):
+        labels, _, _ = synth_scene(8, 8, 3, seed=7)
+        manifest = tmp_path / "manifest.json"
+        save_label_set(labels, manifest)
+        before = manifest.read_bytes()
+
+        def unencodable(doc, **kwargs):
+            raise TypeError("Object of type int64 is not JSON serializable")
+
+        monkeypatch.setattr(json, "dumps", unencodable)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_label_set(labels, manifest)
+        assert manifest.read_bytes() == before
 
     def test_instance_map_roundtrip(self, tmp_path):
         _, inst, _ = synth_scene(8, 8, 4, seed=7)

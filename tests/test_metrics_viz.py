@@ -1,5 +1,6 @@
 import io
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -372,6 +373,19 @@ class TestPpm:
         path = tmp_path / "img.ppm"
         n = save_ppm(path, np.zeros((3, 3, 3)))
         assert path.stat().st_size == n
+
+    def test_shorter_overwrite_equals_fresh_write(self, tmp_path, open_flags):
+        path, fresh = tmp_path / "img.ppm", tmp_path / "fresh.ppm"
+        save_ppm(path, np.zeros((9, 9, 3)))
+        ino = path.stat().st_ino
+        save_ppm(path, np.full((2, 3, 3), 0.25))
+        save_ppm(fresh, np.full((2, 3, 3), 0.25))
+        assert path.read_bytes() == fresh.read_bytes()
+        assert path.stat().st_ino == ino
+        assert len(open_flags) == 3 and not any(flags & os.O_TRUNC for flags in open_flags)
+
+    def test_save_to_dev_null(self):
+        assert save_ppm(os.devnull, np.zeros((2, 5, 3))) == len(b"P6\n5 2\n255\n") + 30
 
     @pytest.mark.parametrize("bad", [np.zeros((3, 3)), np.full((2, 2, 3), np.nan)])
     def test_rejected_image_leaves_file_intact(self, tmp_path, bad):

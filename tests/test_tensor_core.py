@@ -1,5 +1,8 @@
+import errno
 import io
+import json
 import os
+import stat
 import struct
 
 import numpy as np
@@ -15,6 +18,8 @@ from labelfuse.tensor_core import (
     load_tensor,
     read_tensor,
     save_tensor,
+    save_tensor_dir,
+    write_file,
     write_tensor,
 )
 
@@ -153,6 +158,103 @@ class TestFormat:
         # header is magic(4) + rank(1) + dim(4) + tag(1) = 10 bytes
         with pytest.raises(OSError, match="byte offset 10"):
             write_tensor(np.zeros(1, dtype=np.float32), FailingSink())
+
+
+class TestWriteFile:
+    """Every file the package writes goes through ``write_file``, which
+    overwrites in place and cuts the file to the bytes written."""
+
+    @pytest.mark.parametrize(
+        "write, long, short",
+        [
+            (save_tensor, np.arange(50, dtype=np.float64), np.array([7, 8, 9], dtype=np.uint8)),
+            (
+                lambda path, doc: save_tensor_dir(os.path.dirname(path), os.path.basename(path), doc, []),
+                {"labels": [{"name": f"label{i}", "channels": i} for i in range(20)]},
+                {"d": 8},
+            ),
+        ],
+        ids=["tlt", "json"],
+    )
+    def test_shorter_overwrite_equals_fresh_write(self, tmp_path, write, long, short):
+        (tmp_path / "old").mkdir()
+        (tmp_path / "new").mkdir()
+        write(str(tmp_path / "old" / "f"), long)
+        before = (tmp_path / "old" / "f").stat().st_size
+        write(str(tmp_path / "old" / "f"), short)
+        write(str(tmp_path / "new" / "f"), short)
+        after = (tmp_path / "old" / "f").read_bytes()
+        assert after == (tmp_path / "new" / "f").read_bytes()
+        assert len(after) < before
+
+    def test_overwrite_keeps_inode_and_mode(self, tmp_path):
+        path = tmp_path / "x.tlt"
+        save_tensor(path, np.arange(40, dtype=np.float64))
+        os.chmod(path, 0o640)
+        ino = path.stat().st_ino
+        save_tensor(path, np.arange(3, dtype=np.float64))
+        assert path.stat().st_ino == ino
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert np.array_equal(load_tensor(path), np.arange(3, dtype=np.float64))
+
+    def test_overwrite_through_symlink(self, tmp_path):
+        target, link = tmp_path / "target.tlt", tmp_path / "link.tlt"
+        save_tensor(target, np.arange(40, dtype=np.float64))
+        ino = target.stat().st_ino
+        os.symlink(target, link)
+        save_tensor(link, np.ones(2, dtype=np.float32))
+        assert link.is_symlink()
+        assert target.stat().st_ino == ino
+        assert np.array_equal(load_tensor(target), np.ones(2, dtype=np.float32))
+
+    def test_non_regular_target_is_written_not_cut(self):
+        # ftruncate raises EINVAL on /dev/null
+        assert save_tensor(os.devnull, np.zeros(3, dtype=np.float32)) == 10 + 12
+        assert write_file(os.devnull, b"abc", b"") == 3
+
+    def test_failed_write_leaves_a_file_that_does_not_load(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.tlt"
+        save_tensor(path, np.arange(100, dtype=np.float64))
+        size = path.stat().st_size
+        real_write, calls = os.write, []
+
+        def failing_write(fd, data):
+            calls.append(len(data))
+            if len(calls) == 2:  # the payload: half of it lands
+                return real_write(fd, bytes(data[: len(data) // 2]))
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", failing_write)
+        # the header is magic(4) + rank(1) + dim(4) + tag(1) = 10 bytes
+        with pytest.raises(OSError, match="byte offset 10"):
+            save_tensor(path, np.ones(100, dtype=np.float64))
+        monkeypatch.undo()
+        # the same header over the old file: without the cut the old payload's
+        # tail would complete a well-formed file
+        with pytest.raises(TensorFormatError, match="payload"):
+            load_tensor(path)
+        assert path.stat().st_size == 10 + 400 < size
+
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_writers_open_without_truncation(self, tmp_path, open_flags, exists):
+        if exists:
+            for name in ("x.tlt", "d/params.json", "d/w.tlt"):
+                (tmp_path / name).parent.mkdir(exist_ok=True)
+                (tmp_path / name).write_bytes(b"old" * 100)
+        save_tensor(tmp_path / "x.tlt", np.zeros(3))
+        save_tensor_dir(tmp_path / "d", "params.json", {"d": 8}, [("w", np.zeros(2))])
+        assert len(open_flags) == 3
+        assert not any(flags & os.O_TRUNC for flags in open_flags)
+
+    def test_unencodable_json_leaves_file_as_it_was(self, tmp_path):
+        save_tensor_dir(tmp_path, "params.json", {"d": 8}, [])
+        before = (tmp_path / "params.json").read_bytes()
+        assert json.loads(before) == {"d": 8}
+        with pytest.raises(TypeError, match="int64"):
+            save_tensor_dir(tmp_path, "params.json", {"d": np.int64(8)}, [])
+        assert (tmp_path / "params.json").read_bytes() == before
 
 
 class TestRowMajor:
