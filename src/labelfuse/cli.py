@@ -166,8 +166,6 @@ def cmd_bench(args) -> int:
 
 def cmd_visualize(args) -> int:
     z = load_tensor(args.concept)
-    if z.ndim != 3:
-        raise ValueError(f"concept tensor must be rank 3, got rank {z.ndim}")
     basis, img = metrics_viz.pca_project_3(z)
     metrics_viz.save_ppm(args.out, img)
     if args.basis_out:

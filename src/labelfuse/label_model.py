@@ -166,7 +166,8 @@ def mask_out_label(s: LabelSet, name: str) -> LabelSet:
 
 
 def _split_rects(h: int, w: int, regions: int, rng: Rng) -> list[tuple[int, int, int, int]]:
-    # Recursive random axis-aligned splits; rect = (i0, i1, j0, j1).
+    # Recursive random axis-aligned splits; rect = (i0, i1, j0, j1).  Some rect
+    # is splittable while rects < h * w cells, and synth_scene keeps regions <= h * w.
     rects = [(0, h, 0, w)]
     while len(rects) < regions:
         splittable = [
@@ -174,8 +175,6 @@ def _split_rects(h: int, w: int, regions: int, rng: Rng) -> list[tuple[int, int,
             for idx, (i0, i1, j0, j1) in enumerate(rects)
             if (i1 - i0) >= 2 or (j1 - j0) >= 2
         ]
-        if not splittable:
-            raise ValueError(f"grid {h}x{w} too small for {regions} regions")
         idx = splittable[rng.next_u64() % len(splittable)]
         i0, i1, j0, j1 = rects[idx]
         can_h = (i1 - i0) >= 2

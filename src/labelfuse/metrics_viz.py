@@ -89,7 +89,7 @@ def pca_project_3(z: np.ndarray):
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 3:
-        raise ValueError("concept tensor must be H x W x d")
+        raise ValueError(f"concept tensor must be H x W x d, got shape {z.shape}")
     h, w, d = z.shape
     if d < 3:
         raise ValueError(f"need at least 3 channels to project, got d={d}")

@@ -78,9 +78,6 @@ class Var:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, as_var(other))
-
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
 
@@ -94,13 +91,13 @@ def as_var(x) -> Var:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient down to ``shape`` (the inverse of numpy broadcasting)."""
+    """Sum a gradient down to ``shape`` over the leading axes that numpy
+    broadcasting added.  Only leading-axis broadcasting is supported: no op
+    broadcasts an operand's size-1 axis, and a gradient for one fails in
+    ``reshape`` with a ValueError."""
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
-    squeeze = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
-    if squeeze:
-        g = g.sum(axis=squeeze, keepdims=True)
     return g.reshape(shape)
 
 

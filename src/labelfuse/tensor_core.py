@@ -47,14 +47,13 @@ class TensorFormatError(ValueError):
 def check_tensor(t: np.ndarray) -> np.ndarray:
     """Validate a tensor value and return it as a C-contiguous array.
 
-    Requires rank 1 to 255, every dim from 1 to 2^32 - 1 (the header's u8
-    rank and u32 dims) and a supported dtype.
+    Requires rank >= 1, every dim from 1 to 2^32 - 1 (the header's u32 dims)
+    and a supported dtype.  The rank's upper limit is numpy's (64 dims in
+    numpy 2, 32 in numpy 1), which fits the header's u8 rank.
     """
     t = np.asarray(t)
     if t.ndim < 1:
         raise ValueError("tensor rank must be >= 1 (got a scalar)")
-    if t.ndim > 255:
-        raise ValueError("rank does not fit in a u8")
     if any(d < 1 for d in t.shape):
         raise ValueError(f"tensor dims must all be >= 1, got {t.shape}")
     if any(d > 0xFFFFFFFF for d in t.shape):
@@ -192,7 +191,10 @@ def read_tensor(src: BinaryIO) -> np.ndarray:
     dtype = _TAG_TO_DTYPE[tag]
     count = math.prod(dims)
     payload = _read_exact(src, count * dtype.itemsize, "payload")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    try:
+        return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    except ValueError as e:  # a rank numpy cannot hold
+        raise TensorFormatError(f"rank {rank}: {e}") from None
 
 
 def save_tensor(path, t: np.ndarray) -> int:

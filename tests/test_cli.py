@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelfuse import cli, fusion, metrics_viz
+from labelfuse import cli, fusion, metrics_viz, nn_ops
 from labelfuse.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from labelfuse.tensor_core import load_tensor, save_tensor
 
@@ -239,6 +239,18 @@ class TestManifestInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: manifest label {label}: 'channels'") and match in err
 
+    @pytest.mark.parametrize("key", ["height", "width"])
+    def test_dims_disagreeing_with_tensors_exit_1(self, tmp_path, scene, capsys, key):
+        doc = json.loads((scene / "manifest.json").read_text())
+        doc[key] += 1
+        manifest = scene / "bad.json"
+        manifest.write_text(json.dumps(doc))
+        code = run("merge", "--manifest", str(manifest), "--variant", "naive",
+                   "--out", str(tmp_path / "z.tlt"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: manifest height/width disagree with tensor dims\n"
+        assert not (tmp_path / "z.tlt").exists()
+
     @given(doc=_manifest_docs())
     @settings(max_examples=200, deadline=None)
     def test_fuzz_any_json_exits_0_or_1(self, fuzz_dir, doc):
@@ -290,6 +302,22 @@ class TestInitParams:
         assert code == EXIT_OK
         assert "heads" not in json.loads((tmp_path / "p" / "params.json").read_text())
 
+    def test_fewer_blocks_over_more_equals_fresh_write(self, tmp_path, scene):
+        # a writer deletes nothing: block1's 13 files stay beside the new
+        # params, and the loader reads only the files params.json names
+        init = ["init-params", "--manifest", str(scene / "manifest.json"), "--d", "8", "--heads", "2"]
+        for blocks, out in (("2", "old"), ("1", "old"), ("1", "new")):
+            assert run(*init, "--blocks", blocks, "--out", str(tmp_path / out)) == EXIT_OK
+        old, new = tmp_path / "old", tmp_path / "new"
+        assert len(list(old.iterdir())) == 42 and len(list(new.iterdir())) == 29
+        assert (old / "params.json").read_bytes() == (new / "params.json").read_bytes()
+        items = [fusion.param_items(fusion.load_merger_params(d)) for d in (old, new)]
+        assert [(n, t.tobytes()) for n, t in items[0]] == [(n, t.tobytes()) for n, t in items[1]]
+        for d in ("old", "new"):
+            assert run("merge", "--manifest", str(scene / "manifest.json"), "--params", str(tmp_path / d),
+                       "--variant", "tlam", "--out", str(tmp_path / f"{d}.tlt")) == EXIT_OK
+        assert (tmp_path / "old.tlt").read_bytes() == (tmp_path / "new.tlt").read_bytes()
+
 
 class TestSparsify:
     def test_zero_sparsity_identical_tensors(self, tmp_path, scene):
@@ -326,6 +354,15 @@ class TestSparsify:
             a = (outs[0].parent / entry["mask"]).read_bytes()
             b = (outs[1].parent / entry["mask"]).read_bytes()
             assert a == b
+
+    def test_instance_map_of_wrong_size_exits_1(self, tmp_path, scene, capsys):
+        save_tensor(tmp_path / "inst.tlt", np.zeros((4, 8), dtype=np.uint8))
+        out = tmp_path / "sparse" / "manifest.json"
+        assert run("sparsify", "--manifest", str(scene / "manifest.json"),
+                   "--instances", str(tmp_path / "inst.tlt"),
+                   "--sparsity", "0.5", "--out-manifest", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: instance map dims (4, 8) differ from (8, 8)\n"
+        assert not out.parent.exists()
 
     def test_bad_sparsity(self, tmp_path, scene):
         assert run("sparsify", "--manifest", str(scene / "manifest.json"),
@@ -386,6 +423,11 @@ class TestTrainToy:
         assert not (tmp_path / "r.ppm").exists()
 
 
+# two labels on a 4x4 grid, d=4, one block of one head, on one thread
+SMALL_BENCH = ["--labels", "2", "--size", "4x4", "--d", "4", "--blocks", "1", "--heads", "1",
+               "--repeat", "1", "--threads", "1"]
+
+
 class TestBench:
     def test_quick_bench(self, capsys):
         assert run("bench", "--labels", "2", "--size", "8x8", "--d", "8",
@@ -397,11 +439,28 @@ class TestBench:
         assert "min" in out and "median" in out
 
     def test_bench_labels_attention_macs(self, capsys):
-        assert run("bench", "--labels", "2", "--size", "4x4", "--d", "4",
-                   "--blocks", "1", "--heads", "1", "--repeat", "1",
-                   "--threads", "1") == EXIT_OK
+        assert run("bench", *SMALL_BENCH) == EXIT_OK
         out = capsys.readouterr().out
         assert "attention MACs: " in out and "attention MACs/sec: " in out
+
+    def test_counter_disagreeing_with_formula_exits_2(self, capsys, monkeypatch):
+        counted = fusion.count_attention_macs(2, 4, 1, 1, 16)
+        monkeypatch.setattr(fusion, "count_attention_macs", lambda *args: counted + 1)
+        assert run("bench", *SMALL_BENCH) == EXIT_NUMERIC
+        out = capsys.readouterr().out
+        assert out == f"MAC counter mismatch: counted {counted}, formula {counted + 1}\n"
+
+    def test_counts_not_scaling_exit_2(self, capsys, monkeypatch):
+        # every attention call counts 1 and the formula agrees on the base
+        # run, so only the doubled runs' ratios show the fault
+        add = nn_ops.MacCounter.add
+        monkeypatch.setattr(nn_ops.MacCounter, "add", lambda self, n: add(self, 1))
+        monkeypatch.setattr(fusion, "count_attention_macs", lambda *args: nn_ops.attention_mac_counter.count)
+        assert run("bench", *SMALL_BENCH) == EXIT_NUMERIC
+        out = capsys.readouterr().out
+        assert "mismatch" not in out
+        assert "N doubled   -> MAC ratio 1.0 (expect 4.0)\n" in out
+        assert "HW doubled  -> MAC ratio 1.0 (expect 2.0)\n" in out
 
     @pytest.mark.parametrize("value", ["1", None])
     def test_bench_prints_blas_threads(self, capsys, monkeypatch, value):
@@ -441,6 +500,23 @@ class TestVisualize:
         save_tensor(z, np.zeros((4, 4, 2)))
         assert run("visualize", "--concept", str(z),
                    "--out", str(tmp_path / "o.ppm")) == EXIT_USAGE
+
+    def test_rank_two_concept_exits_1(self, tmp_path, capsys):
+        save_tensor(tmp_path / "z.tlt", np.zeros((4, 5)))
+        out = tmp_path / "o.ppm"
+        assert run("visualize", "--concept", str(tmp_path / "z.tlt"), "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: concept tensor must be H x W x d, got shape (4, 5)\n"
+        assert not out.exists()
+
+    def test_basis_out_is_the_projections_basis(self, tmp_path):
+        z = np.random.default_rng(5).standard_normal((4, 4, 5))
+        save_tensor(tmp_path / "z.tlt", z)
+        assert run("visualize", "--concept", str(tmp_path / "z.tlt"), "--out", str(tmp_path / "o.ppm"),
+                   "--basis-out", str(tmp_path / "basis")) == EXIT_OK
+        want, _ = metrics_viz.pca_project_3(z)
+        got = metrics_viz.load_pca_basis(tmp_path / "basis")
+        for field in ("mean", "components", "explained_variance"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
     def test_missing_input(self, tmp_path):
         assert run("visualize", "--concept", str(tmp_path / "nope.tlt"),

@@ -161,6 +161,16 @@ class TestTlamMerge:
         with pytest.raises(ValueError, match="lab0"):
             tlam_merge(labels, p)
 
+    @pytest.mark.parametrize("variant, table, part", [(fusion.TLAM, "encodings", "encoding"),
+                                                      (fusion.CLAM, "clam_stacks", "stack")])
+    def test_params_without_a_labels_part_rejected(self, variant, table, part):
+        labels = tiny_set()
+        p = init_merger_params(labels, variant, d=4, n_blocks=1, heads=1)
+        del getattr(p, table)["lab1"]
+        merge = tlam_merge if variant == fusion.TLAM else clam_merge
+        with pytest.raises(ValueError, match=f"merger params have no {part} for label 'lab1'"):
+            merge(labels, p)
+
     def test_channel_mismatch(self):
         labels = tiny_set()
         wider = LabelSet(

@@ -49,6 +49,12 @@ class TestValidate:
         with pytest.raises(ValueError, match="sem"):
             validate_label_set(s)
 
+    def test_unknown_kind_names_label(self):
+        s = two_label_set()
+        s.labels[0].kind = "ordinal"
+        with pytest.raises(ValueError, match="label 'depth': unknown kind 'ordinal'"):
+            validate_label_set(s)
+
     def test_duplicate_name(self):
         s = two_label_set()
         s.labels[1].name = "depth"
@@ -58,6 +64,20 @@ class TestValidate:
     def test_empty_set(self):
         with pytest.raises(ValueError, match="empty"):
             validate_label_set(LabelSet(labels=[]))
+
+    def test_mask_dimension_mismatch_names_label(self):
+        s = two_label_set()
+        s.labels[1].mask = np.ones((8, 9), dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"label 'sem': mask dims \(8, 9\) differ from \(8, 8\)"):
+            validate_label_set(s)
+
+    def test_values_of_wrong_rank(self):
+        with pytest.raises(ValueError, match=r"label 'depth': values must be H x W x C, got shape \(8, 8\)"):
+            make_label("depth", "continuous", np.zeros((8, 8)))
+
+    def test_by_name_missing_label(self):
+        with pytest.raises(KeyError, match="no label named 'normals'"):
+            two_label_set().by_name("normals")
 
 
 class TestSparseMasks:
@@ -188,6 +208,11 @@ class TestApplyMasks:
         with pytest.raises(ValueError, match="depth"):
             apply_masks(s, SparsityMaskSet(masks=masks))
 
+    def test_mask_set_without_a_label(self):
+        masks = {"depth": np.ones((8, 8), dtype=np.uint8)}
+        with pytest.raises(ValueError, match="sparsity mask set has no entry for label 'sem'"):
+            apply_masks(two_label_set(), SparsityMaskSet(masks=masks))
+
 
 class TestSynthScene:
     def test_single_region_flat(self):
@@ -315,6 +340,21 @@ class TestManifest:
         assert json.loads(old)["height"] == 5
         assert open_flags and not any(flags & os.O_TRUNC for flags in open_flags)
 
+    def test_stale_tensors_are_kept_and_never_read(self, tmp_path):
+        # a writer overwrites the files its manifest names and deletes
+        # nothing; the loader reads only the files the manifest names
+        big, _, _ = synth_scene(16, 16, 4, seed=7)
+        small = LabelSet(labels=[lab for lab in synth_scene(5, 4, 2, seed=9)[0] if lab.name != "semantics"])
+        save_label_set(big, tmp_path / "old" / "manifest.json")
+        save_label_set(small, tmp_path / "old" / "manifest.json")
+        save_label_set(small, tmp_path / "new" / "manifest.json")
+        assert (tmp_path / "old" / "semantics.values.tlt").exists()
+        assert not (tmp_path / "new" / "semantics.values.tlt").exists()
+        old, new = load_label_set(tmp_path / "old" / "manifest.json"), load_label_set(tmp_path / "new" / "manifest.json")
+        assert [(l.name, l.kind) for l in old] == [(l.name, l.kind) for l in new]
+        for a, b in zip(old, new):
+            assert a.values.tobytes() == b.values.tobytes() and a.mask.tobytes() == b.mask.tobytes()
+
     def test_unencodable_manifest_leaves_file_as_it_was(self, tmp_path, monkeypatch):
         labels, _, _ = synth_scene(8, 8, 3, seed=7)
         manifest = tmp_path / "manifest.json"
@@ -334,3 +374,9 @@ class TestManifest:
         path = tmp_path / "inst.tlt"
         save_instance_map(inst, path)
         assert np.array_equal(load_instance_map(path).ids, inst.ids)
+
+    def test_instance_ids_above_255_rejected(self, tmp_path):
+        path = tmp_path / "inst.tlt"
+        with pytest.raises(ValueError, match="instance ids above 255 do not fit the u8 tensor format"):
+            save_instance_map(InstanceMap(ids=np.array([[0, 256]])), path)
+        assert not path.exists()

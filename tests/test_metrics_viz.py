@@ -78,6 +78,16 @@ class TestSegMetrics:
         with pytest.raises(ValueError, match="indices"):
             make_segmap(np.array([[0, 5]]), 2)
 
+    @pytest.mark.parametrize(
+        "classes, k, match",
+        [(np.zeros((2, 2, 1), dtype=int), 2, "segmentation map must be H x W"),
+         (np.zeros((2, 2), dtype=int), 0, "num_classes must be >= 1")],
+        ids=["rank3", "k0"],
+    )
+    def test_bad_rank_or_class_count_rejected(self, classes, k, match):
+        with pytest.raises(ValueError, match=match):
+            make_segmap(classes, k)
+
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_map_without_pixels_rejected(self, shape):
         # no pixel: the mean IoU and the accuracy would be 0/0
@@ -331,6 +341,11 @@ class TestPca:
     def test_too_few_channels(self):
         with pytest.raises(ValueError, match="d=2"):
             pca_project_3(np.zeros((4, 4, 2)))
+
+    def test_too_few_pixels(self):
+        # three samples: the covariance has rank 2 at most
+        with pytest.raises(ValueError, match="need at least 4 pixels"):
+            pca_project_3(np.zeros((1, 3, 4)))
 
     def test_output_in_unit_range(self):
         rng = np.random.default_rng(10)

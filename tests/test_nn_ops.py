@@ -151,6 +151,16 @@ class TestAttention:
         b = unrecorded(multi_head_self_attention, z, p)[perm]
         assert np.abs(a - b).max() <= 1e-6 * max(1.0, np.abs(b).max())
 
+    @pytest.mark.parametrize(
+        "shape, match",
+        [((4,), r"token matrix must be \(N, d\) or \(B, N, d\)"),
+         ((3, 6), "attention params sized for d=4, got tokens of width 6")],
+        ids=["rank1", "width"],
+    )
+    def test_bad_token_shape_rejected(self, shape, match):
+        with pytest.raises(ValueError, match=match):
+            unrecorded(multi_head_self_attention, np.ones(shape), random_attention_params(4, 2, 0))
+
     def test_mac_counter(self):
         p = random_attention_params(6, 3, 0)
         z = np.random.default_rng(0).standard_normal((7, 4, 6))

@@ -40,6 +40,10 @@ TAPE_OPS = {
 
 
 class TestBackwardBasics:
+    def test_repr_names_the_shape(self):
+        # pytest's failure messages show a Var this way
+        assert repr(Var(np.zeros((2, 3)))) == "Var(shape=(2, 3))"
+
     def test_loss_is_parameter_itself(self):
         x = Var(np.array(2.5))
         backward(x)
@@ -356,6 +360,11 @@ class TestFlatMatmul:
         with pytest.raises(ValueError, match="bias"):
             tape.matmul(a, Var(np.ones(w_shape)), Var(np.ones(b_shape)))
 
+    @pytest.mark.parametrize("a_shape, b_shape", [((3,), (3, 2)), ((4, 3), (3,))])
+    def test_rank_one_operand_rejected(self, a_shape, b_shape):
+        with pytest.raises(ValueError, match="matmul operands must have rank >= 2"):
+            tape.matmul(Var(np.ones(a_shape)), Var(np.ones(b_shape)))
+
 
 class TestAccumulate:
     def test_add_of_a_node_to_itself_gives_twice_the_gradient(self):
@@ -448,6 +457,13 @@ class TestBroadcasting:
         x = Var(np.full((2, 2), 3.0))
         backward(tape.sum_all(x * 0.5))
         assert np.allclose(x.grad, 0.5)
+
+    def test_size_one_axis_broadcast_fails_loudly(self):
+        # only leading axes broadcast: the gradient of a (1, 3) operand
+        # added to a (4, 3) one is refused, never summed wrongly
+        x, b = Var(np.ones((4, 3))), Var(np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=r"cannot reshape array of size 12 into shape \(1,\s?3\)"):
+            backward(tape.sum_all(x + b))
 
 
 class TestShapeOps:

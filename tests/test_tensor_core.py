@@ -116,6 +116,19 @@ class TestFormat:
             return
         assert isinstance(t, np.ndarray) and t.size >= 1
 
+    @pytest.mark.parametrize(
+        "dims, match",
+        # 65 dims of 1 are well formed, but more than numpy holds (64, or 32 in numpy 1)
+        [((), "^rank must be >= 1$"), ((3, 0), r"^dims must all be >= 1, got \(3, 0\)$"),
+         ((1,) * 65, "^rank 65: .*dimension")],
+        ids=["rank0", "dim0", "rank65"],
+    )
+    def test_header_no_array_can_hold(self, dims, match):
+        # the header, a u8 tag and a 1-byte payload
+        data = MAGIC + bytes([len(dims)]) + struct.pack(f"<{len(dims)}I", *dims) + bytes([2, 7])
+        with pytest.raises(TensorFormatError, match=match):
+            read_tensor(io.BytesIO(data))
+
     def test_unknown_dtype_tag(self):
         buf = io.BytesIO()
         write_tensor(np.zeros(1, dtype=np.float32), buf)
@@ -129,6 +142,9 @@ class TestFormat:
             check_tensor(np.float64(3.0))
         with pytest.raises(ValueError, match="dtype"):
             check_tensor(np.zeros(3, dtype=np.int32))
+        # 2^32 elements as a broadcast view, which allocates nothing
+        with pytest.raises(ValueError, match="dim does not fit in a u32"):
+            check_tensor(np.broadcast_to(np.zeros(1, dtype=np.uint8), (2 ** 32,)))
 
     def test_file_helpers(self, tmp_path):
         t = np.arange(6, dtype=np.float64).reshape(2, 3)

@@ -234,6 +234,10 @@ class TestFiniteDiff:
         report = th.finite_diff_check(params, loss_fn)
         assert report.passed, f"{name}: {report.max_rel_err}"
 
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(ValueError, match="unknown gradcheck preset 'nope'"):
+            th.gradcheck_suite("nope")
+
     @pytest.mark.parametrize("fail_at", [None, 2, 5])
     def test_inputs_bit_identical_afterwards(self, fail_at):
         # the analytic pass lifts leaves over the caller's arrays, the
