@@ -279,8 +279,8 @@ def save_label_set(s: LabelSet, manifest_path) -> None:
     for lab in s:
         vpath = f"{lab.name}.values.tlt"
         mpath = f"{lab.name}.mask.tlt"
-        save_tensor(os.path.join(base, vpath), lab.values.astype(np.float32))
-        save_tensor(os.path.join(base, mpath), lab.mask.astype(np.uint8))
+        save_tensor(os.path.join(base, vpath), lab.values.astype(np.float32, copy=False))
+        save_tensor(os.path.join(base, mpath), lab.mask.astype(np.uint8, copy=False))
         entries.append(
             {
                 "name": lab.name,
@@ -335,8 +335,8 @@ def load_label_set(manifest_path) -> LabelSet:
             LabelMap(
                 name=entry["name"],
                 kind=entry["kind"],
-                values=values.astype(np.float32),
-                mask=mask.astype(np.uint8),
+                values=values.astype(np.float32, copy=False),
+                mask=mask.astype(np.uint8, copy=False),
             )
         )
     s = LabelSet(labels=labels)

@@ -71,8 +71,9 @@ def _tag_for(t: np.ndarray) -> int:
     return TAG_U8
 
 
-def _tlt_blobs(t: np.ndarray) -> tuple[bytes, bytes]:
-    """The TLT1 header and payload bytes of ``t``; see ``write_tensor``."""
+def _tlt_blobs(t: np.ndarray) -> tuple[bytes, memoryview]:
+    """The TLT1 header bytes of ``t`` and its payload, a byte view of the
+    little-endian array (no copy for a little-endian ``t``); see ``write_tensor``."""
     t = check_tensor(t)
     header = (
         MAGIC
@@ -80,7 +81,7 @@ def _tlt_blobs(t: np.ndarray) -> tuple[bytes, bytes]:
         + struct.pack(f"<{t.ndim}I", *t.shape)
         + struct.pack("<B", _tag_for(t))
     )
-    return header, t.astype(t.dtype.newbyteorder("<"), copy=False).tobytes(order="C")
+    return header, memoryview(t.astype(t.dtype.newbyteorder("<"), copy=False)).cast("B")
 
 
 def write_tensor(t: np.ndarray, dest: BinaryIO) -> int:
@@ -214,7 +215,7 @@ def save_tensor_dir(dirpath, json_name: str, doc: dict, items) -> None:
     os.makedirs(dirpath, exist_ok=True)
     write_json(os.path.join(dirpath, json_name), doc)
     for name, t in items:
-        save_tensor(os.path.join(dirpath, name + ".tlt"), t.astype(np.float64))
+        save_tensor(os.path.join(dirpath, name + ".tlt"), t.astype(np.float64, copy=False))
 
 
 _MASK64 = (1 << 64) - 1

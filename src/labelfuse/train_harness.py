@@ -14,7 +14,9 @@ per-pixel hinge (``_d_tile``) are means over pixels, so they split exactly
 into pixel-weighted tile losses.  A step's leaves are the tensors its
 optimizer updates, all else is constant, so the discriminator step records
 neither merge nor generator and the generator step takes no ``disc.*`` gradient.
-Each tile's graph is freed once its gradients are taken.
+Each tile's graph is freed once its gradients are taken.  The final eval and
+ablation losses run on the same tiler with no leaves, so they record nothing
+and hold one tile a thread, whatever the grid size.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from . import fusion, nn_ops, tape
 from .fusion import tlam_graph
 from .label_model import (
+    LabelMap,
     LabelSet,
     apply_masks,
     generate_sparse_masks,
@@ -102,13 +105,6 @@ def discriminator_graph(z: Var, rgb: Var, hp: HeadParams) -> Var:
     x = tape.concat([z, rgb], axis=-1)
     hidden = tape.gelu(tape.matmul(x, hp.disc_w1, hp.disc_b1))
     return tape.matmul(hidden, hp.disc_w2, hp.disc_b2)
-
-
-def forward_generate(z: np.ndarray, hp: HeadParams) -> np.ndarray:
-    """Map an H x W x d concept tensor to an H x W x 3 image; ``hp`` holds arrays."""
-    h, w, d = z.shape
-    rgb = generate_graph(as_var(z.reshape(-1, d)), map_tensors(hp, lambda _name, t: as_var(t))).value
-    return rgb.reshape(h, w, 3)
 
 
 def hinge_d_loss(real_score: Var, fake_score: Var) -> Var:
@@ -324,6 +320,7 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, wrt, thr
 
     The merger and head params hold arrays.  Each tile lifts those named in ``wrt``
     (an optimizer's ``params``) to leaves and all else to constants, so only they get gradients.
+    An empty ``wrt`` gives the loss alone: nothing is recorded and ``grads`` is empty.
 
     ``tile_loss(z, heads, t)`` (``_l2_tile``, ``_adv_g_tile`` or ``_d_tile``) is
     the loss of a tile's merge ``z`` (B, d) against its target pixels ``t`` (B, 3).
@@ -362,12 +359,6 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, wrt, thr
     return total, grads
 
 
-def _recon_l2(s: LabelSet, target, merger, heads, threads: int) -> float:
-    """l2 between ``target`` and the image generated from the merge of ``s``."""
-    diff = forward_generate(fusion.tlam_merge(s, merger, threads), heads) - target
-    return float(np.mean(diff * diff))
-
-
 def train_toy(cfg: ToyTrainConfig) -> dict:
     """Train the toy merge-and-generate pipeline on one synthetic scene.
 
@@ -376,7 +367,9 @@ def train_toy(cfg: ToyTrainConfig) -> dict:
     The report carries per-iteration losses, final eval
     losses at sparsity {0.0, 0.3, 0.5, 0.7} (masks seeded deterministically;
     a mask set drawn again is not merged again) and a per-label
-    full-ablation eval.
+    full-ablation eval.  Each eval loss is the l2 training loss, run on the
+    tiler (``tiled_grads``) with no leaves; a non-finite one raises
+    ``FloatingPointError``.
     """
     report, _, _ = train_toy_with_params(cfg)
     return report
@@ -428,6 +421,12 @@ def train_toy_with_params(cfg: ToyTrainConfig):
             break
 
     if diverged_at is None:
+        def l2(s: LabelSet) -> float:
+            value = tiled_grads(s, target64, merger, heads, _l2_tile, (), cfg.threads)[0]
+            if not math.isfinite(value):
+                raise FloatingPointError("eval produced a non-finite l2")
+            return value
+
         eval_rng = Rng(seed_eval)
         recon: dict[bytes, float] = {}  # by mask set: at sparsity 0 every draw keeps every label
 
@@ -435,17 +434,14 @@ def train_toy_with_params(cfg: ToyTrainConfig):
             masks = generate_sparse_masks(inst, labels, s, eval_rng.next_u64())
             key = b"".join(m.tobytes() for m in masks.masks.values())
             if key not in recon:
-                recon[key] = _recon_l2(apply_masks(labels, masks), target64, merger, heads, cfg.threads)
+                recon[key] = l2(apply_masks(labels, masks))
             return recon[key]
 
         evals = {
             f"s{s:.1f}": float(np.mean([sparse_l2(s) for _ in range(EVAL_REPEATS)]))
             for s in EVAL_SPARSITIES
         }
-        ablation = {
-            lab.name: _recon_l2(mask_out_label(labels, lab.name), target64, merger, heads, cfg.threads)
-            for lab in labels
-        }
+        ablation = {lab.name: l2(mask_out_label(labels, lab.name)) for lab in labels}
     else:
         evals = None
         ablation = None
@@ -468,8 +464,6 @@ def make_random_label_set(
     Channel counts cycle 1, 2, 3; values are standard normal draws and masks
     are independent per-pixel coin flips at the given absence rate.
     """
-    from .label_model import LabelMap
-
     rng = Rng(seed)
     labels = []
     for k in range(n_labels):

@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,24 @@ class TestFormat:
         path = tmp_path / "x.tlt"
         save_tensor(path, t)
         assert np.array_equal(load_tensor(path), t)
+        # a strided view is written in row-major order
+        save_tensor(path, t.T)
+        assert load_tensor(path).tobytes() == np.ascontiguousarray(t.T).tobytes()
+
+    @pytest.mark.parametrize("save", [
+        lambda path, t: save_tensor(path / "big.tlt", t),
+        lambda path, t: save_tensor_dir(path, "doc.json", {}, [("big", t)]),
+    ], ids=["save_tensor", "save_tensor_dir"])
+    def test_save_writes_from_a_view_of_the_array(self, tmp_path, save):
+        t = np.random.default_rng(0).standard_normal(1 << 21)  # 16 MiB of float64
+        tracemalloc.start()
+        try:
+            save(tmp_path, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert load_tensor(tmp_path / "big.tlt").tobytes() == t.tobytes()
 
     @pytest.mark.parametrize("bad", [np.zeros(3, dtype=np.float16), np.zeros((0,)), np.float64(1.0)])
     def test_rejected_tensor_leaves_file_intact(self, tmp_path, bad):

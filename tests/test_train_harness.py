@@ -36,6 +36,14 @@ def whole_grid_merge(s, merger):
     return fusion.tlam_graph(xs, [lab.name for lab in s], merger)
 
 
+def whole_grid_l2(s, target, merger, heads):
+    """The eval l2 of ``s`` by a route apart from the tiler's: the merge of
+    the whole grid, the generator on all its pixels at once, then the mean."""
+    z = fusion.tlam_merge(s, merger)
+    diff = unrecorded(th.generate_graph, z.reshape(-1, z.shape[-1]), heads) - target.astype(np.float64).reshape(-1, 3)
+    return float(np.mean(diff * diff))
+
+
 def lift_leaves(merger, heads):
     """``merger`` and ``heads`` with every tensor lifted to a leaf, and those leaves by name."""
     leaves = {}
@@ -113,16 +121,16 @@ class TestHeads:
         hp.gen_w2 = np.zeros((6, 3))
         hp.gen_b2 = np.array([0.1, 0.2, 0.3])
         z = np.random.default_rng(0).standard_normal((4, 5, 4))
-        img = th.forward_generate(z, hp)
+        img = unrecorded(th.generate_graph, z.reshape(-1, 4), hp)
         assert np.allclose(img, [0.1, 0.2, 0.3])
 
     def test_generator_pixel_independence(self):
         hp = heads_with_disc(seed=1)
         z = np.random.default_rng(1).standard_normal((3, 3, 4))
-        img1 = th.forward_generate(z, hp)
+        img1 = unrecorded(th.generate_graph, z.reshape(-1, 4), hp).reshape(3, 3, 3)
         z2 = z.copy()
         z2[2, 1] += 1.0
-        img2 = th.forward_generate(z2, hp)
+        img2 = unrecorded(th.generate_graph, z2.reshape(-1, 4), hp).reshape(3, 3, 3)
         diff = np.any(img1 != img2, axis=-1)
         assert diff[2, 1]
         diff[2, 1] = False
@@ -131,10 +139,10 @@ class TestHeads:
     def test_generator_scalar_composition(self):
         hp = th.init_head_params(1, Rng(3), d_g=1)
         z = np.array([[[0.4]]])
-        img = th.forward_generate(z, hp)
+        img = unrecorded(th.generate_graph, z.reshape(-1, 1), hp)
         hidden = gelu_scalar(0.4 * hp.gen_w1[0, 0] + hp.gen_b1[0])
         expect = hidden * hp.gen_w2[0] + hp.gen_b2
-        assert np.allclose(img[0, 0], expect, atol=1e-14)
+        assert np.allclose(img[0], expect, atol=1e-14)
 
     def test_discriminator_constant_score(self):
         hp = heads_with_disc(seed=2)
@@ -411,19 +419,20 @@ class TestTrainToy:
         back = fusion.load_merger_params(tmp_path / "params")
         assert [(n, t.tobytes()) for n, t in fusion.param_items(back)] == [(n, t.tobytes()) for n, t in items]
         # the arrays are the trained ones: they reproduce the report's ablation eval
+        # (the 8x8 grid is one tile, so the tiler's route and the whole grid's are bit-equal)
         labels, _, target = label_model.synth_scene(cfg.height, cfg.width, cfg.regions, cfg.seed)
         for name, value in report["per_label_ablation"].items():
             ablated = label_model.mask_out_label(labels, name)
-            assert th._recon_l2(ablated, target.astype(np.float64), merger, heads, 1) == value
+            assert whole_grid_l2(ablated, target, merger, heads) == value
         assert fusion.tlam_merge(labels, merger).tobytes() == fusion.tlam_merge(labels, back).tobytes()
 
     def test_eval_merges_each_mask_set_once(self, monkeypatch):
-        merges = []
-        tlam_merge = fusion.tlam_merge
-        monkeypatch.setattr(fusion, "tlam_merge", lambda *args: merges.append(args) or tlam_merge(*args))
+        calls = []
+        tiled_grads = th.tiled_grads
+        monkeypatch.setattr(th, "tiled_grads", lambda *args: calls.append(args) or tiled_grads(*args))
         cfg = self.small_cfg(iters=2)
         report, merger, heads = th.train_toy_with_params(cfg)
-        merged = len(merges)
+        merged = sum(1 for args in calls if not args[5])  # the eval's calls, with no leaves
         # the eval with every draw merged, from the same draws of the eval seed
         labels, inst, target = label_model.synth_scene(cfg.height, cfg.width, cfg.regions, cfg.seed)
         master = Rng(cfg.seed)
@@ -434,12 +443,24 @@ class TestTrainToy:
             for _ in range(th.EVAL_REPEATS):
                 masks = label_model.generate_sparse_masks(inst, labels, s, eval_rng.next_u64())
                 sets.add(b"".join(m.tobytes() for m in masks.masks.values()))
-                l2.append(th._recon_l2(label_model.apply_masks(labels, masks), target.astype(np.float64), merger, heads, 1))
+                l2.append(whole_grid_l2(label_model.apply_masks(labels, masks), target, merger, heads))
             evals[f"s{s:.1f}"] = float(np.mean(l2))
         assert report["eval"] == evals
         # sparsity 0 keeps every label in each of its draws: one merge for all of them
         assert len(sets) <= len(th.EVAL_SPARSITIES) * th.EVAL_REPEATS - (th.EVAL_REPEATS - 1)
         assert merged == len(sets) + len(labels)
+
+    def test_non_finite_eval_raises(self, monkeypatch):
+        init_head_params = th.init_head_params
+
+        def overflowing_heads(*args, **kwargs):
+            hp = init_head_params(*args, **kwargs)
+            hp.gen_b2 = np.full(3, np.inf)
+            return hp
+
+        monkeypatch.setattr(th, "init_head_params", overflowing_heads)
+        with pytest.raises(FloatingPointError, match="non-finite l2"):
+            th.train_toy(self.small_cfg(iters=0))
 
     def test_fixed_seed_bit_identical_reports(self):
         a = th.train_toy(self.small_cfg())
