@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import statistics
 import sys
@@ -296,7 +295,7 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
         return command(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except FloatingPointError as e:

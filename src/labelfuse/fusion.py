@@ -29,15 +29,15 @@ d=96 and under 26 at d=47 with OpenBLAS 0.3.31 on an AVX-512 Xeon.
 
 ``map_params`` walks every tensor of a ``MergerParams`` under its canonical
 name (``proj.<label>.A``, ``enc.<label>``, ``block<m>.`` plus the block's
-field stems, ``clam.<label>.<i>.A``); listing, lifting, saving and loading
-all go through it.  Only ``tlam`` has label encodings: ``clam`` neither draws
+field stems, ``clam.<label>.<i>.A``); initialization and loading walk the
+one skeleton ``_blank_params`` builds, and listing, lifting and saving walk
+the tensors.  Only ``tlam`` has label encodings: ``clam`` neither draws
 nor writes them, and loading ignores the ``enc.*`` files of older ``clam``
 directories.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -47,17 +47,9 @@ import numpy as np
 
 from . import nn_ops, tape
 from .label_model import FILE_STEM, LabelSet, validate_label_set
-from .nn_ops import (
-    BlockParams,
-    blank,
-    init_block_params,
-    init_tensors,
-    map_tensors,
-    tensor,
-    tlt_loader,
-)
+from .nn_ops import BlockParams, blank, draw_tensor, map_tensors, tensor, tlt_loader
 from .tape import Var, as_var
-from .tensor_core import Rng, save_tensor_dir
+from .tensor_core import Rng, read_json, save_tensor_dir
 
 TLAM = "tlam"
 CLAM = "clam"
@@ -149,9 +141,10 @@ def init_merger_params(
     The sizes must pass ``_check_sizes``, and for ``tlam`` the heads must
     divide d.  ``clam`` has no attention: it ignores ``heads`` and stores
     None.  Weight matrices are Xavier-uniform, biases zero, layer-norm
-    gamma/beta 1/0, and the ``tlam`` label encodings are 0.02-scaled normal
-    draws; the draw order is fixed (projections, then encodings and blocks
-    for ``tlam`` or stacks for ``clam``) so a seed pins the parameters
+    gamma/beta 1/0 (``nn_ops.draw_tensor``), and the ``tlam`` label
+    encodings are 0.02-scaled normal draws; they are drawn in ``map_params``
+    order over ``_blank_params`` (projections, then encodings and blocks for
+    ``tlam`` or stacks for ``clam``), so a seed pins the parameters
     bit-exactly.
     """
     if variant not in (TLAM, CLAM):
@@ -163,18 +156,22 @@ def init_merger_params(
     _check_sizes(variant, d, heads, n_blocks)
     if rng is None:
         rng = Rng(seed)
+    draw = lambda name, shape: 0.02 * rng.normals(*shape) if name.startswith("enc.") else draw_tensor(rng, name, shape)
+    return map_params(_blank_params(variant, d, heads, n_blocks, {lab.name: lab.channels for lab in labels}), draw)
+
+
+def _blank_params(variant, d, heads, n_blocks, channels: dict) -> MergerParams:
+    """A ``MergerParams`` whose tensors hold their shapes: per label of
+    ``channels`` (name -> channel count) a projection, then a ``tlam``
+    encoding or a ``clam`` stack, and ``tlam``'s n_blocks blocks."""
     p = MergerParams(variant=variant, d=d, heads=heads)
-    for lab in labels:
-        p.projections[lab.name] = init_tensors(blank(LabelProjection, d=d, c=lab.channels), rng)
+    dims = {"d": d, "heads": heads}
+    p.projections = {k: blank(LabelProjection, c=c, **dims) for k, c in channels.items()}
     if variant == TLAM:
-        for lab in labels:
-            p.encodings[lab.name] = 0.02 * rng.normals(d)
-        p.blocks = [init_block_params(d, heads, rng) for _ in range(n_blocks)]
+        p.encodings = {k: (d,) for k in channels}
+        p.blocks = [blank(BlockParams, **dims)] * n_blocks
     else:
-        for lab in labels:
-            p.clam_stacks[lab.name] = [
-                init_tensors(blank(LabelProjection, d=d, c=d), rng) for _ in range(n_blocks)
-            ]
+        p.clam_stacks = {k: [blank(LabelProjection, c=d, **dims)] * n_blocks for k in channels}
     return p
 
 
@@ -392,9 +389,8 @@ def load_merger_params(dirpath) -> MergerParams:
     n_blocks may not exceed the directory's entries (each block has a file).
     Anything else raises ValueError.
     """
-    with open(os.path.join(dirpath, "params.json")) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict) or doc.get("variant") not in (TLAM, CLAM):
+    doc = read_json(os.path.join(dirpath, "params.json"), "params.json")
+    if doc.get("variant") not in (TLAM, CLAM):
         raise ValueError("params.json must be an object with a known 'variant'")
     labels = doc.get("labels")
     if not isinstance(labels, list) or not all(isinstance(e, dict) and isinstance(e.get("name"), str) for e in labels):
@@ -408,13 +404,6 @@ def load_merger_params(dirpath) -> MergerParams:
         if not FILE_STEM.fullmatch(name):
             raise ValueError(f"params.json label {i} name {name!r} must be a non-empty file stem without '/' or '\\'")
         _check_int(f"params.json label {i} 'channels'", e.get("channels"), 1)
-    p = MergerParams(variant=doc["variant"], d=doc["d"], heads=doc["heads"] if doc["variant"] == TLAM else None)
-    dims = {"d": p.d, "heads": p.heads}
-    channels = {e["name"]: e["channels"] for e in doc["labels"]}
-    p.projections = {k: blank(LabelProjection, c=c, **dims) for k, c in channels.items()}
-    if p.variant == TLAM:
-        p.encodings = {k: (p.d,) for k in channels}
-        p.blocks = [blank(BlockParams, **dims)] * doc["n_blocks"]
-    else:
-        p.clam_stacks = {k: [blank(LabelProjection, c=p.d, **dims)] * doc["n_blocks"] for k in channels}
-    return map_params(p, tlt_loader(dirpath))
+    heads = doc["heads"] if doc["variant"] == TLAM else None
+    channels = {e["name"]: e["channels"] for e in labels}
+    return map_params(_blank_params(doc["variant"], doc["d"], heads, doc["n_blocks"], channels), tlt_loader(dirpath))

@@ -8,14 +8,13 @@ the zero vector everywhere downstream.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import Rng, load_tensor, save_tensor, write_json
+from .tensor_core import Rng, load_tensor, read_json, save_tensor, write_json
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
@@ -294,12 +293,10 @@ def save_label_set(s: LabelSet, manifest_path) -> None:
 
 
 def _manifest_entries(doc) -> list[dict]:
-    """The label entries of a parsed manifest, after checking its structure:
-    an object with integer ``height`` and ``width`` and a ``labels`` list of
+    """The label entries of a parsed manifest object, after checking its
+    structure: integer ``height`` and ``width`` and a ``labels`` list of
     objects whose ``name``, ``kind``, ``values`` and ``mask`` are strings and
     whose ``channels`` is an integer."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"manifest must be a JSON object, not {type(doc).__name__}")
     for key in ("height", "width"):
         if type(doc.get(key)) is not int:
             raise ValueError(f"manifest {key!r} must be an integer")
@@ -320,11 +317,7 @@ def _manifest_entries(doc) -> list[dict]:
 def load_label_set(manifest_path) -> LabelSet:
     """Read a manifest written by ``save_label_set``; any malformed manifest
     or tensor raises ValueError (or OSError for a missing file)."""
-    with open(manifest_path) as f:
-        try:
-            doc = json.load(f)
-        except RecursionError:
-            raise ValueError("manifest JSON nests too deeply") from None
+    doc = read_json(manifest_path, "manifest")
     base = os.path.dirname(os.path.abspath(manifest_path))
     entries = _manifest_entries(doc)
     labels = []

@@ -3,12 +3,12 @@ portable PPM image output."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import load_tensor, save_tensor_dir, write_blobs, write_file
+from .nn_ops import blank, map_tensors, tensor, tlt_loader
+from .tensor_core import save_tensor_dir, write_blobs, write_file
 
 
 @dataclass
@@ -70,9 +70,9 @@ def pixel_accuracy(pred: SegMap, gt: SegMap) -> float:
 class PcaBasis:
     """Top-3 principal directions of a pixel cloud."""
 
-    mean: np.ndarray  # (d,)
-    components: np.ndarray  # (3, d), orthonormal rows
-    explained_variance: np.ndarray  # (3,)
+    mean: np.ndarray = tensor("mean", "d")
+    components: np.ndarray = tensor("components", 3, "d")  # orthonormal rows
+    explained_variance: np.ndarray = tensor("explained_variance", 3)
 
 
 def pca_project_3(z: np.ndarray):
@@ -154,13 +154,12 @@ def save_ppm(path, img: np.ndarray) -> int:
 
 
 def save_pca_basis(basis: PcaBasis, dirpath) -> None:
-    items = [("mean", basis.mean), ("components", basis.components), ("explained_variance", basis.explained_variance)]
+    items = []
+    map_tensors(basis, lambda name, t: items.append((name, t)))
     save_tensor_dir(dirpath, "basis.json", {"width": int(basis.mean.size), "components": 3}, items)
 
 
 def load_pca_basis(dirpath) -> PcaBasis:
-    return PcaBasis(
-        mean=load_tensor(os.path.join(dirpath, "mean.tlt")),
-        components=load_tensor(os.path.join(dirpath, "components.tlt")),
-        explained_variance=load_tensor(os.path.join(dirpath, "explained_variance.tlt")),
-    )
+    """Read a basis written by ``save_pca_basis``; its width d is read off
+    ``mean`` and every later shape is checked against it."""
+    return map_tensors(blank(PcaBasis), tlt_loader(dirpath))

@@ -12,10 +12,13 @@ one pixel or (B, N, d) for a batch of pixels; all math is per pixel either way.
 
 The parameter dataclasses declare, per tensor field, its file stem and its
 symbolic shape (``tensor``).  ``map_tensors`` walks those fields in
-declaration order; initialization (``blank`` then ``init_tensors``), lifting
-to Vars, the optimizers' named arrays, serialization and loading with
-shape checks (``tlt_loader``, through ``check_shape``) all go through it, so
-the names, their order and the shapes live only in the field declarations.
+declaration order; initialization (a ``blank`` skeleton whose tensors hold
+their shapes, each replaced by ``draw_tensor``), lifting to Vars, the
+optimizers' named arrays, serialization and loading with shape checks
+(``tlt_loader``, through ``check_shape``) all go through it, so the names,
+their order and the shapes live only in the field declarations.  The
+merger's skeleton (``fusion._blank_params``) is walked the same way by
+``fusion.map_params``, to draw it or to load it.
 """
 
 from __future__ import annotations
@@ -188,17 +191,17 @@ def xavier_uniform(rng, shape) -> np.ndarray:
     return (2.0 * rng.uniforms(*shape) - 1.0) * bound
 
 
+def draw_tensor(rng, name: str, shape: tuple) -> np.ndarray:
+    """A fresh tensor of ``shape``: a matrix Xavier-uniform over its last two
+    axes, a layer-norm gain (a stem ending in gamma) one, any other vector zero."""
+    if len(shape) > 1:
+        return xavier_uniform(rng, shape)
+    return np.ones(shape) if name.endswith("gamma") else np.zeros(shape)
+
+
 def init_tensors(params, rng):
-    """Fill a ``blank`` with fresh tensors, drawn in field order: matrices
-    Xavier-uniform over their last two axes, layer-norm gains (stems ending
-    in gamma) one, every other vector zero."""
-
-    def draw(name, shape):
-        if len(shape) > 1:
-            return xavier_uniform(rng, shape)
-        return np.ones(shape) if name.endswith("gamma") else np.zeros(shape)
-
-    return map_tensors(params, draw)
+    """Fill a ``blank`` with ``draw_tensor`` draws, in field order."""
+    return map_tensors(params, lambda name, shape: draw_tensor(rng, name, shape))
 
 
 def init_block_params(d: int, heads: int, rng) -> BlockParams:

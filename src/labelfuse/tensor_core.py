@@ -158,6 +158,20 @@ def write_json(path, doc, sort_keys: bool = False) -> int:
     return write_file(path, (json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n").encode())
 
 
+def read_json(path, what: str) -> dict:
+    """The JSON object in the file at ``path`` (the counterpart of
+    ``write_json``).  A document that nests too deeply to parse, or is not an
+    object, raises ValueError naming it as ``what``."""
+    with open(path) as f:
+        try:
+            doc = json.load(f)
+        except RecursionError:
+            raise ValueError(f"{what} JSON nests too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
 # Largest single read: a header that claims more payload than the stream
 # holds fails when the stream runs out, not by allocating the claimed size.
 _READ_PIECE = 1 << 24

@@ -21,7 +21,6 @@ and hold one tile a thread, whatever the grid size.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -40,7 +39,7 @@ from .label_model import (
 )
 from .nn_ops import blank, init_block_params, init_tensors, map_tensors, tensor, tlt_loader
 from .tape import Var, as_var, backward
-from .tensor_core import Rng, save_tensor_dir
+from .tensor_core import Rng, read_json, save_tensor_dir
 
 
 # toy-training constants: hidden widths of the generator and discriminator
@@ -340,7 +339,7 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, wrt, thr
         register = lambda name, arr: leaves.setdefault(name, Var(arr)) if name in wrt else as_var(arr)
         merger = fusion.map_params(merger_arrays, register)
         heads = map_tensors(heads_arrays, register)
-        t = as_var(flat_target[p0:p1].astype(np.float64))
+        t = as_var(flat_target[p0:p1])
         loss = tile_loss(tlam_graph(xs, names, merger), heads, t)
         backward(loss)
         return (p1 - p0) / pixels, float(loss.value), {n: v.grad for n, v in leaves.items() if v.grad is not None}
@@ -572,8 +571,7 @@ def load_head_params(dirpath) -> HeadParams:
     """Read heads written by ``save_head_params``.  The widths d, d_g and d_c
     are read off the first tensor that has them and every later shape is
     checked against them."""
-    with open(os.path.join(dirpath, "heads.json")) as f:
-        meta = json.load(f)
-    if not isinstance(meta, dict) or type(meta.get("discriminator")) is not bool:
+    meta = read_json(os.path.join(dirpath, "heads.json"), "heads.json")
+    if type(meta.get("discriminator")) is not bool:
         raise ValueError("heads.json must be an object with a bool 'discriminator'")
     return map_tensors(_blank_heads(meta["discriminator"]), tlt_loader(dirpath))

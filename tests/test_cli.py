@@ -177,6 +177,15 @@ class TestMerge:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: params.json")
 
+    def test_deeply_nested_params_json_exits_1(self, tmp_path, scene, params, capsys):
+        # too deep for the JSON parser's recursion: an error line, not a RecursionError traceback
+        (params / "params.json").write_text("[" * 200_000 + "]" * 200_000)
+        code = run("merge", "--manifest", str(scene / "manifest.json"),
+                   "--params", str(params), "--variant", "tlam",
+                   "--out", str(tmp_path / "z.tlt"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: params.json JSON nests too deeply\n"
+
     def test_mac_count_printed_for_tlam_only(self, tmp_path, scene, params, capsys):
         manifest = str(scene / "manifest.json")
         assert run("init-params", "--manifest", manifest, "--variant", "clam", "--d", "12",

@@ -1,6 +1,8 @@
 import io
 import itertools
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from labelfuse.metrics_viz import (
     save_ppm,
     write_ppm,
 )
+from labelfuse.tensor_core import save_tensor
 
 from oracles import JACOBI_REL_TOL, jacobi_eigh, round_robin, seg_counting_oracle
 
@@ -360,6 +363,17 @@ class TestPca:
         assert np.array_equal(back.mean, basis.mean)
         assert np.array_equal(back.components, basis.components)
         assert np.array_equal(back.explained_variance, basis.explained_variance)
+        assert sorted(os.listdir(tmp_path / "basis")) == [
+            "basis.json", "components.tlt", "explained_variance.tlt", "mean.tlt"]
+        assert json.loads((tmp_path / "basis" / "basis.json").read_text()) == {"width": 4, "components": 3}
+
+    def test_basis_of_another_width_rejected(self, tmp_path):
+        # the width d is read off mean.tlt, and components.tlt must agree with it
+        basis, _ = pca_project_3(np.random.default_rng(11).standard_normal((5, 5, 4)))
+        save_pca_basis(basis, tmp_path / "basis")
+        save_tensor(tmp_path / "basis" / "components.tlt", np.ones((3, 5)))
+        with pytest.raises(ValueError, match=re.escape("components.tlt has shape (3, 5), expected (3, 4)")):
+            load_pca_basis(tmp_path / "basis")
 
 
 class TestPpm:

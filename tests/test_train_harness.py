@@ -732,3 +732,16 @@ def test_malformed_heads_json_rejected(tmp_path, meta):
     (tmp_path / "heads" / "heads.json").write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="heads.json"):
         th.load_head_params(tmp_path / "heads")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[" * 200_000 + "]" * 200_000, "heads.json JSON nests too deeply"),
+     ("[1]", "heads.json must be a JSON object, not list")],
+    ids=["nested", "list"],
+)
+def test_heads_json_not_an_object_rejected(tmp_path, text, message):
+    th.save_head_params(heads_with_disc(seed=9), tmp_path / "heads")
+    (tmp_path / "heads" / "heads.json").write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        th.load_head_params(tmp_path / "heads")
