@@ -5,8 +5,10 @@ Three variants produce a per-pixel fused representation from a label set:
 * ``tlam_merge``: project each label to a d-wide token (affine + GeLU, with
   absent pixels replaced by the zero vector), add a learned per-label
   encoding, run the tokens of each pixel through a stack of transformer
-  blocks, and average the output tokens (always dividing by N, in ascending
-  label order).
+  blocks, and average the output tokens (weights 1/N, absent labels
+  included).  ``merge_step`` folds each block's LN2 gain and shift into
+  MLP-up once per merge, and the last block's MLP-down runs on the average
+  of its hidden layer, not on each token.
 * ``clam_merge``: the same projection followed by per-label stacks of
   d x d affine + GeLU layers, then the same token average.  A label's chain
   (projection and stack) sees one label's pixels one at a time, so every
@@ -270,20 +272,50 @@ def _projected_tokens(xs: list[Var], names: list[str], p: MergerParams) -> list[
 
 
 def _token_average(tokens: Var) -> Var:
-    # ascending label-index accumulation, then division by N (absent included)
-    n = tokens.value.shape[1]
-    acc = tape.take_index(tokens, 0, axis=1)
-    for k in range(1, n):
-        acc = acc + tape.take_index(tokens, k, axis=1)
-    return acc * (1.0 / n)
+    """The (B, w) mean of (B, N, w) tokens over their N labels, absent ones
+    included: per pixel, one (1, N) @ (N, w) product with weights 1/N, whose
+    backward is one more.  One node, however many labels."""
+    b, n, w = tokens.value.shape
+    return tape.reshape(tape.matmul(as_var(np.full((1, n), 1.0 / n)), tokens), (b, w))
 
 
-def tlam_graph(xs: list[Var], names: list[str], p: MergerParams) -> Var:
-    """The differentiable merge for one pixel batch: (B, C_k) inputs -> (B, d)."""
-    Z = tape.stack(_projected_tokens(xs, names, p), axis=1)
-    for bp in p.blocks:
+def merge_step(p: MergerParams) -> MergerParams:
+    """What a ``tlam`` tile's graph reads, from lifted params ``p``: ``p``
+    with each block's LN2 affine folded into MLP-up, W1' = diag(gamma2) W1
+    and b1' = beta2 W1 + b1, and ``ln2_gamma`` and ``ln2_beta`` None, so LN2
+    only normalizes.  A merge builds it once; a training tile builds it
+    from its own leaves, and as it is made of tape ops, gradients reach
+    gamma2, beta2, W1 and b1 through it.  LN1's affine stays in its op:
+    Q, K and V have no bias, and the three bias adds a fold would need
+    cost about what it saves in LN."""
+
+    def fold(bp):
+        w1 = tape.transpose(tape.transpose(bp.w1, (1, 0)) * bp.ln2_gamma, (1, 0))
+        b1 = tape.reshape(tape.matmul(tape.reshape(bp.ln2_beta, (1, p.d)), bp.w1, bp.b1), (4 * p.d,))
+        return replace(bp, ln2_gamma=None, ln2_beta=None, w1=w1, b1=b1)
+
+    return replace(p, blocks=[fold(bp) for bp in p.blocks])
+
+
+def tlam_graph(xs: list[Var], names: list[str], step: MergerParams) -> Var:
+    """The differentiable merge for one pixel batch: (B, C_k) inputs -> (B, d),
+    reading a ``merge_step``.
+
+    The last block's MLP-down is linear and followed only by the token
+    average, so it runs after it, on B rows rather than B N:
+    avg_k(GeLU(LN2(Y_k) W1' + b1')) W2 + b2 + avg_k(Y_k).  With no blocks
+    the result is the tokens' plain average."""
+    Z = tape.stack(_projected_tokens(xs, names, step), axis=1)
+    if not step.blocks:
+        return _token_average(Z)
+    for bp in step.blocks[:-1]:
         Z = nn_ops.transformer_block(Z, bp)
-    return _token_average(Z)
+    last = step.blocks[-1]
+    Y = nn_ops.msa_block(Z, last)
+    batch = Y.value.shape[0]
+    hidden = tape.reshape(_token_average(nn_ops.mlp_hidden(Y, last)), (batch, 1, 4 * step.d))
+    down = tape.matmul(hidden, last.w2, last.b2)  # (B, 1, 4d) @ (4d, d)
+    return tape.reshape(down, (batch, step.d)) + _token_average(Y)
 
 
 def clam_graph(xs: list[Var], names: list[str], p: MergerParams, present: list, absent: dict) -> Var:
@@ -313,7 +345,8 @@ def _run_tiled(s: LabelSet, p: MergerParams, variant: str, threads: int) -> np.n
     names = [lab.name for lab in s]
     lifted = map_params(p, lambda _name, t: as_var(t))
     if variant == TLAM:
-        graph = lambda p0, p1, xs: tlam_graph(xs, names, lifted)
+        step = merge_step(lifted)
+        graph = lambda p0, p1, xs: tlam_graph(xs, names, step)
     else:
         absent = {}  # each label's chain output for an absent pixel: one all-zero pixel, pushed through
         for lab in s:

@@ -243,11 +243,17 @@ def msa_block(Z: Var, p: BlockParams) -> Var:
     return multi_head_self_attention(normed, p.attn) + Z
 
 
+def mlp_hidden(Z: Var, p: BlockParams) -> Var:
+    """The MLP's (..., 4d) hidden layer, GeLU(LN(Z) W1 + b1).  Params whose
+    ``ln2_gamma`` and ``ln2_beta`` are None have LN's affine folded into W1
+    and b1 (``fusion.merge_step``), so LN only normalizes."""
+    normed = tape.layer_norm(Z, p.ln2_gamma, p.ln2_beta, LN_EPS)
+    return tape.gelu(tape.matmul(normed, p.w1, p.b1))
+
+
 def mlp_block(Z: Var, p: BlockParams) -> Var:
     """Pre-norm token-wise MLP with residual: MLP(LN(Z)) + Z."""
-    normed = tape.layer_norm(Z, p.ln2_gamma, p.ln2_beta, LN_EPS)
-    hidden = tape.gelu(tape.matmul(normed, p.w1, p.b1))
-    return tape.matmul(hidden, p.w2, p.b2) + Z
+    return tape.matmul(mlp_hidden(Z, p), p.w2, p.b2) + Z
 
 
 def transformer_block(Z: Var, p: BlockParams) -> Var:

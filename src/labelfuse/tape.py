@@ -225,19 +225,6 @@ def concat(vars_: list, axis: int) -> Var:
     return Var(np.concatenate([v.value for v in vars_], axis=axis), tuple(vars_), backward)
 
 
-def take_index(a: Var, i: int, axis: int) -> Var:
-    """Select index ``i`` along ``axis`` (drops that axis)."""
-
-    def backward(g):
-        full = np.zeros_like(a.value)
-        index = [slice(None)] * a.value.ndim
-        index[axis] = i
-        full[tuple(index)] = g
-        return (full,)
-
-    return Var(np.take(a.value, i, axis=axis), (a,), backward)
-
-
 def sum_all(a: Var) -> Var:
     def backward(g):
         return (np.broadcast_to(g, a.value.shape),)
@@ -275,33 +262,37 @@ def gelu(a: Var) -> Var:
     s + 2 x s (1 - s) K (1 + 3 C x^2) with s = sigma(2u), so gradient checks
     are exact.
 
-    The forward builds 1 + exp(-2u) in one scratch buffer, which the
-    backward reads for s; the cube is x*x*x because numpy's generic float
-    pow is an order of magnitude slower.  ``a.value`` is only read."""
+    The forward builds t = 1 + exp(-2u) in one scratch buffer, with the
+    constants folded so that -2u = x (-2KC x^2 - 2K) is three passes after
+    the square (numpy's generic float pow is an order of magnitude slower
+    than x*x).  A result that needs no gradient is written over t.  One
+    that needs one keeps t and its value y = x s for the backward, which
+    writes the derivative as (1 + (2K + 6KC x^2) (x - y)) / t, as
+    x - y = x (1 - s) and s = 1/t: eight passes and two fresh arrays.
+    ``a.value`` is only read."""
     x = a.value
     t = np.multiply(x, x, out=np.empty_like(x))
+    t *= -2.0 * _GELU_K * _GELU_C
+    t -= 2.0 * _GELU_K
     t *= x
-    t *= _GELU_C
-    t += x
-    t *= -2.0 * _GELU_K
     with np.errstate(over="ignore"):
         np.exp(t, out=t)
     t += 1.0
+    if not a.needs_grad:
+        return Var(np.divide(x, t, out=t), (a,))
+    y = x / t
 
     def backward(g):
-        s = 1.0 / t
         local = np.multiply(x, x)
-        local *= 3.0 * _GELU_C
+        local *= 6.0 * _GELU_K * _GELU_C
+        local += 2.0 * _GELU_K
+        local *= x - y  # x (1 - s)
         local += 1.0
-        local *= 2.0 * _GELU_K
-        local *= x
-        local *= s
-        local *= 1.0 - s
-        local += s
+        local /= t
         local *= g
         return (local,)
 
-    return Var(x / t, (a,), backward)
+    return Var(y, (a,), backward)
 
 
 def softmax(a: Var) -> Var:
@@ -333,8 +324,12 @@ def softmax(a: Var) -> Var:
     return Var(s, (a,), backward)
 
 
-def layer_norm(a: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
-    """Normalize over the last axis with biased variance, then scale and shift.
+def layer_norm(a: Var, gamma: Var | None = None, beta: Var | None = None, eps: float = 1e-5) -> Var:
+    """Normalize over the last axis with biased variance, then scale by
+    ``gamma`` and shift by ``beta``.  Without them (both None) the result is
+    the normalized rows themselves, and the backward returns only the
+    input's gradient: a caller that folds the affine into the next product
+    (``fusion.merge_step``) passes none.
 
     One fresh array is centred, its squares summed by ``np.einsum`` and then
     normalized in place; the backward reuses it and the inverse deviation.
@@ -352,14 +347,16 @@ def layer_norm(a: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
     inv = 1.0 / np.sqrt(var)
     xh *= inv
 
+    def grad_a(dxh):
+        term = np.einsum("...i->...", dxh)[..., None] + xh * np.einsum("...i,...i->...", dxh, xh)[..., None]
+        return inv / d * (d * dxh - term)
+
+    if gamma is None:
+        return Var(xh, (a,), lambda g: (grad_a(g),))
+
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        da = None
-        if a.needs_grad:
-            dxh = g * gamma.value
-            term = np.einsum("...i->...", dxh)[..., None] + xh * np.einsum("...i,...i->...", dxh, xh)[..., None]
-            da = inv / d * (d * dxh - term)
-        return (da,
+        return (grad_a(g * gamma.value) if a.needs_grad else None,
                 _unbroadcast((g * xh).sum(axis=lead), gamma.value.shape) if gamma.needs_grad else None,
                 _unbroadcast(g.sum(axis=lead), beta.value.shape) if beta.needs_grad else None)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -318,7 +318,8 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, wrt, thr
     """A per-pixel mean loss and its gradients, by merge tile (``fusion.map_tiles``).
 
     The merger and head params hold arrays.  Each tile lifts those named in ``wrt``
-    (an optimizer's ``params``) to leaves and all else to constants, so only they get gradients.
+    (an optimizer's ``params``) to leaves and all else to constants, so only they get gradients,
+    and builds its ``fusion.merge_step`` from them, so the LN2 fold's gradients reach its leaves.
     An empty ``wrt`` gives the loss alone: nothing is recorded and ``grads`` is empty.
 
     ``tile_loss(z, heads, t)`` (``_l2_tile``, ``_adv_g_tile`` or ``_d_tile``) is
@@ -337,7 +338,7 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, wrt, thr
     def run(p0, p1, xs):
         leaves: dict[str, Var] = {}
         register = lambda name, arr: leaves.setdefault(name, Var(arr)) if name in wrt else as_var(arr)
-        merger = fusion.map_params(merger_arrays, register)
+        merger = fusion.merge_step(fusion.map_params(merger_arrays, register))
         heads = map_tensors(heads_arrays, register)
         t = as_var(flat_target[p0:p1])
         loss = tile_loss(tlam_graph(xs, names, merger), heads, t)
@@ -492,9 +493,11 @@ def block_check(stage, rng: Rng, d: int, heads: int, n: int):
 def gradcheck_suite(preset: str = "small", seed: int = 0):
     """Named (group, params, loss_fn) triples for ``finite_diff_check``.
 
-    The ``small`` preset covers each primitive op plus one tiny end-to-end
-    configuration; ``full`` runs seeded random end-to-end configurations over
-    N in {1, 3, 5}, d in {8, 16} and depth in {1, 2} on a 4x4 grid.
+    The ``small`` preset covers each primitive op (layer norm with and
+    without its gain and shift) plus two tiny end-to-end configurations, the
+    second with random LN2 gains and shifts; ``full`` runs seeded random
+    end-to-end configurations over N in {1, 3, 5}, d in {8, 16} and depth
+    in {1, 2} on a 4x4 grid.
     """
 
     def check_gelu(rng):
@@ -516,6 +519,11 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
         c = rng.normals(5, 6)
         return params, lambda p: tape.mean_all(tape.layer_norm(p["x"], p["gamma"], p["beta"], 1e-5) * c)
 
+    def check_normalize(rng):
+        params = {"x": rng.normals(5, 6)}
+        c = rng.normals(5, 6)
+        return params, lambda p: tape.mean_all(tape.layer_norm(p["x"]) * c)
+
     def check_softmax(rng):
         params = {"x": rng.normals(4, 5)}
         c = rng.normals(4, 5)
@@ -525,10 +533,16 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
         """Check ``stage(z, bp)`` of a d=8, 2-head block on 3 tokens."""
         return lambda rng: block_check(stage, rng, 8, 2, 3)
 
-    def check_e2e(n_labels, d, blocks, h, w, heads=2):
+    def check_e2e(n_labels, d, blocks, h, w, heads=2, ln2_affine=False):
+        """A tiny merge-and-generate l2 loss; with ``ln2_affine``, LN2's
+        gains and shifts are normal draws, not 1 and 0, where the gradients
+        through ``fusion.merge_step``'s fold are not trivial."""
+
         def check(rng):
             labels = make_random_label_set(n_labels, h, w, rng.next_u64(), sparsity=0.3)
             merger = fusion.init_merger_params(labels, fusion.TLAM, d=d, n_blocks=blocks, heads=heads, rng=rng)
+            if ln2_affine:
+                merger.blocks = [replace(bp, ln2_gamma=rng.normals(d), ln2_beta=rng.normals(d)) for bp in merger.blocks]
             head_params = init_head_params(d, rng, d_g=16)
             target = as_var(rng.uniforms(h * w, 3))
             xs = fusion.masked_pixels(labels, 0, h * w)
@@ -536,7 +550,7 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
 
             def loss_fn(p):
                 by_name = lambda name, _t: p[name]
-                z = tlam_graph(xs, names, fusion.map_params(merger, by_name))
+                z = tlam_graph(xs, names, fusion.merge_step(fusion.map_params(merger, by_name)))
                 return _l2_tile(z, map_tensors(head_params, by_name), target)
 
             return dict(fusion.param_items(merger) + head_items(head_params)), loss_fn
@@ -549,11 +563,13 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
             ("linear", 2, check_linear),
             ("linear_bias", 9, check_linear_bias),
             ("layer_norm", 3, check_layer_norm),
+            ("layer_norm_plain", 10, check_normalize),
             ("softmax", 4, check_softmax),
             ("attention", 5, check_block(lambda z, bp: nn_ops.multi_head_self_attention(z, bp.attn))),
             ("msa_block", 6, check_block(nn_ops.msa_block)),
             ("mlp_block", 7, check_block(nn_ops.mlp_block)),
             ("e2e.N2.d8.l1", 8, check_e2e(2, 8, 1, 4, 4)),
+            ("e2e.N2.d8.l2.ln2", 11, check_e2e(2, 8, 2, 4, 4, ln2_affine=True)),
         ]
     elif preset == "full":
         configs = [(1, 8, 1), (3, 8, 2), (5, 8, 1), (3, 16, 1), (5, 16, 2)]

@@ -38,6 +38,31 @@ def clam_per_pixel(labels, p):
     return out
 
 
+def tlam_per_pixel(labels, p):
+    """The ``tlam`` merge one pixel at a time, as the model defines it: per
+    label, the pixel's values (zeros where absent) through its projection and
+    a scalar GeLU plus its encoding; then per block, pre-norm attention and a
+    pre-norm MLP with residuals, each layer norm applying its own gain and
+    shift and MLP-down run on every token; then the mean over the labels."""
+    gelu = lambda v: np.array([gelu_scalar(float(t)) for t in v])
+    out = np.zeros((labels.height, labels.width, p.d))
+    for i in range(labels.height):
+        for j in range(labels.width):
+            tokens = []
+            for lab in labels:
+                x = lab.values[i, j].astype(np.float64) if lab.mask[i, j] else np.zeros(lab.channels)
+                proj = p.projections[lab.name]
+                tokens.append(gelu(proj.A @ x + proj.b) + p.encodings[lab.name])
+            z = np.array(tokens)
+            for bp in p.blocks:
+                y = layer_norm_rows(z, bp.ln1_gamma, bp.ln1_beta, 1e-5)
+                z = z + attention_bruteforce(y, bp.attn.wq, bp.attn.wk, bp.attn.wv, bp.attn.wo, bp.attn.bo)
+                y = layer_norm_rows(z, bp.ln2_gamma, bp.ln2_beta, 1e-5)
+                z = z + np.array([gelu(row @ bp.w1 + bp.b1) @ bp.w2 + bp.b2 for row in y])
+            out[i, j] = z.sum(axis=0) / len(tokens)
+    return out
+
+
 def softmax_list(scores):
     m = max(scores)
     e = [math.exp(s - m) for s in scores]
@@ -130,12 +155,12 @@ def adv_d_loss_whole_grid(masked, target, merger, heads):
     grid: recorded merge, generator, then the per-pixel hinges of the real
     and fake discriminator scores.  Its ``disc.*`` gradients are those of
     the D step."""
-    from labelfuse.fusion import masked_pixels, tlam_graph
+    from labelfuse.fusion import masked_pixels, merge_step, tlam_graph
     from labelfuse.tape import Var
     from labelfuse.train_harness import discriminator_graph, generate_graph, hinge_d_loss
 
     xs = masked_pixels(masked, 0, masked.height * masked.width)
-    z = tlam_graph(xs, [lab.name for lab in masked], merger)
+    z = tlam_graph(xs, [lab.name for lab in masked], merge_step(merger))
     fake = generate_graph(z, heads)
     real = Var(np.asarray(target, dtype=np.float64).reshape(-1, 3))
     return hinge_d_loss(discriminator_graph(z, real, heads), discriminator_graph(z, fake, heads))

@@ -21,7 +21,7 @@ from labelfuse.tensor_core import load_tensor, save_tensor
 from labelfuse.train_harness import make_random_label_set
 
 from lifting import unrecorded
-from oracles import clam_per_pixel, gelu_scalar
+from oracles import clam_per_pixel, gelu_scalar, tlam_per_pixel
 
 
 def tiny_set(h=4, w=4, seed=0, sparsity=0.3, n=3):
@@ -36,6 +36,18 @@ def random_biases(p, seed):
         proj.b = rng.standard_normal(p.d)
         for layer in p.clam_stacks[name]:
             layer.b = rng.standard_normal(p.d)
+    return p
+
+
+def random_affine(p, seed):
+    """``p`` (``tlam``) with standard normal layer-norm gains and shifts and
+    MLP and attention-output biases in every block, so that folding LN2's
+    gain and shift into MLP-up is not trivially exact."""
+    rng = np.random.default_rng(seed)
+    for bp in p.blocks:
+        for name in ("ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta", "b1", "b2"):
+            setattr(bp, name, rng.standard_normal(getattr(bp, name).shape))
+        bp.attn.bo = rng.standard_normal(p.d)
     return p
 
 
@@ -234,6 +246,32 @@ class TestTlamMerge:
                 outs.append(merge(labels, p).tobytes())
             assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("d, heads", [(8, 2), (96, 3)])
+    def test_matches_per_pixel_oracle(self, d, heads):
+        labels = tiny_set(h=3, w=4, seed=61, sparsity=0.3)
+        for n_blocks in range(4):
+            p = random_affine(init_merger_params(labels, fusion.TLAM, d=d, n_blocks=n_blocks, heads=heads, seed=62), 63)
+            want = tlam_per_pixel(labels, p)
+            got = tlam_merge(labels, p)
+            # within 2^12 ulps of the largest output
+            assert np.abs(got - want).max() <= 2**12 * np.spacing(np.abs(want).max()), n_blocks
+
+    def test_last_mlp_down_runs_on_the_token_average(self, monkeypatch):
+        # every (4d, d) product but the last block's sees the B N tokens;
+        # the last block's sees one averaged row per pixel
+        labels = tiny_set(h=4, w=5, seed=64)
+        p = init_merger_params(labels, fusion.TLAM, d=8, n_blocks=3, heads=2, seed=65)
+        shapes = []
+        matmul = tape.matmul
+
+        def recording(a, b, bias=None):
+            shapes.append((a.shape, b.shape))
+            return matmul(a, b, bias)
+
+        monkeypatch.setattr(tape, "matmul", recording)
+        tlam_merge(labels, p)
+        assert [a for a, b in shapes if b == (32, 8)] == [(20, 3, 32), (20, 3, 32), (20, 1, 32)]
+
     def test_chunking_matches_full_batch(self):
         pixel_size = fusion.pixel_bytes(fusion.TLAM, 3, 8)
         h, w = fusion.TILE_BYTES // (8 * pixel_size) + 5, 8
@@ -242,7 +280,7 @@ class TestTlamMerge:
         p = init_merger_params(labels, fusion.TLAM, d=8, n_blocks=1, heads=2, seed=14)
         lifted = fusion.map_params(p, lambda _name, t: tape.as_var(t))
         xs = fusion.masked_pixels(labels, 0, h * w)
-        full = fusion.tlam_graph(xs, [lab.name for lab in labels], lifted).value
+        full = fusion.tlam_graph(xs, [lab.name for lab in labels], fusion.merge_step(lifted)).value
         tiled = tlam_merge(labels, p)
         assert np.abs(full.reshape(h, w, 8) - tiled).max() <= 1e-12
 

@@ -13,6 +13,7 @@ from labelfuse.nn_ops import (
     multi_head_self_attention,
     transformer_block,
 )
+from labelfuse.tape import Var
 from labelfuse.tensor_core import Rng
 
 from lifting import unrecorded
@@ -71,6 +72,16 @@ class TestLayerNorm:
         beta = rng.standard_normal(5)
         out = unrecorded(tape.layer_norm, x, gamma, beta, eps=1e-5)
         assert np.allclose(out, layer_norm_rows(x, gamma, beta, 1e-5), atol=1e-12)
+
+    def test_without_affine_normalizes_only(self):
+        # no gain and no shift: the normalized rows, bit-equal to a unit
+        # gain and zero shift, and a node whose one parent is the input
+        rng = np.random.default_rng(7)
+        x = Var(rng.standard_normal((2, 7, 5)))
+        out = tape.layer_norm(x)
+        assert out.parents == (x,)
+        assert out.value.tobytes() == unrecorded(tape.layer_norm, x.value, np.ones(5), np.zeros(5)).tobytes()
+        assert np.allclose(out.value, layer_norm_rows(x.value.reshape(-1, 5), 1.0, 0.0, 1e-5).reshape(2, 7, 5), atol=1e-12)
 
 
 class TestSoftmax:

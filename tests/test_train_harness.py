@@ -33,7 +33,7 @@ def disc_scores(z, img, hp):
 def whole_grid_merge(s, merger):
     """The recorded tlam merge of every pixel of ``s`` as one (H*W, d) graph."""
     xs = fusion.masked_pixels(s, 0, s.height * s.width)
-    return fusion.tlam_graph(xs, [lab.name for lab in s], merger)
+    return fusion.tlam_graph(xs, [lab.name for lab in s], fusion.merge_step(merger))
 
 
 def whole_grid_l2(s, target, merger, heads):
