@@ -12,16 +12,18 @@ Three variants produce a per-pixel fused representation from a label set:
 * ``clam_merge``: the same projection followed by per-label stacks of
   d x d affine + GeLU layers, then the same token average.  A label's chain
   (projection and stack) sees one label's pixels one at a time, so every
-  absent pixel of label k leaves it as one vector c_k: ``clam_merge``
-  computes c_k once per merge, and in each tile runs a label's chain on
+  absent pixel of label k leaves it as one vector c_k: ``merge_step``
+  computes c_k once per merge, and in each tile a label's chain runs on
   that label's present pixels only.
 * ``naive_concat``: plain channel concatenation in label order.
 
 Merging is embarrassingly parallel over pixels: attention never crosses
 pixels, so tiles may cut rows.  ``map_tiles`` is the one tiler, for merging
 and training alike: it cuts the flattened grid into ``pixel_spans`` of
-``max(1, TILE_BYTES // pixel_bytes)`` pixels, slices their inputs with
-``masked_pixels`` and runs them on a thread pool in span order.  Results
+``max(1, TILE_BYTES // pixel_bytes)`` pixels and runs a function of each
+span's bounds on a thread pool in span order.  ``merge_step``, the one
+per-merge setup of both variants, returns the graph a tile runs, which
+slices its inputs with ``masked_pixels``.  Results
 never depend on the thread count.  At some widths (d=12) a pixel's last bit
 can depend on the grid's pixel count, as OpenBLAS picks its dgemm kernel by
 GEMM size (the CHANGES.md ``FOUND:`` note on tile row counts).  For the same
@@ -230,17 +232,16 @@ def masked_pixels(s: LabelSet, p0: int, p1: int) -> list[Var]:
 
 
 def map_tiles(fn, s: LabelSet, p: MergerParams, threads: int, fold) -> None:
-    """``fn(p0, p1, masked_pixels(s, p0, p1))`` for each of the ``pixel_spans``
-    of a ``p`` merge of ``s``, on up to ``threads`` threads.  ``fold`` takes
-    the results in span order, each as soon as every earlier one is folded,
-    so only the results of spans in flight, or done ahead of an earlier
-    span, are held.  A thread takes the next span when it finishes one: no
-    task (~2 KB) is queued per span."""
+    """``fn(p0, p1)`` for each of the ``pixel_spans`` of a ``p`` merge of
+    ``s``, on up to ``threads`` threads.  ``fold`` takes the results in span
+    order, each as soon as every earlier one is folded, so only the results
+    of spans in flight, or done ahead of an earlier span, are held.  A thread
+    takes the next span when it finishes one: no task (~2 KB) is queued per
+    span."""
     spans = pixel_spans(s.height * s.width, pixel_bytes(p.variant, len(s), p.d))
-    run = lambda span: fn(*span, masked_pixels(s, *span))
     if threads <= 1 or len(spans) <= 1:
         for span in spans:
-            fold(run(span))
+            fold(fn(*span))
         return
     todo = iter(range(len(spans)))  # shared: next() on a range iterator is atomic under the GIL
     done: dict = {}  # results not yet folded, by span index
@@ -250,7 +251,7 @@ def map_tiles(fn, s: LabelSet, p: MergerParams, threads: int, fold) -> None:
     def work(_):
         nonlocal folded
         for i in todo:
-            result = run(spans[i])
+            result = fn(*spans[i])
             with lock:
                 done[i] = result
                 while folded in done:
@@ -279,27 +280,40 @@ def _token_average(tokens: Var) -> Var:
     return tape.reshape(tape.matmul(as_var(np.full((1, n), 1.0 / n)), tokens), (b, w))
 
 
-def merge_step(p: MergerParams) -> MergerParams:
-    """What a ``tlam`` tile's graph reads, from lifted params ``p``: ``p``
-    with each block's LN2 affine folded into MLP-up, W1' = diag(gamma2) W1
-    and b1' = beta2 W1 + b1, and ``ln2_gamma`` and ``ln2_beta`` None, so LN2
-    only normalizes.  A merge builds it once; a training tile builds it
-    from its own leaves, and as it is made of tape ops, gradients reach
-    gamma2, beta2, W1 and b1 through it.  LN1's affine stays in its op:
-    Q, K and V have no bias, and the three bias adds a fold would need
-    cost about what it saves in LN."""
+def merge_step(p: MergerParams, s: LabelSet):
+    """The graph a tile of a ``p`` merge of ``s`` runs: ``graph(p0, p1)`` is
+    the (p1 - p0, d) merge of pixels [p0, p1) of the flattened grid.
 
-    def fold(bp):
-        w1 = tape.transpose(tape.transpose(bp.w1, (1, 0)) * bp.ln2_gamma, (1, 0))
-        b1 = tape.reshape(tape.matmul(tape.reshape(bp.ln2_beta, (1, p.d)), bp.w1, bp.b1), (4 * p.d,))
-        return replace(bp, ln2_gamma=None, ln2_beta=None, w1=w1, b1=b1)
+    ``p`` is lifted with ``as_var``, which leaves Vars alone, and what the
+    variant reads is built once, here.  ``tlam``: each block's LN2 affine is
+    folded into MLP-up, W1' = diag(gamma2) W1 and b1' = beta2 W1 + b1, so LN2
+    only normalizes; the fold is tape ops, so gradients reach gamma2, beta2,
+    W1 and b1.  LN1's affine stays in its op: Q, K and V have no bias, and the
+    three bias adds a fold would need cost about what it saves in LN.
+    ``clam``: each label's c_k, one all-zero pixel pushed through its chain.
+    A merge builds one step; a training tile builds its own from its leaves."""
+    p = map_params(p, lambda _name, t: as_var(t))
+    names = [lab.name for lab in s]
+    if p.variant == TLAM:
 
-    return replace(p, blocks=[fold(bp) for bp in p.blocks])
+        def fold(bp):
+            w1 = tape.transpose(tape.transpose(bp.w1, (1, 0)) * bp.ln2_gamma, (1, 0))
+            b1 = tape.reshape(tape.matmul(tape.reshape(bp.ln2_beta, (1, p.d)), bp.w1, bp.b1), (4 * p.d,))
+            return replace(bp, ln2_gamma=None, ln2_beta=None, w1=w1, b1=b1)
+
+        step = replace(p, blocks=[fold(bp) for bp in p.blocks])
+        return lambda p0, p1: tlam_graph(masked_pixels(s, p0, p1), names, step)
+    absent = {
+        lab.name: clam_graph([as_var(np.zeros((1, lab.channels)))], [lab.name], p, [np.ones(1, bool)], {}).value[0]
+        for lab in s
+    }
+    present = lambda p0, p1: [lab.mask.reshape(-1)[p0:p1] != 0 for lab in s]
+    return lambda p0, p1: clam_graph(masked_pixels(s, p0, p1), names, p, present(p0, p1), absent)
 
 
 def tlam_graph(xs: list[Var], names: list[str], step: MergerParams) -> Var:
     """The differentiable merge for one pixel batch: (B, C_k) inputs -> (B, d),
-    reading a ``merge_step``.
+    reading the params ``merge_step`` folds.
 
     The last block's MLP-down is linear and followed only by the token
     average, so it runs after it, on B rows rather than B N:
@@ -342,26 +356,12 @@ def _run_tiled(s: LabelSet, p: MergerParams, variant: str, threads: int) -> np.n
     if p.variant != variant:
         raise ValueError(f"params are for variant {p.variant!r}, expected {variant!r}")
     _bind_check(s, p)
-    names = [lab.name for lab in s]
-    lifted = map_params(p, lambda _name, t: as_var(t))
-    if variant == TLAM:
-        step = merge_step(lifted)
-        graph = lambda p0, p1, xs: tlam_graph(xs, names, step)
-    else:
-        absent = {}  # each label's chain output for an absent pixel: one all-zero pixel, pushed through
-        for lab in s:
-            zero = as_var(np.zeros((1, lab.channels)))
-            absent[lab.name] = clam_graph([zero], [lab.name], lifted, [np.ones(1, bool)], {}).value[0]
-
-        def graph(p0, p1, xs):
-            present = [lab.mask.reshape(-1)[p0:p1] != 0 for lab in s]
-            return clam_graph(xs, names, lifted, present, absent)
-
+    graph = merge_step(p, s)
     out = np.empty((s.height, s.width, p.d), dtype=np.float64)
     flat = out.reshape(-1, p.d)
 
-    def tile(p0, p1, xs):
-        z = graph(p0, p1, xs).value
+    def tile(p0, p1):
+        z = graph(p0, p1).value
         if not np.isfinite(z).all():
             raise FloatingPointError("merge produced non-finite values")
         flat[p0:p1] = z

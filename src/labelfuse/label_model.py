@@ -99,7 +99,8 @@ def make_label(name: str, kind: str, values: np.ndarray, mask: np.ndarray | None
 
 def validate_label_set(s: LabelSet) -> None:
     """Raise ValueError unless all LabelSet invariants hold, names that are
-    not a ``FILE_STEM`` included (as in ``fusion.load_merger_params``)."""
+    not a ``FILE_STEM`` included (as in ``fusion.load_merger_params``), and
+    values that are not finite at a present pixel (absent ones are ignored)."""
     if len(s.labels) == 0:
         raise ValueError("label set is empty (need N >= 1 labels)")
     dims = s.labels[0].values.shape[:2]  # a tuple: rank is checked per label below
@@ -120,6 +121,12 @@ def validate_label_set(s: LabelSet) -> None:
         if lab.name in seen:
             raise ValueError(f"duplicate label name {lab.name!r}")
         seen.add(lab.name)
+        if not np.isfinite(lab.values).all():
+            bad = np.argwhere(~np.isfinite(lab.values) & (lab.mask[..., None] != 0))
+            if len(bad):
+                y, x, c = bad[0].tolist()
+                raise ValueError(f"label {lab.name!r}: value {lab.values[y, x, c]} at present pixel ({y}, {x}) "
+                                 "is not finite")
 
 
 def generate_sparse_masks(
@@ -316,7 +323,9 @@ def _manifest_entries(doc) -> list[dict]:
 
 def load_label_set(manifest_path) -> LabelSet:
     """Read a manifest written by ``save_label_set``; any malformed manifest
-    or tensor raises ValueError (or OSError for a missing file)."""
+    or tensor raises ValueError (or OSError for a missing file).  Values are
+    cast to float32, where one beyond its range becomes inf (rejected at a
+    present pixel), and a mask that is not uint8 must hold only 0 and 1."""
     doc = read_json(manifest_path, "manifest")
     base = os.path.dirname(os.path.abspath(manifest_path))
     entries = _manifest_entries(doc)
@@ -324,11 +333,17 @@ def load_label_set(manifest_path) -> LabelSet:
     for entry in entries:
         values = load_tensor(os.path.join(base, entry["values"]))
         mask = load_tensor(os.path.join(base, entry["mask"]))
+        bad = np.argwhere((mask != 0) & (mask != 1)) if mask.dtype != np.uint8 else ()
+        if len(bad):
+            at = tuple(bad[0].tolist())
+            raise ValueError(f"label {entry['name']!r}: {mask.dtype} mask holds {mask[at]} at pixel {at}, not 0 or 1")
+        with np.errstate(over="ignore"):
+            values = values.astype(np.float32, copy=False)
         labels.append(
             LabelMap(
                 name=entry["name"],
                 kind=entry["kind"],
-                values=values.astype(np.float32, copy=False),
+                values=values,
                 mask=mask.astype(np.uint8, copy=False),
             )
         )

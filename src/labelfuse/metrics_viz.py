@@ -3,12 +3,13 @@ portable PPM image output."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .nn_ops import blank, map_tensors, tensor, tlt_loader
-from .tensor_core import save_tensor_dir, write_blobs, write_file
+from .tensor_core import read_json, save_tensor_dir, write_blobs, write_file
 
 
 @dataclass
@@ -160,6 +161,10 @@ def save_pca_basis(basis: PcaBasis, dirpath) -> None:
 
 
 def load_pca_basis(dirpath) -> PcaBasis:
-    """Read a basis written by ``save_pca_basis``; its width d is read off
-    ``mean`` and every later shape is checked against it."""
-    return map_tensors(blank(PcaBasis), tlt_loader(dirpath))
+    """Read a basis written by ``save_pca_basis``: ``basis.json`` must be an
+    object with an integer ``width`` d and ``components`` 3, and every
+    tensor's shape is checked against them."""
+    doc = read_json(os.path.join(dirpath, "basis.json"), "basis.json")
+    if type(doc.get("width")) is not int or doc.get("components") != 3:
+        raise ValueError("basis.json must be an object with an integer 'width' and 'components' 3")
+    return map_tensors(blank(PcaBasis, d=doc["width"]), tlt_loader(dirpath))

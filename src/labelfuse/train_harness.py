@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import fusion, nn_ops, tape
-from .fusion import tlam_graph
 from .label_model import (
     LabelMap,
     LabelSet,
@@ -319,7 +318,8 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, wrt, thr
 
     The merger and head params hold arrays.  Each tile lifts those named in ``wrt``
     (an optimizer's ``params``) to leaves and all else to constants, so only they get gradients,
-    and builds its ``fusion.merge_step`` from them, so the LN2 fold's gradients reach its leaves.
+    and runs the graph its own ``fusion.merge_step`` builds from them, so the LN2 fold's
+    gradients reach its leaves.
     An empty ``wrt`` gives the loss alone: nothing is recorded and ``grads`` is empty.
 
     ``tile_loss(z, heads, t)`` (``_l2_tile``, ``_adv_g_tile`` or ``_d_tile``) is
@@ -331,17 +331,15 @@ def tiled_grads(masked, target, merger_arrays, heads_arrays, tile_loss, wrt, thr
     summed, as soon as every earlier tile's are: a step holds at most one
     graph per thread, and no gradient set per tile.  Returns ``(loss, grads)``.
     """
-    names = [lab.name for lab in masked]
     pixels = masked.height * masked.width
     flat_target = target.reshape(-1, 3)
 
-    def run(p0, p1, xs):
+    def run(p0, p1):
         leaves: dict[str, Var] = {}
         register = lambda name, arr: leaves.setdefault(name, Var(arr)) if name in wrt else as_var(arr)
-        merger = fusion.merge_step(fusion.map_params(merger_arrays, register))
         heads = map_tensors(heads_arrays, register)
         t = as_var(flat_target[p0:p1])
-        loss = tile_loss(tlam_graph(xs, names, merger), heads, t)
+        loss = tile_loss(fusion.merge_step(fusion.map_params(merger_arrays, register), masked)(p0, p1), heads, t)
         backward(loss)
         return (p1 - p0) / pixels, float(loss.value), {n: v.grad for n, v in leaves.items() if v.grad is not None}
 
@@ -545,12 +543,10 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
                 merger.blocks = [replace(bp, ln2_gamma=rng.normals(d), ln2_beta=rng.normals(d)) for bp in merger.blocks]
             head_params = init_head_params(d, rng, d_g=16)
             target = as_var(rng.uniforms(h * w, 3))
-            xs = fusion.masked_pixels(labels, 0, h * w)
-            names = [lab.name for lab in labels]
 
             def loss_fn(p):
                 by_name = lambda name, _t: p[name]
-                z = tlam_graph(xs, names, fusion.merge_step(fusion.map_params(merger, by_name)))
+                z = fusion.merge_step(fusion.map_params(merger, by_name), labels)(0, h * w)
                 return _l2_tile(z, map_tensors(head_params, by_name), target)
 
             return dict(fusion.param_items(merger) + head_items(head_params)), loss_fn

@@ -155,12 +155,11 @@ def adv_d_loss_whole_grid(masked, target, merger, heads):
     grid: recorded merge, generator, then the per-pixel hinges of the real
     and fake discriminator scores.  Its ``disc.*`` gradients are those of
     the D step."""
-    from labelfuse.fusion import masked_pixels, merge_step, tlam_graph
+    from labelfuse.fusion import merge_step
     from labelfuse.tape import Var
     from labelfuse.train_harness import discriminator_graph, generate_graph, hinge_d_loss
 
-    xs = masked_pixels(masked, 0, masked.height * masked.width)
-    z = tlam_graph(xs, [lab.name for lab in masked], merge_step(merger))
+    z = merge_step(merger, masked)(0, masked.height * masked.width)
     fake = generate_graph(z, heads)
     real = Var(np.asarray(target, dtype=np.float64).reshape(-1, 3))
     return hinge_d_loss(discriminator_graph(z, real, heads), discriminator_graph(z, fake, heads))

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -259,6 +260,51 @@ class TestManifestInput:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: manifest height/width disagree with tensor dims\n"
         assert not (tmp_path / "z.tlt").exists()
+
+    @pytest.mark.parametrize("variant", ["naive", "tlam", "clam"])
+    def test_nonfinite_present_value_exits_1(self, tmp_path, scene, capsys, variant):
+        # naive once wrote the inf and exited 0; tlam and clam found it after the work and exited 2
+        params = [] if variant == "naive" else ["--params", str(tmp_path / "p")]
+        if params:
+            assert run("init-params", "--manifest", str(scene / "manifest.json"), "--variant", variant,
+                       "--d", "8", "--blocks", "1", "--heads", "2", "--out", str(tmp_path / "p")) == EXIT_OK
+        depth = load_tensor(scene / "depth.values.tlt")
+        depth[2, 3, 0] = np.inf
+        save_tensor(scene / "depth.values.tlt", depth)
+        code = run("merge", "--manifest", str(scene / "manifest.json"), "--variant", variant, *params,
+                   "--out", str(tmp_path / "z.tlt"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: label 'depth': value inf at present pixel (2, 3) is not finite\n"
+        assert not (tmp_path / "z.tlt").exists()
+
+    def test_float_mask_of_other_values_exits_1(self, tmp_path, scene, capsys):
+        # such a mask once loaded silently: 300.0 as present, 0.5 as absent
+        mask = load_tensor(scene / "depth.mask.tlt").astype(np.float32)
+        mask[0, 0], mask[0, 1] = 300.0, 0.5
+        save_tensor(scene / "depth.mask.tlt", mask)
+        code = run("merge", "--manifest", str(scene / "manifest.json"), "--variant", "naive",
+                   "--out", str(tmp_path / "z.tlt"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: label 'depth': float32 mask holds 300.0 at pixel (0, 0), not 0 or 1\n"
+
+    @pytest.mark.parametrize("variant, bad", [("tlam", np.inf), ("clam", 1e200)], ids=["inf", "f64-overflow"])
+    def test_nonfinite_value_under_warnings_as_errors_exits_1(self, tmp_path, scene, variant, bad):
+        # a fresh interpreter under CI's -W error::RuntimeWarning: GeLU's
+        # overflow on an inf, or the float32 cast of 1e200, once ended in a traceback
+        assert run("init-params", "--manifest", str(scene / "manifest.json"), "--variant", variant,
+                   "--d", "8", "--blocks", "1", "--heads", "2", "--out", str(tmp_path / "p")) == EXIT_OK
+        depth = load_tensor(scene / "depth.values.tlt").astype(np.float64)
+        depth[1, 1, 0] = bad
+        save_tensor(scene / "depth.values.tlt", depth)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fusion.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "labelfuse.cli", "merge",
+             "--manifest", str(scene / "manifest.json"), "--params", str(tmp_path / "p"), "--variant", variant,
+             "--out", str(tmp_path / "z.tlt")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: label 'depth': value inf at present pixel (1, 1) is not finite\n"
 
     @given(doc=_manifest_docs())
     @settings(max_examples=200, deadline=None)

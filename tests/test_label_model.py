@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from labelfuse.label_model import (
     synth_scene,
     validate_label_set,
 )
-from labelfuse.tensor_core import Rng
+from labelfuse.tensor_core import Rng, save_tensor
 
 
 def two_label_set(h=8, w=8):
@@ -74,6 +75,20 @@ class TestValidate:
     def test_values_of_wrong_rank(self):
         with pytest.raises(ValueError, match=r"label 'depth': values must be H x W x C, got shape \(8, 8\)"):
             make_label("depth", "continuous", np.zeros((8, 8)))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_present_value_names_label_and_pixel(self, bad):
+        s = two_label_set()
+        s.labels[1].values[3, 5, 2] = bad
+        s.labels[1].values[6, 1, 0] = bad
+        with pytest.raises(ValueError, match=rf"label 'sem': value {bad} at present pixel \(3, 5\) is not finite"):
+            validate_label_set(s)
+
+    def test_nonfinite_absent_value_ignored(self):
+        s = two_label_set()
+        s.labels[0].values[2, 2, 0] = np.nan
+        s.labels[0].mask[2, 2] = 0
+        validate_label_set(s)
 
     def test_by_name_missing_label(self):
         with pytest.raises(KeyError, match="no label named 'normals'"):
@@ -318,6 +333,35 @@ class TestManifest:
         manifest = tmp_path / "manifest.json"
         manifest.write_text("[" * 100_000 + "]" * 100_000)
         with pytest.raises(ValueError, match="nests too deeply"):
+            load_label_set(manifest)
+
+    def test_values_beyond_float32_rejected_at_present_pixels_only(self, tmp_path):
+        # the cast to float32 turns 1e200 into inf without a warning
+        labels, _, _ = synth_scene(8, 8, 3, seed=7)
+        manifest = tmp_path / "manifest.json"
+        labels.by_name("depth").mask[0, 0] = 0
+        save_label_set(labels, manifest)
+        depth = labels.by_name("depth").values.astype(np.float64)
+        depth[0, 0, 0] = 1e200
+        save_tensor(tmp_path / "depth.values.tlt", depth)
+        assert load_label_set(manifest).by_name("depth").values[0, 0, 0] == np.inf
+        depth[4, 1, 0] = -1e200
+        save_tensor(tmp_path / "depth.values.tlt", depth)
+        with pytest.raises(ValueError, match=r"label 'depth': value -inf at present pixel \(4, 1\) is not finite"):
+            load_label_set(manifest)
+
+    @pytest.mark.parametrize("bad, at", [(300.0, (2, 3)), (0.5, (2, 3)), (np.nan, (7, 7))])
+    def test_non_uint8_mask_must_hold_0_and_1(self, tmp_path, bad, at):
+        labels, _, _ = synth_scene(8, 8, 3, seed=7)
+        manifest = tmp_path / "manifest.json"
+        save_label_set(labels, manifest)
+        mask = labels.by_name("depth").mask.astype(np.float32)
+        save_tensor(tmp_path / "depth.mask.tlt", mask)
+        assert np.array_equal(load_label_set(manifest).by_name("depth").mask, labels.by_name("depth").mask)
+        mask[at] = bad
+        save_tensor(tmp_path / "depth.mask.tlt", mask)
+        message = f"label 'depth': float32 mask holds {bad} at pixel {at}, not 0 or 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_label_set(manifest)
 
     def test_low_rank_values_rejected(self):

@@ -368,11 +368,29 @@ class TestPca:
         assert json.loads((tmp_path / "basis" / "basis.json").read_text()) == {"width": 4, "components": 3}
 
     def test_basis_of_another_width_rejected(self, tmp_path):
-        # the width d is read off mean.tlt, and components.tlt must agree with it
+        # the width d is basis.json's, and components.tlt must agree with it
         basis, _ = pca_project_3(np.random.default_rng(11).standard_normal((5, 5, 4)))
         save_pca_basis(basis, tmp_path / "basis")
         save_tensor(tmp_path / "basis" / "components.tlt", np.ones((3, 5)))
         with pytest.raises(ValueError, match=re.escape("components.tlt has shape (3, 5), expected (3, 4)")):
+            load_pca_basis(tmp_path / "basis")
+
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ('{"width": 99, "components": 7}', "'components' 3"),
+            ('{"width": 4.0, "components": 3}', "integer 'width'"),
+            ('{"width": 99, "components": 3}', re.escape("mean.tlt has shape (4,), expected (99,)")),
+            ("[" * 100_000 + "]" * 100_000, "basis.json JSON nests too deeply"),
+        ],
+        ids=["components", "float-width", "width", "nested"],
+    )
+    def test_basis_document_is_read_and_checked(self, tmp_path, doc, match):
+        # basis.json was once never read: a basis whose document said width 99 and 7 components loaded
+        basis, _ = pca_project_3(np.random.default_rng(11).standard_normal((5, 5, 4)))
+        save_pca_basis(basis, tmp_path / "basis")
+        (tmp_path / "basis" / "basis.json").write_text(doc)
+        with pytest.raises(ValueError, match=match):
             load_pca_basis(tmp_path / "basis")
 
 

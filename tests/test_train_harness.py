@@ -32,8 +32,7 @@ def disc_scores(z, img, hp):
 
 def whole_grid_merge(s, merger):
     """The recorded tlam merge of every pixel of ``s`` as one (H*W, d) graph."""
-    xs = fusion.masked_pixels(s, 0, s.height * s.width)
-    return fusion.tlam_graph(xs, [lab.name for lab in s], fusion.merge_step(merger))
+    return fusion.merge_step(merger, s)(0, s.height * s.width)
 
 
 def whole_grid_l2(s, target, merger, heads):
@@ -501,6 +500,21 @@ class TestTrainToy:
         assert sorted(grads) == sorted(whole)
         for name, g in whole.items():
             assert np.abs(grads[name] - g).max() <= 1e-12, name
+
+    def test_merge_step_built_per_tile_from_its_leaves(self, monkeypatch):
+        # each tile folds LN2 from its own leaves, so the fold's gradients reach them
+        h, w = TILE_ROWS + 8, 8
+        assert len(fusion.pixel_spans(h * w, PIXEL_SIZE)) == 2
+        masked, target, merger, heads = adv_scene(h, w)
+        steps = []
+        step = fusion.merge_step
+        monkeypatch.setattr(fusion, "merge_step", lambda q, s: steps.append(q) or step(q, s))
+        tile_loss, tiles = recorded(th._l2_tile)
+        th.tiled_grads(masked, target, merger, heads, tile_loss, [n for n, _ in fusion.param_items(merger)])
+        assert len(steps) == len(tiles) == 2
+        for q, loss in zip(steps, tiles):
+            assert {id(leaf) for leaf in graph_leaves(loss)} == {id(t) for _, t in fusion.param_items(q)}
+        assert not {id(t) for _, t in fusion.param_items(steps[0])} & {id(t) for _, t in fusion.param_items(steps[1])}
 
     def test_inputs_and_targets_take_no_gradient(self):
         labels, inst, target = label_model.synth_scene(4, 4, 3, 5)
