@@ -21,15 +21,18 @@ Merging is embarrassingly parallel over pixels: attention never crosses
 pixels, so tiles may cut rows.  ``map_tiles`` is the one tiler, for merging
 and training alike: it cuts the flattened grid into ``pixel_spans`` of
 ``max(1, TILE_BYTES // pixel_bytes)`` pixels and runs a function of each
-span's bounds on a thread pool in span order.  ``merge_step``, the one
-per-merge setup of both variants, returns the graph a tile runs, which
-slices its inputs with ``masked_pixels``.  Results
-never depend on the thread count.  At some widths (d=12) a pixel's last bit
-can depend on the grid's pixel count, as OpenBLAS picks its dgemm kernel by
-GEMM size (the CHANGES.md ``FOUND:`` note on tile row counts).  For the same
-reason a ``clam`` pixel's last bit may depend on how many pixels of its tile
-hold each of its present labels, when that count is small: under 13 at
-d=96 and under 26 at d=47 with OpenBLAS 0.3.31 on an AVX-512 Xeon.
+span's bounds on the calling thread and up to ``threads - 1`` helpers, one
+loop for every thread count, each tile under the caller's numpy error
+state.  ``merge_step``, the one per-merge setup of both variants, returns
+the graph a tile runs, which slices its inputs with ``masked_pixels``.  A
+merge raises numpy's overflow and invalid flags, so an overflow in any tile
+is a ``FloatingPointError``.  Results never depend on the thread count.
+At some widths (d=12) a pixel's last bit can depend on the grid's pixel
+count, as OpenBLAS picks its dgemm kernel by GEMM size (the CHANGES.md
+``FOUND:`` note on tile row counts).  For the same reason a ``clam``
+pixel's last bit may depend on how many pixels of its tile hold each of
+its present labels, when that count is small: under 13 at d=96 and under
+26 at d=47 with OpenBLAS 0.3.31 on an AVX-512 Xeon.
 
 ``map_params`` walks every tensor of a ``MergerParams`` under its canonical
 name (``proj.<label>.A``, ``enc.<label>``, ``block<m>.`` plus the block's
@@ -233,33 +236,37 @@ def masked_pixels(s: LabelSet, p0: int, p1: int) -> list[Var]:
 
 def map_tiles(fn, s: LabelSet, p: MergerParams, threads: int, fold) -> None:
     """``fn(p0, p1)`` for each of the ``pixel_spans`` of a ``p`` merge of
-    ``s``, on up to ``threads`` threads.  ``fold`` takes the results in span
-    order, each as soon as every earlier one is folded, so only the results
-    of spans in flight, or done ahead of an earlier span, are held.  A thread
-    takes the next span when it finishes one: no task (~2 KB) is queued per
-    span."""
+    ``s``: the caller and up to ``threads - 1`` helpers (none at one thread
+    or one span) run one loop, each taking the next span when it finishes
+    one, so no task (~2 KB) is queued per span.  numpy's error state is per
+    thread, so every span runs under the caller's.  ``fold`` takes the
+    results in span order, each as soon as every earlier one is folded, so
+    only the results of spans in flight, or done ahead of an earlier span,
+    are held."""
     spans = pixel_spans(s.height * s.width, pixel_bytes(p.variant, len(s), p.d))
-    if threads <= 1 or len(spans) <= 1:
-        for span in spans:
-            fold(fn(*span))
-        return
     todo = iter(range(len(spans)))  # shared: next() on a range iterator is atomic under the GIL
     done: dict = {}  # results not yet folded, by span index
     lock = threading.Lock()
     folded = 0
+    state = np.geterr()
 
-    def work(_):
+    def work():
         nonlocal folded
-        for i in todo:
-            result = fn(*spans[i])
-            with lock:
-                done[i] = result
-                while folded in done:
-                    fold(done.pop(folded))
-                    folded += 1
+        with np.errstate(**state):
+            for i in todo:
+                result = fn(*spans[i])
+                with lock:
+                    done[i] = result
+                    while folded in done:
+                        fold(done.pop(folded))
+                        folded += 1
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, range(threads)))
+    helpers = min(threads, len(spans)) - 1
+    with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
+        running = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for f in running:
+            f.result()
 
 
 def _projected_tokens(xs: list[Var], names: list[str], p: MergerParams) -> list[Var]:
@@ -353,20 +360,31 @@ def clam_graph(xs: list[Var], names: list[str], p: MergerParams, present: list, 
 
 
 def _run_tiled(s: LabelSet, p: MergerParams, variant: str, threads: int) -> np.ndarray:
+    """The H x W x d ``p`` merge of ``s`` on up to ``threads`` threads.
+
+    The step and every tile run with numpy's overflow and invalid flags
+    raised, so an overflow anywhere in the merge is a ``FloatingPointError``
+    (``merge produced non-finite values (<numpy's reason>)``), not a warning.
+    An inf that raises no flag (an inf bias, say) is caught by each tile's
+    ``isfinite`` check."""
     if p.variant != variant:
         raise ValueError(f"params are for variant {p.variant!r}, expected {variant!r}")
     _bind_check(s, p)
-    graph = merge_step(p, s)
     out = np.empty((s.height, s.width, p.d), dtype=np.float64)
     flat = out.reshape(-1, p.d)
 
     def tile(p0, p1):
         z = graph(p0, p1).value
         if not np.isfinite(z).all():
-            raise FloatingPointError("merge produced non-finite values")
+            raise FloatingPointError(f"in pixels [{p0}, {p1})")
         flat[p0:p1] = z
 
-    map_tiles(tile, s, p, threads, lambda _none: None)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            graph = merge_step(p, s)
+            map_tiles(tile, s, p, threads, lambda _none: None)
+    except FloatingPointError as e:
+        raise FloatingPointError(f"merge produced non-finite values ({e})") from e
     return out
 
 

@@ -162,12 +162,18 @@ def check_shape(name: str, t, shape: tuple, dims: dict):
 def tlt_loader(dirpath):
     """``load(name, shape)`` for ``map_tensors``: read ``<dirpath>/<name>.tlt``
     and check its shape with ``check_shape``; a dim name is bound by the first
-    tensor that has it, and every later shape is checked against it."""
+    tensor that has it, and every later shape is checked against it.  A
+    tensor with an inf or NaN raises ValueError naming its first such index."""
     dims = {}
 
     def load(name, shape):
         path = os.path.join(dirpath, name + ".tlt")
-        return check_shape(path, load_tensor(path), shape, dims)
+        t = check_shape(path, load_tensor(path), shape, dims)
+        finite = np.isfinite(t)
+        if not finite.all():
+            at = tuple(int(i) for i in np.argwhere(~finite)[0])
+            raise ValueError(f"{path}: value {t[at]} at index {at} is not finite")
+        return t
 
     return load
 

@@ -406,43 +406,46 @@ def train_toy_with_params(cfg: ToyTrainConfig):
     mask_rng = Rng(seed_masks)
     losses: list[float] = []
     diverged_at = None
-    for it in range(cfg.iters):
-        mseed = mask_rng.next_u64()
-        masked = apply_masks(labels, generate_sparse_masks(inst, labels, cfg.sparsity, mseed))
-        if cfg.mode == "adversarial":
-            adam_step(opt_d, tiled_grads(masked, target64, merger, heads, _d_tile, opt_d.params, cfg.threads)[1])
-        value, grads = tiled_grads(masked, target64, merger, heads, tile_loss, opt.params, cfg.threads)
-        adam_step(opt, grads)
-        losses.append(value)
-        if not math.isfinite(value):
-            diverged_at = it
-            break
-
-    if diverged_at is None:
-        def l2(s: LabelSet) -> float:
-            value = tiled_grads(s, target64, merger, heads, _l2_tile, (), cfg.threads)[0]
+    # overflow and invalid are expected once training diverges: the finite-loss
+    # and eval checks below decide, so numpy neither warns nor raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(cfg.iters):
+            mseed = mask_rng.next_u64()
+            masked = apply_masks(labels, generate_sparse_masks(inst, labels, cfg.sparsity, mseed))
+            if cfg.mode == "adversarial":
+                adam_step(opt_d, tiled_grads(masked, target64, merger, heads, _d_tile, opt_d.params, cfg.threads)[1])
+            value, grads = tiled_grads(masked, target64, merger, heads, tile_loss, opt.params, cfg.threads)
+            adam_step(opt, grads)
+            losses.append(value)
             if not math.isfinite(value):
-                raise FloatingPointError("eval produced a non-finite l2")
-            return value
+                diverged_at = it
+                break
 
-        eval_rng = Rng(seed_eval)
-        recon: dict[bytes, float] = {}  # by mask set: at sparsity 0 every draw keeps every label
+        if diverged_at is None:
+            def l2(s: LabelSet) -> float:
+                value = tiled_grads(s, target64, merger, heads, _l2_tile, (), cfg.threads)[0]
+                if not math.isfinite(value):
+                    raise FloatingPointError("eval produced a non-finite l2")
+                return value
 
-        def sparse_l2(s: float) -> float:
-            masks = generate_sparse_masks(inst, labels, s, eval_rng.next_u64())
-            key = b"".join(m.tobytes() for m in masks.masks.values())
-            if key not in recon:
-                recon[key] = l2(apply_masks(labels, masks))
-            return recon[key]
+            eval_rng = Rng(seed_eval)
+            recon: dict[bytes, float] = {}  # by mask set: at sparsity 0 every draw keeps every label
 
-        evals = {
-            f"s{s:.1f}": float(np.mean([sparse_l2(s) for _ in range(EVAL_REPEATS)]))
-            for s in EVAL_SPARSITIES
-        }
-        ablation = {lab.name: l2(mask_out_label(labels, lab.name)) for lab in labels}
-    else:
-        evals = None
-        ablation = None
+            def sparse_l2(s: float) -> float:
+                masks = generate_sparse_masks(inst, labels, s, eval_rng.next_u64())
+                key = b"".join(m.tobytes() for m in masks.masks.values())
+                if key not in recon:
+                    recon[key] = l2(apply_masks(labels, masks))
+                return recon[key]
+
+            evals = {
+                f"s{s:.1f}": float(np.mean([sparse_l2(s) for _ in range(EVAL_REPEATS)]))
+                for s in EVAL_SPARSITIES
+            }
+            ablation = {lab.name: l2(mask_out_label(labels, lab.name)) for lab in labels}
+        else:
+            evals = None
+            ablation = None
 
     report = {
         "config": asdict(cfg),

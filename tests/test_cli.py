@@ -3,8 +3,10 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,17 @@ from labelfuse.tensor_core import load_tensor, save_tensor
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_warnings_as_errors(*argv):
+    """``labelfuse argv`` in a fresh interpreter under CI's ``-W
+    error::RuntimeWarning``, where a numpy warning that escapes ends in a
+    traceback; returns the finished process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fusion.__file__)))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "labelfuse.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 EIGH_FAILED = "eigendecomposition of the covariance failed: Eigenvalues did not converge"
@@ -90,6 +103,24 @@ _scene_entries = [
     {"name": name, "kind": kind, "channels": c, "values": f"{name}.values.tlt", "mask": f"{name}.mask.tlt"}
     for name, kind, c in (("semantics", "discrete", 2), ("depth", "continuous", 1), ("normals", "continuous", 3))
 ]
+
+
+# label values: finite floats, then ones a float32 value cannot hold or that are not finite
+_label_values = st.floats() | st.sampled_from([np.inf, -np.inf, np.nan, 1e300, -1e300])
+_pixels = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@st.composite
+def _value_edits(draw):
+    """An edit of one label of the value-contract scene: drawn float64 values
+    at drawn pixels and channels (``channel % C``), and drawn mask values,
+    in range or not, in a mask of a drawn dtype."""
+    label = draw(st.sampled_from(["semantics", "depth", "normals", "edges", "curvature"]))
+    values = draw(st.lists(st.tuples(_pixels, st.integers(0, 2), _label_values), min_size=1, max_size=4))
+    mask_dtype = draw(st.sampled_from(["u1", "f4", "f8"]))
+    mask_values = st.sampled_from([0, 1, 2, 255]) if mask_dtype == "u1" else st.sampled_from(
+        [0.0, 1.0, 2.0, 300.0, 0.5, -1.0, np.nan, np.inf])
+    return label, values, mask_dtype, draw(st.lists(st.tuples(_pixels, mask_values), max_size=4))
 
 
 @st.composite
@@ -186,6 +217,38 @@ class TestMerge:
                    "--out", str(tmp_path / "z.tlt"))
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: params.json JSON nests too deeply\n"
+
+    def test_nonfinite_params_tensor_exits_1(self, tmp_path, scene, params, capsys):
+        # such params once merged, and the merge exited 2 after the work
+        w1 = load_tensor(params / "block0.mlp.W1.tlt")
+        w1[3, 5] = np.nan
+        save_tensor(params / "block0.mlp.W1.tlt", w1)
+        code = run("merge", "--manifest", str(scene / "manifest.json"), "--params", str(params),
+                   "--variant", "tlam", "--out", str(tmp_path / "z.tlt"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {params / 'block0.mlp.W1.tlt'}: value nan at index (3, 5) is not finite\n"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("variant", ["tlam", "clam"])
+    def test_overflow_in_the_merge_exits_2(self, tmp_path, variant, threads):
+        # finite params whose depth projection is scaled by 1e300 overflow in
+        # every tile; this once warned and exited 0, or, under -W
+        # error::RuntimeWarning, ended in a traceback.  64x64 pixels make five
+        # tlam spans and two clam spans, so at two threads a helper meets it too
+        scene = tmp_path / "scene"
+        assert run("synth-scene", "--size", "64x64", "--regions", "3", "--seed", "9",
+                   "--out-dir", str(scene)) == EXIT_OK
+        assert len(fusion.pixel_spans(64 * 64, fusion.pixel_bytes(variant, 5, 8))) >= 2
+        assert run("init-params", "--manifest", str(scene / "manifest.json"), "--variant", variant,
+                   "--d", "8", "--blocks", "1", "--heads", "2", "--out", str(tmp_path / "p")) == EXIT_OK
+        a = tmp_path / "p" / "proj.depth.A.tlt"
+        save_tensor(a, load_tensor(a) * 1e300)
+        proc = run_warnings_as_errors("merge", "--manifest", str(scene / "manifest.json"), "--params",
+                                      str(tmp_path / "p"), "--variant", variant, "--threads", threads,
+                                      "--out", str(tmp_path / "z.tlt"))
+        assert proc.returncode == EXIT_NUMERIC
+        assert proc.stderr.startswith("numerical failure: merge produced non-finite values (")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
     def test_mac_count_printed_for_tlam_only(self, tmp_path, scene, params, capsys):
         manifest = str(scene / "manifest.json")
@@ -296,13 +359,8 @@ class TestManifestInput:
         depth = load_tensor(scene / "depth.values.tlt").astype(np.float64)
         depth[1, 1, 0] = bad
         save_tensor(scene / "depth.values.tlt", depth)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(fusion.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "labelfuse.cli", "merge",
-             "--manifest", str(scene / "manifest.json"), "--params", str(tmp_path / "p"), "--variant", variant,
-             "--out", str(tmp_path / "z.tlt")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = run_warnings_as_errors("merge", "--manifest", str(scene / "manifest.json"), "--params",
+                                      str(tmp_path / "p"), "--variant", variant, "--out", str(tmp_path / "z.tlt"))
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr == "error: label 'depth': value inf at present pixel (1, 1) is not finite\n"
 
@@ -335,6 +393,61 @@ class TestManifestInput:
         assert run(command, "--manifest", str(manifest), *extra) == EXIT_USAGE
         assert "label name '../../escaped' must be a non-empty file stem" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*escaped*"))
+
+
+@pytest.fixture(scope="module")
+def value_scene(tmp_path_factory):
+    """A 4x4 synthetic scene and tlam and clam params for it at d=4; the
+    value-contract property edits copies of the scene under ``work/``."""
+    base = tmp_path_factory.mktemp("values")
+    manifest = str(base / "scene" / "manifest.json")
+    assert run("synth-scene", "--size", "4x4", "--regions", "2", "--seed", "3",
+               "--out-dir", str(base / "scene")) == EXIT_OK
+    for variant in ("tlam", "clam"):
+        assert run("init-params", "--manifest", manifest, "--variant", variant, "--d", "4", "--blocks", "1",
+                   "--heads", "2", "--out", str(base / variant)) == EXIT_OK
+    return base
+
+
+class TestValueContract:
+    @given(edit=_value_edits())
+    @settings(max_examples=100, deadline=None)
+    def test_any_label_values_exit_0_1_or_2_with_a_message(self, value_scene, edit):
+        # under CI's warning filter, in process: a numpy warning or any other
+        # exception that escapes main fails the property, as a traceback would
+        label, values, mask_dtype, mask_values = edit
+        work = value_scene / "work"
+        shutil.copytree(value_scene / "scene", work, dirs_exist_ok=True)
+        v = load_tensor(work / f"{label}.values.tlt").astype(np.float64)
+        for (y, x), c, value in values:
+            v[y, x, c % v.shape[2]] = value
+        save_tensor(work / f"{label}.values.tlt", v)
+        m = load_tensor(work / f"{label}.mask.tlt").astype(mask_dtype)
+        for (y, x), value in mask_values:
+            m[y, x] = value
+        save_tensor(work / f"{label}.mask.tlt", m)
+        concept = np.zeros((4, 4, 3))
+        concept[..., : v.shape[2]] = v[..., :3]
+        save_tensor(work / "concept.tlt", concept)
+        manifest = str(work / "manifest.json")
+        merge = ["merge", "--manifest", manifest, "--threads", "2", "--out", str(work / "z.tlt")]
+        commands = [
+            [*merge, "--variant", "naive"],
+            [*merge, "--variant", "tlam", "--params", str(value_scene / "tlam")],
+            [*merge, "--variant", "clam", "--params", str(value_scene / "clam")],
+            ["sparsify", "--manifest", manifest, "--instances", str(work / "instances.tlt"), "--sparsity", "0.5",
+             "--out-manifest", str(work / "sparse" / "manifest.json")],
+            ["init-params", "--manifest", manifest, "--d", "4", "--blocks", "1", "--heads", "2",
+             "--out", str(work / "params")],
+            ["visualize", "--concept", str(work / "concept.tlt"), "--out", str(work / "concept.ppm")],
+        ]
+        for argv in commands:
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(argv)
+            prefix = {EXIT_OK: "", EXIT_USAGE: "error: ", EXIT_NUMERIC: "numerical failure: "}[code]
+            assert err.getvalue().startswith(prefix) and (err.getvalue() == "") == (code == EXIT_OK), argv
 
 
 class TestInitParams:
@@ -460,10 +573,21 @@ class TestTrainToy:
 
     def test_divergence_exits_2(self, tmp_path):
         out = tmp_path / "r.json"
-        with np.errstate(all="ignore"):
-            code = run("train-toy", "--size", "8x8", "--regions", "3", "--iters", "15",
-                       "--lr", "1e90", "--out", str(out), "--threads", "1")
+        code = run("train-toy", "--size", "8x8", "--regions", "3", "--iters", "15",
+                   "--lr", "1e90", "--out", str(out), "--threads", "1")
         assert code == EXIT_NUMERIC
+        assert json.loads(out.read_text())["diverged_at"] is not None
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_divergence_under_warnings_as_errors_exits_2(self, tmp_path, threads):
+        # a 32x32 grid is three spans at d=16; the overflow of a diverging
+        # step once ended in a traceback under -W error::RuntimeWarning
+        out = tmp_path / "r.json"
+        proc = run_warnings_as_errors("train-toy", "--size", "32x32", "--iters", "15", "--lr", "1e90",
+                                      "--threads", threads, "--out", str(out))
+        assert proc.returncode == EXIT_NUMERIC
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.startswith("diverged at iteration ")
         assert json.loads(out.read_text())["diverged_at"] is not None
 
 

@@ -1,8 +1,9 @@
 import json
+import re
 import sys
+import threading
 import time
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -211,9 +212,7 @@ class TestTlamMerge:
     @pytest.mark.parametrize("variant", [fusion.TLAM, fusion.CLAM])
     def test_nonfinite_pixel_in_a_later_tile_rejected(self, variant, threads):
         # finite inputs with a non-finite result: label 1 is zero except in
-        # the last pixel, where its 3e38 meets a projection scaled by 1e280.
-        # The overflow warns in the worker threads too, which np.errstate (a
-        # context variable) does not reach, so the warning filter is silenced
+        # the last pixel, where its 3e38 meets a projection scaled by 1e280
         pixel_size = fusion.pixel_bytes(variant, 3, 8)
         h, w = 2 * (fusion.TILE_BYTES // (8 * pixel_size)) + 3, 8
         assert len(fusion.pixel_spans(h * w, pixel_size)) >= 3
@@ -223,9 +222,19 @@ class TestTlamMerge:
         p = init_merger_params(labels, variant, d=8, n_blocks=1, heads=2, seed=12)
         p.projections[labels.labels[1].name].A *= 1e280
         merge = tlam_merge if variant == fusion.TLAM else clam_merge
-        with warnings.catch_warnings(), pytest.raises(FloatingPointError, match="merge produced non-finite values"):
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(FloatingPointError, match="merge produced non-finite values"):
             merge(labels, p, threads=threads)
+
+    @pytest.mark.parametrize("variant", [fusion.TLAM, fusion.CLAM])
+    def test_inf_that_raises_no_flag_rejected_by_the_tile_check(self, variant):
+        # adding an inf bias, then GeLU and the token average, raise no
+        # floating-point flag: only each tile's isfinite check sees the inf
+        labels = tiny_set(sparsity=0.0)
+        p = init_merger_params(labels, variant, d=4, n_blocks=0, heads=2, seed=1)
+        p.projections[labels.labels[1].name].b[2] = np.inf
+        merge = tlam_merge if variant == fusion.TLAM else clam_merge
+        with pytest.raises(FloatingPointError, match=re.escape("merge produced non-finite values (in pixels [0, 16))")):
+            merge(labels, p)
 
     @pytest.mark.parametrize("variant", [fusion.TLAM, fusion.CLAM])
     def test_merge_step_built_once_per_merge(self, monkeypatch, variant):
@@ -363,6 +372,37 @@ class TestRowSpans:
         finally:
             sys.setswitchinterval(interval)
         assert folded == fusion.pixel_spans(16 * 16, fusion.pixel_bytes(fusion.CLAM, 3, 4))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_caller_runs_spans_and_every_span_has_its_error_state(self, monkeypatch, threads):
+        # eight two-pixel spans; a helper's first span waits until the caller
+        # has run one, so the caller's share does not hang on scheduling
+        labels = tiny_set(h=4, w=4, seed=51)
+        p = init_merger_params(labels, fusion.CLAM, d=4, n_blocks=0, seed=52)
+        monkeypatch.setattr(fusion, "TILE_BYTES", 2 * fusion.pixel_bytes(fusion.CLAM, 3, 4))
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        caller = threading.get_ident()
+        caller_ran = threading.Event()
+        records = []
+
+        def span(p0, p1):
+            if threading.get_ident() == caller:
+                caller_ran.set()
+            else:
+                caller_ran.wait(5)
+            records.append((threading.get_ident(), np.geterr()))
+
+        state = {"divide": "raise", "over": "ignore", "under": "warn", "invalid": "raise"}  # none the default
+        with np.errstate(**state):
+            fusion.map_tiles(span, labels, p, threads, lambda _none: None)
+        assert len(records) == 8
+        assert all(r == state for _, r in records)
+        idents = {i for i, _ in records}
+        assert caller in idents
+        assert len(idents - {caller}) <= threads - 1
+        assert len(started) <= threads - 1
 
     def test_masked_pixels_flattens_rows_and_zeroes_absent(self):
         values = np.arange(24, dtype=np.float32).reshape(3, 4, 2)
@@ -727,6 +767,22 @@ class TestParamsSerialization:
             load_merger_params(tmp_path / "params")
         msg = str(err.value)
         assert f"{stem}.tlt" in msg and str(bad_shape) in msg and str(good) in msg
+
+    @pytest.mark.parametrize(
+        "variant, stem, at, bad",
+        [(fusion.TLAM, "proj.lab1.b", (5,), np.inf), (fusion.CLAM, "proj.lab0.b", (0,), np.nan),
+         (fusion.TLAM, "block0.mlp.W1", (2, 7), np.nan), (fusion.CLAM, "clam.lab1.0.A", (3, 1), -np.inf)],
+        ids=["tlam-proj-inf", "clam-proj-nan", "tlam-block-nan", "clam-stack-neginf"],
+    )
+    def test_nonfinite_tensor_rejected(self, tmp_path, variant, stem, at, bad):
+        # such a tensor once loaded, and the merge failed only after the work
+        p = init_merger_params(tiny_set(n=2), variant, d=6, n_blocks=1, heads=2, seed=2)
+        save_merger_params(p, tmp_path / "params")
+        t = load_tensor(tmp_path / "params" / f"{stem}.tlt")
+        t[at] = bad
+        save_tensor(tmp_path / "params" / f"{stem}.tlt", t)
+        with pytest.raises(ValueError, match=re.escape(f"{stem}.tlt: value {bad} at index {at} is not finite")):
+            load_merger_params(tmp_path / "params")
 
     def test_deterministic_init(self):
         labels = tiny_set(n=2)

@@ -21,7 +21,7 @@ from labelfuse.metrics_viz import (
     save_ppm,
     write_ppm,
 )
-from labelfuse.tensor_core import save_tensor
+from labelfuse.tensor_core import load_tensor, save_tensor
 
 from oracles import JACOBI_REL_TOL, jacobi_eigh, round_robin, seg_counting_oracle
 
@@ -391,6 +391,17 @@ class TestPca:
         save_pca_basis(basis, tmp_path / "basis")
         (tmp_path / "basis" / "basis.json").write_text(doc)
         with pytest.raises(ValueError, match=match):
+            load_pca_basis(tmp_path / "basis")
+
+    @pytest.mark.parametrize("stem, at, bad", [("mean", (2,), np.nan), ("components", (1, 3), -np.inf)],
+                             ids=["mean-nan", "components-neginf"])
+    def test_nonfinite_basis_tensor_rejected(self, tmp_path, stem, at, bad):
+        basis, _ = pca_project_3(np.random.default_rng(11).standard_normal((5, 5, 4)))
+        save_pca_basis(basis, tmp_path / "basis")
+        t = load_tensor(tmp_path / "basis" / f"{stem}.tlt")
+        t[at] = bad
+        save_tensor(tmp_path / "basis" / f"{stem}.tlt", t)
+        with pytest.raises(ValueError, match=re.escape(f"{stem}.tlt: value {bad} at index {at} is not finite")):
             load_pca_basis(tmp_path / "basis")
 
 

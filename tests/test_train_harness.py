@@ -9,7 +9,7 @@ import pytest
 
 from labelfuse import fusion, label_model, nn_ops, tape, train_harness as th
 from labelfuse.tape import Var, as_var, backward
-from labelfuse.tensor_core import Rng, save_tensor
+from labelfuse.tensor_core import Rng, load_tensor, save_tensor
 
 from lifting import lift, unrecorded
 from oracles import adam_recurrence, adv_d_loss_whole_grid, gelu_scalar
@@ -562,8 +562,7 @@ class TestTrainToy:
         assert report["diverged_at"] is None
 
     def test_divergence_reported_with_iteration(self):
-        with np.errstate(all="ignore"):
-            report = th.train_toy(self.small_cfg(iters=10, lr=1e90))
+        report = th.train_toy(self.small_cfg(iters=10, lr=1e90))
         assert report["diverged_at"] is not None
         assert report["eval"] is None
 
@@ -728,6 +727,16 @@ def test_head_params_wrong_shape_rejected(tmp_path, stem, bad_shape):
     th.save_head_params(heads_with_disc(seed=9), tmp_path / "heads")
     save_tensor(tmp_path / "heads" / f"{stem}.tlt", np.ones(bad_shape))
     with pytest.raises(ValueError, match=re.escape(f"{stem}.tlt has shape {bad_shape}")):
+        th.load_head_params(tmp_path / "heads")
+
+
+@pytest.mark.parametrize("stem, at, bad", [("gen.b1", (4,), np.nan), ("disc.W1", (1, 2), np.inf)], ids=["nan", "inf"])
+def test_head_params_nonfinite_rejected(tmp_path, stem, at, bad):
+    th.save_head_params(heads_with_disc(seed=9), tmp_path / "heads")
+    t = load_tensor(tmp_path / "heads" / f"{stem}.tlt")
+    t[at] = bad
+    save_tensor(tmp_path / "heads" / f"{stem}.tlt", t)
+    with pytest.raises(ValueError, match=re.escape(f"{stem}.tlt: value {bad} at index {at} is not finite")):
         th.load_head_params(tmp_path / "heads")
 
 
