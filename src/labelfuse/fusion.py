@@ -7,8 +7,9 @@ Three variants produce a per-pixel fused representation from a label set:
   encoding, run the tokens of each pixel through a stack of transformer
   blocks, and average the output tokens (weights 1/N, absent labels
   included).  ``merge_step`` folds each block's LN2 gain and shift into
-  MLP-up once per merge, and the last block's MLP-down runs on the average
-  of its hidden layer, not on each token.
+  MLP-up once per merge (LN1's are a product and a sum after its
+  normalization), and the last block's MLP-down runs on the average of its
+  hidden layer, not on each token.
 * ``clam_merge``: the same projection followed by per-label stacks of
   d x d affine + GeLU layers, then the same token average.  A label's chain
   (projection and stack) sees one label's pixels one at a time, so every
@@ -183,19 +184,23 @@ def _blank_params(variant, d, heads, n_blocks, channels: dict) -> MergerParams:
 
 
 def _bind_check(s: LabelSet, p: MergerParams) -> None:
+    """Raise ValueError unless ``p`` holds, for the labels of ``s``, exactly
+    the tensors ``_blank_params`` names for them, each of its shape.  Tensors
+    of labels outside ``s`` are not read, so they are not checked."""
     validate_label_set(s)
-    for lab in s:
-        proj = p.projections.get(lab.name)
-        if proj is None:
-            raise ValueError(f"merger params have no projection for label {lab.name!r}")
-        if proj.A.shape[1] != lab.channels:
-            raise ValueError(
-                f"label {lab.name!r} has {lab.channels} channels, projection expects {proj.A.shape[1]}"
-            )
-        if p.variant == TLAM and lab.name not in p.encodings:
-            raise ValueError(f"merger params have no encoding for label {lab.name!r}")
-        if p.variant == CLAM and lab.name not in p.clam_stacks:
-            raise ValueError(f"merger params have no stack for label {lab.name!r}")
+    _check_sizes(p.variant, p.d, p.heads, p.n_blocks)
+    channels = {lab.name: lab.channels for lab in s}
+    ours = lambda table: {k: v for k, v in table.items() if k in channels}
+    got = dict(param_items(replace(p, projections=ours(p.projections), encodings=ours(p.encodings),
+                                   clam_stacks=ours(p.clam_stacks))))
+    for name, shape in param_items(_blank_params(p.variant, p.d, p.heads, p.n_blocks, channels)):
+        t = got.pop(name, None)
+        if t is None:
+            raise ValueError(f"merger params have no tensor {name!r}")
+        if np.shape(t) != shape:
+            raise ValueError(f"merger params tensor {name!r} has shape {np.shape(t)}, expected {shape}")
+    if got:
+        raise ValueError(f"merger params tensor {next(iter(got))!r} is not one of a {p.variant} merger's")
 
 
 # Bytes of one tile's widest intermediate: half of a 2 MiB per-core L2
@@ -242,19 +247,27 @@ def map_tiles(fn, s: LabelSet, p: MergerParams, threads: int, fold) -> None:
     thread, so every span runs under the caller's.  ``fold`` takes the
     results in span order, each as soon as every earlier one is folded, so
     only the results of spans in flight, or done ahead of an earlier span,
-    are held."""
+    are held.  Once ``fn`` has raised on any thread, no thread starts
+    another span, and the error surfaces from the caller."""
     spans = pixel_spans(s.height * s.width, pixel_bytes(p.variant, len(s), p.d))
     todo = iter(range(len(spans)))  # shared: next() on a range iterator is atomic under the GIL
     done: dict = {}  # results not yet folded, by span index
     lock = threading.Lock()
     folded = 0
+    failed = False
     state = np.geterr()
 
     def work():
-        nonlocal folded
+        nonlocal folded, failed
         with np.errstate(**state):
             for i in todo:
-                result = fn(*spans[i])
+                if failed:
+                    return
+                try:
+                    result = fn(*spans[i])
+                except BaseException:
+                    failed = True
+                    raise
                 with lock:
                     done[i] = result
                     while folded in done:
@@ -269,14 +282,15 @@ def map_tiles(fn, s: LabelSet, p: MergerParams, threads: int, fold) -> None:
             f.result()
 
 
-def _projected_tokens(xs: list[Var], names: list[str], p: MergerParams) -> list[Var]:
-    """``tlam``'s (B, d) token per label: affine + GeLU, plus the label's encoding."""
+def _projected_tokens(xs: list[Var], names: list[str], p: MergerParams) -> Var:
+    """``tlam``'s (B, N, d) tokens, each label's affine + GeLU plus its
+    encoding, concatenated side by side and viewed as (B, N, d)."""
     toks = []
     for x, name in zip(xs, names):
         proj = p.projections[name]
         e = tape.gelu(tape.matmul(x, tape.transpose(proj.A, (1, 0)), proj.b))
         toks.append(e + p.encodings[name])
-    return toks
+    return tape.reshape(tape.concat(toks, axis=1), (len(xs[0].value), len(toks), p.d))
 
 
 def _token_average(tokens: Var) -> Var:
@@ -295,8 +309,9 @@ def merge_step(p: MergerParams, s: LabelSet):
     variant reads is built once, here.  ``tlam``: each block's LN2 affine is
     folded into MLP-up, W1' = diag(gamma2) W1 and b1' = beta2 W1 + b1, so LN2
     only normalizes; the fold is tape ops, so gradients reach gamma2, beta2,
-    W1 and b1.  LN1's affine stays in its op: Q, K and V have no bias, and the
-    three bias adds a fold would need cost about what it saves in LN.
+    W1 and b1.  LN1's affine stays a product and a sum after the
+    normalization (``nn_ops.msa_block``): Q, K and V have no bias, and the
+    three bias adds a fold would need cost about what it saves.
     ``clam``: each label's c_k, one all-zero pixel pushed through its chain.
     A merge builds one step; a training tile builds its own from its leaves."""
     p = map_params(p, lambda _name, t: as_var(t))
@@ -326,7 +341,7 @@ def tlam_graph(xs: list[Var], names: list[str], step: MergerParams) -> Var:
     average, so it runs after it, on B rows rather than B N:
     avg_k(GeLU(LN2(Y_k) W1' + b1')) W2 + b2 + avg_k(Y_k).  With no blocks
     the result is the tokens' plain average."""
-    Z = tape.stack(_projected_tokens(xs, names, step), axis=1)
+    Z = _projected_tokens(xs, names, step)
     if not step.blocks:
         return _token_average(Z)
     for bp in step.blocks[:-1]:

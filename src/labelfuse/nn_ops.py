@@ -1,7 +1,7 @@
 """Differentiable primitives of the per-pixel label transformer: multi-head
 self-attention over label tokens and the two pre-norm residual blocks, built
-from the ``tape`` ops (GeLU, layer normalization and softmax are those ops
-themselves).
+from the ``tape`` ops (GeLU, softmax and a layer norm's normalization are
+those ops themselves; its gain and shift are a ``mul`` and an ``add``).
 
 Every forward function takes tape Vars, with parameter dataclasses whose
 tensors are Vars, and returns a Var; each op is recorded for reverse-mode
@@ -244,8 +244,8 @@ def multi_head_self_attention(Z: Var, p: AttentionParams) -> Var:
 
 
 def msa_block(Z: Var, p: BlockParams) -> Var:
-    """Pre-norm attention with residual: MSA(LN(Z)) + Z."""
-    normed = tape.layer_norm(Z, p.ln1_gamma, p.ln1_beta, LN_EPS)
+    """Pre-norm attention with residual: MSA(LN(Z) * gamma1 + beta1) + Z."""
+    normed = tape.layer_norm(Z, LN_EPS) * p.ln1_gamma + p.ln1_beta
     return multi_head_self_attention(normed, p.attn) + Z
 
 
@@ -253,7 +253,9 @@ def mlp_hidden(Z: Var, p: BlockParams) -> Var:
     """The MLP's (..., 4d) hidden layer, GeLU(LN(Z) W1 + b1).  Params whose
     ``ln2_gamma`` and ``ln2_beta`` are None have LN's affine folded into W1
     and b1 (``fusion.merge_step``), so LN only normalizes."""
-    normed = tape.layer_norm(Z, p.ln2_gamma, p.ln2_beta, LN_EPS)
+    normed = tape.layer_norm(Z, LN_EPS)
+    if p.ln2_gamma is not None:
+        normed = normed * p.ln2_gamma + p.ln2_beta
     return tape.gelu(tape.matmul(normed, p.w1, p.b1))
 
 

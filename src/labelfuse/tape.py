@@ -17,8 +17,10 @@ so the ops keep their passes few: ``matmul`` runs a weight product as one
 flat GEMM and folds an optional bias into it, every op with several
 operands skips the gradients of those that need none, and ``softmax`` and
 ``layer_norm`` reduce their short last axis without numpy's generic
-reductions.  Every module-level function here is either a tape op or in
-the benchmark tracer's skip list, so helpers are nested inside their op.
+reductions.  What the model can compose from ops is not an op: a layer
+norm's gain and shift are a ``mul`` and an ``add`` after ``layer_norm``.
+Every module-level function here is either a tape op or in the benchmark
+tracer's skip list, so helpers are nested inside their op.
 """
 
 from __future__ import annotations
@@ -206,15 +208,6 @@ def reshape(a: Var, shape: tuple) -> Var:
     return Var(a.value.reshape(shape), (a,), backward)
 
 
-def stack(vars_: list, axis: int) -> Var:
-    vars_ = [as_var(v) for v in vars_]
-
-    def backward(g):
-        return tuple(np.take(g, i, axis=axis) if v.needs_grad else None for i, v in enumerate(vars_))
-
-    return Var(np.stack([v.value for v in vars_], axis=axis), tuple(vars_), backward)
-
-
 def concat(vars_: list, axis: int) -> Var:
     vars_ = [as_var(v) for v in vars_]
     splits = np.cumsum([v.value.shape[axis] for v in vars_])[:-1]
@@ -324,12 +317,9 @@ def softmax(a: Var) -> Var:
     return Var(s, (a,), backward)
 
 
-def layer_norm(a: Var, gamma: Var | None = None, beta: Var | None = None, eps: float = 1e-5) -> Var:
-    """Normalize over the last axis with biased variance, then scale by
-    ``gamma`` and shift by ``beta``.  Without them (both None) the result is
-    the normalized rows themselves, and the backward returns only the
-    input's gradient: a caller that folds the affine into the next product
-    (``fusion.merge_step``) passes none.
+def layer_norm(a: Var, eps: float = 1e-5) -> Var:
+    """Normalize over the last axis with biased variance.  A layer norm's
+    gain and shift are the caller's ``mul`` and ``add`` on the result.
 
     One fresh array is centred, its squares summed by ``np.einsum`` and then
     normalized in place; the backward reuses it and the inverse deviation.
@@ -347,22 +337,11 @@ def layer_norm(a: Var, gamma: Var | None = None, beta: Var | None = None, eps: f
     inv = 1.0 / np.sqrt(var)
     xh *= inv
 
-    def grad_a(dxh):
-        term = np.einsum("...i->...", dxh)[..., None] + xh * np.einsum("...i,...i->...", dxh, xh)[..., None]
-        return inv / d * (d * dxh - term)
-
-    if gamma is None:
-        return Var(xh, (a,), lambda g: (grad_a(g),))
-
     def backward(g):
-        lead = tuple(range(g.ndim - 1))
-        return (grad_a(g * gamma.value) if a.needs_grad else None,
-                _unbroadcast((g * xh).sum(axis=lead), gamma.value.shape) if gamma.needs_grad else None,
-                _unbroadcast(g.sum(axis=lead), beta.value.shape) if beta.needs_grad else None)
+        term = np.einsum("...i->...", g)[..., None] + xh * np.einsum("...i,...i->...", g, xh)[..., None]
+        return (inv / d * (d * g - term),)
 
-    out = xh * gamma.value
-    out += beta.value
-    return Var(out, (a, gamma, beta), backward)
+    return Var(xh, (a,), backward)
 
 
 class Tape:

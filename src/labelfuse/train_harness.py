@@ -495,7 +495,7 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
     """Named (group, params, loss_fn) triples for ``finite_diff_check``.
 
     The ``small`` preset covers each primitive op (layer norm with and
-    without its gain and shift) plus two tiny end-to-end configurations, the
+    without a gain and shift) plus two tiny end-to-end configurations, the
     second with random LN2 gains and shifts; ``full`` runs seeded random
     end-to-end configurations over N in {1, 3, 5}, d in {8, 16} and depth
     in {1, 2} on a 4x4 grid.
@@ -518,7 +518,7 @@ def gradcheck_suite(preset: str = "small", seed: int = 0):
     def check_layer_norm(rng):
         params = {"x": rng.normals(5, 6), "gamma": rng.normals(6), "beta": rng.normals(6)}
         c = rng.normals(5, 6)
-        return params, lambda p: tape.mean_all(tape.layer_norm(p["x"], p["gamma"], p["beta"], 1e-5) * c)
+        return params, lambda p: tape.mean_all((tape.layer_norm(p["x"], 1e-5) * p["gamma"] + p["beta"]) * c)
 
     def check_normalize(rng):
         params = {"x": rng.normals(5, 6)}

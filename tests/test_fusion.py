@@ -18,7 +18,7 @@ from labelfuse.fusion import (
     save_merger_params,
     tlam_merge,
 )
-from labelfuse.label_model import LabelSet, make_label
+from labelfuse.label_model import LabelSet, make_label, synth_scene
 from labelfuse.tensor_core import load_tensor, save_tensor
 from labelfuse.train_harness import make_random_label_set
 
@@ -172,27 +172,60 @@ class TestTlamMerge:
         labels = tiny_set()
         other = LabelSet(labels=[make_label("other", "continuous", np.zeros((4, 4, 1)))])
         p = init_merger_params(other, fusion.TLAM, d=4, n_blocks=0, heads=1)
-        with pytest.raises(ValueError, match="lab0"):
+        with pytest.raises(ValueError, match="merger params have no tensor 'proj.lab0.A'"):
             tlam_merge(labels, p)
 
-    @pytest.mark.parametrize("variant, table, part", [(fusion.TLAM, "encodings", "encoding"),
-                                                      (fusion.CLAM, "clam_stacks", "stack")])
-    def test_params_without_a_labels_part_rejected(self, variant, table, part):
+    @pytest.mark.parametrize("variant, table, tensor", [(fusion.TLAM, "encodings", "enc.lab1"),
+                                                        (fusion.CLAM, "clam_stacks", "clam.lab1.0.A")],
+                             ids=["tlam-encodings-encoding", "clam-clam_stacks-stack"])
+    def test_params_without_a_labels_part_rejected(self, variant, table, tensor):
         labels = tiny_set()
         p = init_merger_params(labels, variant, d=4, n_blocks=1, heads=1)
         del getattr(p, table)["lab1"]
         merge = tlam_merge if variant == fusion.TLAM else clam_merge
-        with pytest.raises(ValueError, match=f"merger params have no {part} for label 'lab1'"):
+        with pytest.raises(ValueError, match=f"merger params have no tensor '{re.escape(tensor)}'"):
             merge(labels, p)
 
     def test_channel_mismatch(self):
+        # lab0 has one channel, and the params were drawn for two
         labels = tiny_set()
         wider = LabelSet(
             labels=[make_label(lab.name, lab.kind, np.zeros((4, 4, lab.channels + 1))) for lab in labels]
         )
         p = init_merger_params(wider, fusion.TLAM, d=4, n_blocks=0, heads=1)
-        with pytest.raises(ValueError, match="channels"):
+        with pytest.raises(ValueError, match=r"merger params tensor 'proj\.lab0\.A' has shape \(4, 2\), expected \(4, 1\)"):
             tlam_merge(labels, p)
+
+    @pytest.mark.parametrize("edit, tensor, got, want", [
+        (lambda p: p.encodings.update(depth=np.array([0.5])), "enc.depth", (1,), (8,)),
+        (lambda p: setattr(p.blocks[0], "ln1_gamma", np.array([2.0])), "block0.ln1.gamma", (1,), (8,)),
+        (lambda p: setattr(p.blocks[0], "ln2_beta", np.array([2.0])), "block0.ln2.beta", (1,), (8,)),
+        (lambda p: setattr(p.blocks[0].attn, "wq", p.blocks[0].attn.wq[None]), "block0.attn.Wq", (1, 2, 8, 4),
+         (2, 8, 4)),
+    ], ids=["encoding", "ln1_gamma", "ln2_beta", "rank4_wq"])
+    def test_misshaped_tensor_rejected(self, edit, tensor, got, want):
+        # unchecked, the first two broadcast into an (8, 8, 8) output and the
+        # last two fail inside numpy with messages naming no tensor
+        labels, _, _ = synth_scene(8, 8, 3, seed=2)
+        p = init_merger_params(labels, fusion.TLAM, d=8, n_blocks=1, heads=2)
+        edit(p)
+        with pytest.raises(ValueError, match=re.escape(f"merger params tensor '{tensor}' has shape {got}, expected {want}")):
+            tlam_merge(labels, p)
+
+    def test_tensor_of_another_variant_rejected(self):
+        # clam has no label encodings, so one for a label of the set is refused
+        labels = tiny_set()
+        p = init_merger_params(labels, fusion.CLAM, d=4, n_blocks=1)
+        p.encodings["lab2"] = np.zeros(4)
+        with pytest.raises(ValueError, match="merger params tensor 'enc.lab2' is not one of a clam merger's"):
+            clam_merge(labels, p)
+
+    def test_tensors_of_labels_outside_the_set_are_not_read(self):
+        labels = tiny_set()
+        p = init_merger_params(labels, fusion.TLAM, d=4, n_blocks=1, heads=1)
+        subset = LabelSet(labels=labels.labels[:2])
+        p.encodings["lab2"] = np.zeros(1)
+        assert tlam_merge(subset, p).shape == (4, 4, 4)
 
     def test_wrong_variant_rejected(self):
         labels = tiny_set()
@@ -403,6 +436,25 @@ class TestRowSpans:
         assert caller in idents
         assert len(idents - {caller}) <= threads - 1
         assert len(started) <= threads - 1
+
+    def test_no_span_starts_after_one_has_raised(self, monkeypatch):
+        # twenty two-pixel spans on three threads: span 0 raises at once and
+        # every other span sleeps, so only the spans taken before it raised run
+        labels = tiny_set(h=4, w=10, seed=51)
+        p = init_merger_params(labels, fusion.CLAM, d=4, n_blocks=0, seed=52)
+        monkeypatch.setattr(fusion, "TILE_BYTES", 2 * fusion.pixel_bytes(fusion.CLAM, 3, 4))
+        ran = []
+
+        def span(p0, p1):
+            ran.append(p0)
+            if p0 == 0:
+                raise ValueError("span 0")
+            time.sleep(0.01)
+
+        with pytest.raises(ValueError, match="span 0"):
+            fusion.map_tiles(span, labels, p, 3, lambda _none: None)
+        assert len(fusion.pixel_spans(40, fusion.pixel_bytes(fusion.CLAM, 3, 4))) == 20
+        assert 0 in ran and len(ran) <= 3
 
     def test_masked_pixels_flattens_rows_and_zeroes_absent(self):
         values = np.arange(24, dtype=np.float32).reshape(3, 4, 2)

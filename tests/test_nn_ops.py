@@ -20,6 +20,12 @@ from lifting import unrecorded
 from oracles import attention_bruteforce, gelu_scalar, layer_norm_rows
 
 
+def affine_layer_norm(x, gamma, beta, eps=1e-5):
+    """The value of a layer norm with a gain and shift, composed as the
+    blocks compose it: the normalization, then a product and a sum."""
+    return unrecorded(lambda x, gamma, beta: tape.layer_norm(x, eps) * gamma + beta, x, gamma, beta)
+
+
 def zeroed_block(d, heads, seed=0):
     """Block params whose attention and MLP branches output exactly zero."""
     bp = init_block_params(d, heads, Rng(seed))
@@ -49,19 +55,19 @@ class TestGelu:
 
 class TestLayerNorm:
     def test_constant_input_maps_to_beta(self):
-        out = unrecorded(tape.layer_norm, np.array([4.0, 4.0, 4.0]), np.ones(3), np.zeros(3))
+        out = affine_layer_norm(np.array([4.0, 4.0, 4.0]), np.ones(3), np.zeros(3))
         assert np.allclose(out, 0.0)
-        out = unrecorded(tape.layer_norm, np.array([[2.0, 2.0]]), np.ones(2), np.array([7.0, 7.0]))
+        out = affine_layer_norm(np.array([[2.0, 2.0]]), np.ones(2), np.array([7.0, 7.0]))
         assert np.allclose(out, 7.0)
 
     def test_unit_pair_exact(self):
-        out = unrecorded(tape.layer_norm, np.array([1.0, -1.0]), np.ones(2), np.zeros(2), eps=0.0)
+        out = affine_layer_norm(np.array([1.0, -1.0]), np.ones(2), np.zeros(2), eps=0.0)
         assert np.array_equal(out, [1.0, -1.0])
 
     def test_output_moments(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((20, 16))
-        out = unrecorded(tape.layer_norm, x, np.ones(16), np.zeros(16), eps=0.0)
+        out = affine_layer_norm(x, np.ones(16), np.zeros(16), eps=0.0)
         assert np.abs(out.mean(axis=-1)).max() <= 1e-10
         assert np.abs(out.var(axis=-1) - 1.0).max() <= 1e-6
 
@@ -70,17 +76,17 @@ class TestLayerNorm:
         x = rng.standard_normal((7, 5))
         gamma = rng.standard_normal(5)
         beta = rng.standard_normal(5)
-        out = unrecorded(tape.layer_norm, x, gamma, beta, eps=1e-5)
+        out = affine_layer_norm(x, gamma, beta, eps=1e-5)
         assert np.allclose(out, layer_norm_rows(x, gamma, beta, 1e-5), atol=1e-12)
 
     def test_without_affine_normalizes_only(self):
-        # no gain and no shift: the normalized rows, bit-equal to a unit
-        # gain and zero shift, and a node whose one parent is the input
+        # the op alone: the normalized rows, bit-equal to a unit gain and
+        # zero shift after it, and a node whose one parent is the input
         rng = np.random.default_rng(7)
         x = Var(rng.standard_normal((2, 7, 5)))
         out = tape.layer_norm(x)
         assert out.parents == (x,)
-        assert out.value.tobytes() == unrecorded(tape.layer_norm, x.value, np.ones(5), np.zeros(5)).tobytes()
+        assert out.value.tobytes() == affine_layer_norm(x.value, np.ones(5), np.zeros(5)).tobytes()
         assert np.allclose(out.value, layer_norm_rows(x.value.reshape(-1, 5), 1.0, 0.0, 1e-5).reshape(2, 7, 5), atol=1e-12)
 
 
@@ -191,7 +197,7 @@ class TestBlocks:
     def test_msa_composes_primitives(self):
         bp = init_block_params(4, 2, Rng(8))
         z = np.random.default_rng(8).standard_normal((3, 4))
-        normed = unrecorded(tape.layer_norm, z, bp.ln1_gamma, bp.ln1_beta)
+        normed = affine_layer_norm(z, bp.ln1_gamma, bp.ln1_beta)
         expect = unrecorded(multi_head_self_attention, normed, bp.attn) + z
         assert np.allclose(unrecorded(msa_block, z, bp), expect, atol=1e-14)
 
@@ -212,7 +218,7 @@ class TestBlocks:
         # d=1, d_ff=4: hand-compose the token path
         bp = init_block_params(1, 1, Rng(6))
         z = np.array([[0.7]])
-        normed = unrecorded(tape.layer_norm, z, bp.ln2_gamma, bp.ln2_beta)
+        normed = affine_layer_norm(z, bp.ln2_gamma, bp.ln2_beta)
         hidden = np.array(
             [gelu_scalar((normed @ bp.w1[:, k]).item() + bp.b1[k]) for k in range(4)]
         )
