@@ -295,7 +295,7 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
         return command(args)
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except FloatingPointError as e:

@@ -6,19 +6,21 @@ that maps the output gradient to one gradient per input, and returns
 whether that is recorded.  As in PyTorch autograd, a result needs a gradient
 only when an input does: ``Var(x)`` is a leaf that needs one, ``as_var(x)``
 a constant, and only results that need one keep parents and closure, so a
-merge over constants records nothing.  ``Tape.from_root(loss)`` collects
-the nodes that need a gradient in topological order and ``backward`` visits
-each exactly once in reverse.  As with PyTorch's and JAX's backward rules,
-a closure returns one gradient per parent (``None`` for one that needs none)
-and only the tape sums them: no op writes into a gradient, which may be a view.
+merge over constants records nothing.  ``backward(loss)`` collects the
+nodes that need a gradient in topological order, as ``Tape(loss)``, and
+visits each exactly once in reverse.  As with PyTorch's and JAX's backward
+rules, a closure returns one gradient per parent (``None`` for one that
+needs none) and only the tape sums them: no op writes into a gradient,
+which may be a view.
 
 A training step is bound by numpy passes over small arrays, not by FLOPs,
 so the ops keep their passes few: ``matmul`` runs a weight product as one
 flat GEMM and folds an optional bias into it, every op with several
 operands skips the gradients of those that need none, and ``softmax`` and
 ``layer_norm`` reduce their short last axis without numpy's generic
-reductions.  What the model can compose from ops is not an op: a layer
-norm's gain and shift are a ``mul`` and an ``add`` after ``layer_norm``.
+reductions.  What the model can compose from ops is not an op: ``a - b``
+is ``a + (-b)`` and ``-a`` is ``a * -1``, which IEEE 754 makes exact, and a
+layer norm's gain and shift are a ``mul`` and an ``add`` after ``layer_norm``.
 Every module-level function here is either a tape op or in the benchmark
 tracer's skip list, so helpers are nested inside their op.
 """
@@ -39,10 +41,7 @@ class Var:
     __slots__ = ("value", "grad", "needs_grad", "parents", "_backward")
 
     def __init__(self, value, parents=(), backward=None):
-        if type(value) is np.ndarray and value.dtype == np.float64:
-            self.value = value
-        else:
-            self.value = np.asarray(value, dtype=np.float64)
+        self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         for p in parents:
             if p.needs_grad:
@@ -66,10 +65,10 @@ class Var:
         return add(as_var(other), self)
 
     def __sub__(self, other):
-        return sub(self, as_var(other))
+        return self + -as_var(other)
 
     def __rsub__(self, other):
-        return sub(as_var(other), self)
+        return as_var(other) + -self
 
     def __mul__(self, other):
         return mul(self, as_var(other))
@@ -78,7 +77,7 @@ class Var:
         return mul(as_var(other), self)
 
     def __neg__(self):
-        return neg(self)
+        return mul(self, as_var(-1.0))
 
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
@@ -111,27 +110,12 @@ def add(a: Var, b: Var) -> Var:
     return Var(a.value + b.value, (a, b), backward)
 
 
-def sub(a: Var, b: Var) -> Var:
-    def backward(g):
-        return (_unbroadcast(g, a.value.shape) if a.needs_grad else None,
-                _unbroadcast(-g, b.value.shape) if b.needs_grad else None)
-
-    return Var(a.value - b.value, (a, b), backward)
-
-
 def mul(a: Var, b: Var) -> Var:
     def backward(g):
         return (_unbroadcast(g * b.value, a.value.shape) if a.needs_grad else None,
                 _unbroadcast(g * a.value, b.value.shape) if b.needs_grad else None)
 
     return Var(a.value * b.value, (a, b), backward)
-
-
-def neg(a: Var) -> Var:
-    def backward(g):
-        return (-g,)
-
-    return Var(-a.value, (a,), backward)
 
 
 def matmul(a: Var, b: Var, bias: Var | None = None) -> Var:
@@ -209,7 +193,6 @@ def reshape(a: Var, shape: tuple) -> Var:
 
 
 def concat(vars_: list, axis: int) -> Var:
-    vars_ = [as_var(v) for v in vars_]
     splits = np.cumsum([v.value.shape[axis] for v in vars_])[:-1]
 
     def backward(g):
@@ -345,20 +328,16 @@ def layer_norm(a: Var, eps: float = 1e-5) -> Var:
 
 
 class Tape:
-    """The nodes of one recorded forward pass, topologically ordered."""
+    """The nodes that need a gradient on the way to ``root``, each once and after its parents."""
 
-    def __init__(self, nodes: list):
-        self.nodes = nodes
-
-    @classmethod
-    def from_root(cls, root: Var) -> "Tape":
-        order: list[Var] = []
+    def __init__(self, root: Var):
+        self.nodes: list[Var] = []
         seen: set[int] = set()
         stack: list[tuple[Var, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
-                order.append(node)
+                self.nodes.append(node)
                 continue
             if id(node) in seen:
                 continue
@@ -367,28 +346,24 @@ class Tape:
             for parent in node.parents:
                 if parent.needs_grad and id(parent) not in seen:
                     stack.append((parent, False))
-        return cls(order)
-
-    def backward_from(self, root: Var) -> None:
-        """Add d root / d leaf into every leaf's ``grad``.  The closures return
-        their parents' gradients, summed here alone, out of place, into the
-        parents that need one.  An interior node's gradient is dropped once
-        it has gone to the node's parents."""
-        if root.needs_grad:
-            ones = np.ones_like(root.value)
-            root.grad = ones if root.grad is None else root.grad + ones
-        for node in reversed(self.nodes):
-            if node._backward is not None and node.grad is not None:
-                for p, g in zip(node.parents, node._backward(node.grad)):
-                    if p.needs_grad:
-                        p.grad = g if p.grad is None else p.grad + g
-                node.grad = None
 
 
 def backward(loss: Var) -> Tape:
-    """Reverse-mode gradients of a scalar loss; returns the walked tape."""
+    """Add d loss / d leaf into every leaf's ``grad`` for a scalar loss, and
+    return the walked tape.  The nodes are visited once each, in reverse
+    order; their closures return the parents' gradients, summed here alone,
+    out of place, into the parents that need one.  An interior node's
+    gradient is dropped once it has gone to the node's parents."""
     if loss.value.size != 1:
         raise ValueError(f"loss must be a scalar, got shape {loss.value.shape}")
-    tape = Tape.from_root(loss)
-    tape.backward_from(loss)
+    tape = Tape(loss)
+    if loss.needs_grad:
+        ones = np.ones_like(loss.value)
+        loss.grad = ones if loss.grad is None else loss.grad + ones
+    for node in reversed(tape.nodes):
+        if node._backward is not None and node.grad is not None:
+            for p, g in zip(node.parents, node._backward(node.grad)):
+                if p.needs_grad:
+                    p.grad = g if p.grad is None else p.grad + g
+            node.grad = None
     return tape

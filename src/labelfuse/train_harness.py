@@ -381,6 +381,8 @@ def train_toy_with_params(cfg: ToyTrainConfig):
         raise ValueError(f"unknown training mode {cfg.mode!r}")
     if cfg.iters < 0:
         raise ValueError(f"iters must be >= 0, got {cfg.iters}")
+    if not 0.0 <= cfg.sparsity <= 1.0:
+        raise ValueError(f"sparsity must be in [0, 1], got {cfg.sparsity}")
     labels, inst, target = synth_scene(cfg.height, cfg.width, cfg.regions, cfg.seed)
     target64 = target.astype(np.float64)
 

@@ -783,6 +783,33 @@ class TestUsage:
         assert f"argument --threads: must be >= 1, got {threads}" in err and "Traceback" not in err
         assert not (tmp_path / "z.tlt").exists() and not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["init-params", "--manifest", "{scene}", "--d", "100000000000000000", "--heads", "1", "--out", "{tmp}/p"],
+            ["train-toy", "--size", "1000000000x1000000000", "--iters", "0", "--out", "{tmp}/r.json"],
+            ["synth-scene", "--size", "1000000000x1000000000", "--out-dir", "{tmp}/s"],
+        ],
+        ids=["init-params", "train-toy", "synth-scene"],
+    )
+    def test_input_too_large_to_allocate_exits_1(self, tmp_path, scene, capsys, argv):
+        # each first allocation asks for over 128 PiB, more than any 64-bit
+        # address space holds, and under 2**63 bytes, where numpy would raise
+        # ValueError instead: it fails at once, whatever the overcommit policy
+        argv = [a.format(scene=scene / "manifest.json", tmp=tmp_path) for a in argv]
+        assert run(*argv, "--threads", "1") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scene"]
+
+    @pytest.mark.parametrize("sparsity", ["7", "-0.1", "nan"])
+    def test_train_toy_sparsity_checked_without_iterations(self, tmp_path, capsys, sparsity):
+        out = tmp_path / "r.json"
+        assert run("train-toy", "--iters", "0", "--sparsity", sparsity, "--size", "8x8", "--d", "8",
+                   "--blocks", "1", "--threads", "1", "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: sparsity must be in [0, 1], got {float(sparsity)}\n"
+        assert not out.exists()
+
     def test_bench_without_blocks_exits_0(self, capsys):
         assert run("bench", "--labels", "2", "--size", "4x4", "--d", "4", "--blocks", "0",
                    "--heads", "1", "--repeat", "1", "--threads", "1") == EXIT_OK

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from labelfuse import fusion, tape
-from labelfuse.tape import Tape, Var, as_var, backward
+from labelfuse.tape import Var, as_var, backward
 from labelfuse.train_harness import finite_diff_check, make_random_label_set
 from lifting import unrecorded
 from oracles import gelu_scalar
@@ -21,9 +21,7 @@ from oracles import gelu_scalar
 # every tape op, called on (2, 3), (2, 3), (3,), (3,) and (3, 2) Vars
 TAPE_OPS = {
     "add": lambda a, b, c, d, e: tape.add(a, b),
-    "sub": lambda a, b, c, d, e: tape.sub(a, b),
     "mul": lambda a, b, c, d, e: tape.mul(a, b),
-    "neg": lambda a, b, c, d, e: tape.neg(a),
     "matmul": lambda a, b, c, d, e: tape.matmul(a, e),
     "transpose": lambda a, b, c, d, e: tape.transpose(a, (1, 0)),
     "reshape": lambda a, b, c, d, e: tape.reshape(a, (6,)),
@@ -75,9 +73,8 @@ class TestBackwardBasics:
         x = Var(np.array(2.0))
         y = x * x
         loss = y + y  # y consumed twice; still one backward visit
-        t = Tape.from_root(loss)
-        assert len(t.nodes) == len({id(n) for n in t.nodes})
-        t.backward_from(loss)
+        t = backward(loss)
+        assert len(t.nodes) == len({id(n) for n in t.nodes}) == 3
         assert x.grad == 8.0  # d(2x^2)/dx
 
     def test_only_leaves_keep_grads(self):
@@ -181,18 +178,81 @@ class TestNoGrad:
             assert all(a.grad is None for j, a in enumerate(args) if j != i)
             assert args[i].grad.tobytes() == leaves[i].grad.tobytes()
 
-    @pytest.mark.parametrize("op, sign", [
-        (lambda x, c: x - c, 1.0),
-        (lambda x, c: c - x, -1.0),
-        (lambda x, c: x + c, 1.0),
-        (lambda x, c: c + x, 1.0),
+    @pytest.mark.parametrize("op, sign, calls", [
+        (lambda x, c: x - c, 1.0, 1),
+        (lambda x, c: c - x, -1.0, 2),
+        (lambda x, c: x + c, 1.0, 1),
+        (lambda x, c: c + x, 1.0, 1),
     ], ids=["x-c", "c-x", "x+c", "c+x"])
-    def test_add_and_sub_build_no_gradient_for_a_constant(self, unbroadcast_calls, op, sign):
-        # the constant operand's gradient is never summed down to its shape
+    def test_add_and_sub_build_no_gradient_for_a_constant(self, unbroadcast_calls, op, sign, calls):
+        # the constant operand's gradient is never summed down to its shape;
+        # c - x is c + x (-1), which sums the leaf's gradient once per node
         x = Var(np.ones((4, 3)))
         backward(tape.mean_all(op(x, as_var(np.full((4, 3), 2.0)))))
-        assert unbroadcast_calls == [((4, 3), (4, 3))]
+        assert unbroadcast_calls == [((4, 3), (4, 3))] * calls
         assert np.array_equal(x.grad, np.full((4, 3), sign / 12))
+
+
+class TestSubNeg:
+    """``a - b`` is ``a + b (-1)`` and ``-a`` is ``a (-1)``: IEEE 754 makes
+    both exact, so values and gradients keep the bytes of numpy's subtract
+    and negative, signed zeros and infinities included."""
+
+    A = np.array([[0.0, -0.0, 0.0], [-0.0, np.inf, -np.inf], [1.5, 1e308, 5e-324]])
+    B = np.array([[0.0, 0.0, -0.0], [-0.0, 2.0, np.inf], [-2.5, 1e300, 5e-324]])
+    # finite operands and a loss gradient g for the backward checks
+    X = np.array([[0.5, -1.0, 2.0], [0.0, -0.0, 3.0], [1.0, -2.0, 0.25]])
+    Y = np.array([[-0.0, 4.0, 1.0], [0.0, 2.0, -0.5], [3.0, 0.0, -1.0]])
+    G = np.array([[1.0, -0.0, 0.0], [-2.5, 3.0, 0.25], [-1e300, 7.0, -5e-324]])
+
+    @pytest.mark.parametrize("a_ctor", [Var, as_var], ids=["leaf", "constant"])
+    @pytest.mark.parametrize("b_ctor", [Var, as_var], ids=["leaf", "constant"])
+    @pytest.mark.parametrize("other", ["B", "row", "0-d"])
+    def test_values_match_numpy(self, a_ctor, b_ctor, other):
+        b = {"B": self.B, "row": self.B[2], "0-d": np.array(-0.0)}[other]
+        a, bv = a_ctor(self.A), b_ctor(b)
+        assert (a - bv).value.tobytes() == np.subtract(self.A, b).tobytes()
+        assert (bv - a).value.tobytes() == np.subtract(b, self.A).tobytes()
+        assert (-bv).value.tobytes() == np.negative(b).tobytes()
+
+    def test_plain_numbers_are_lifted(self):
+        a = Var(self.A)
+        assert (a - 2.0).value.tobytes() == (self.A - 2.0).tobytes()
+        assert (1.0 - a).value.tobytes() == (1.0 - self.A).tobytes()
+
+    def test_subtrahend_and_negated_leaf_get_minus_g(self):
+        a, b = Var(self.X), Var(self.Y)
+        backward(tape.sum_all((a - b) * self.G))
+        assert a.grad.tobytes() == self.G.tobytes()
+        assert b.grad.tobytes() == np.negative(self.G).tobytes()
+        a = Var(self.X)
+        backward(tape.sum_all(-a * self.G))
+        assert a.grad.tobytes() == np.negative(self.G).tobytes()
+
+    def test_broadcast_subtrahend_sums_minus_g(self):
+        # numpy's subtract would sum -g over the broadcast axis; -(sum g)
+        # has the same bytes
+        a, row = Var(self.X), Var(self.Y[2])
+        backward(tape.sum_all((a - row) * self.G))
+        assert row.grad.tobytes() == np.negative(self.G).sum(axis=0).tobytes()
+
+    @pytest.mark.parametrize("c", [np.array(-0.0), np.array([1.0, -0.0, 2.0])], ids=["0-d", "row"])
+    def test_constant_takes_no_gradient(self, c):
+        a = Var(self.X)
+        const = as_var(c)
+        backward(tape.sum_all((const - a) * self.G))
+        assert const.grad is None
+        assert a.grad.tobytes() == np.negative(self.G).tobytes()
+        a, const = Var(self.X), as_var(c)
+        backward(tape.sum_all((a - const) * self.G))
+        assert const.grad is None
+        assert a.grad.tobytes() == self.G.tobytes()
+
+    def test_nothing_recorded_without_a_leaf(self):
+        a, b = as_var(self.A), as_var(self.B)
+        for out in (a - b, b - a, -a, a - 1.0, 1.0 - a):
+            assert not out.needs_grad
+            assert out.parents == () and out._backward is None
 
 
 class TestGelu:
@@ -424,9 +484,10 @@ class TestTracerRule:
             if inspect.isfunction(fn) and fn.__module__ == tape.__name__
         }
         # grad_enabled and no_grad are deleted from tape but still named in
-        # the tracer's SKIP, and take_index and stack in its TAPE_OPS: stale
-        # entries until the next change to the benchmark removes them
-        stale = {"grad_enabled", "no_grad", "take_index", "stack"}
+        # the tracer's SKIP, and take_index, stack, sub and neg in its
+        # TAPE_OPS: stale entries until the next change to the benchmark
+        # removes them
+        stale = {"grad_enabled", "no_grad", "take_index", "stack", "sub", "neg"}
         assert functions | stale == set(tracer.TAPE_OPS) | tracer.SKIP["tape"] | {"backward"}
 
 

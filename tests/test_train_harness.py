@@ -64,12 +64,12 @@ def whole_grid_loss(tile_loss, labels, merger, heads, target):
 
 def max_rows(root):
     """The most rows of any array a graph holds."""
-    return max(n.value.shape[0] for n in tape.Tape.from_root(root).nodes if n.value.ndim)
+    return max(n.value.shape[0] for n in tape.Tape(root).nodes if n.value.ndim)
 
 
 def graph_leaves(root):
     """The nodes without parents in the recorded graph of ``root``."""
-    return [n for n in tape.Tape.from_root(root).nodes if not n.parents]
+    return [n for n in tape.Tape(root).nodes if not n.parents]
 
 
 def recorded(tile_loss):
@@ -215,10 +215,11 @@ class TestLosses:
 
     def test_hinge_builds_no_gradient_for_its_margins(self, unbroadcast_calls):
         # the constant 1.0 of each margin takes no gradient: the only sums
-        # down to a shape are those of the two scores and of the two terms
+        # down to a shape are those of the two scores, of the real score's
+        # product by -1 in 1 - real, and of the two terms
         real, fake = Var(np.array([[0.3], [1.5]])), Var(np.array([[-2.0], [0.2]]))
         backward(th.hinge_d_loss(real, fake))
-        assert sorted(unbroadcast_calls) == [((), ())] * 2 + [((2, 1), (2, 1))] * 2
+        assert sorted(unbroadcast_calls) == [((), ())] * 2 + [((2, 1), (2, 1))] * 3
         assert np.array_equal(real.grad, [[-0.5], [0.0]]) and np.array_equal(fake.grad, [[0.0], [0.5]])
 
 
@@ -570,6 +571,12 @@ class TestTrainToy:
         with pytest.raises(ValueError, match="mode"):
             th.train_toy(self.small_cfg(mode="nope"))
 
+    @pytest.mark.parametrize("sparsity", [7.0, -0.1, float("nan")])
+    def test_sparsity_checked_without_iterations(self, sparsity):
+        # no iteration draws a mask, yet the report would record the value
+        with pytest.raises(ValueError, match=re.escape(f"sparsity must be in [0, 1], got {sparsity}")):
+            th.train_toy(self.small_cfg(iters=0, sparsity=sparsity))
+
 
 class TestEndToEndGradcheck:
     def test_merge_generate_l2_gradients(self):
@@ -620,7 +627,7 @@ class TestAdversarialSteps:
         disc = [heads.disc_w1, heads.disc_w2, heads.disc_b1, heads.disc_b2]
         assert len(tiles) >= 2
         for loss in tiles:
-            assert all(n.value.ndim <= 2 for n in tape.Tape.from_root(loss).nodes)
+            assert all(n.value.ndim <= 2 for n in tape.Tape(loss).nodes)
             leaves = graph_leaves(loss)
             assert len(leaves) == 4
             assert all(any(leaf.value is t for t in disc) for leaf in leaves)
