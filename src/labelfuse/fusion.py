@@ -14,8 +14,8 @@ Three variants produce a per-pixel fused representation from a label set:
   d x d affine + GeLU layers, then the same token average.  A label's chain
   (projection and stack) sees one label's pixels one at a time, so every
   absent pixel of label k leaves it as one vector c_k: ``merge_step``
-  computes c_k once per merge, and in each tile a label's chain runs on
-  that label's present pixels only.
+  computes c_k once per merge, and in each tile a label's chain runs once
+  on each distinct value of that label's present pixels.
 * ``naive_concat``: plain channel concatenation in label order.
 
 Merging is embarrassingly parallel over pixels: attention never crosses
@@ -31,9 +31,9 @@ is a ``FloatingPointError``.  Results never depend on the thread count.
 At some widths (d=12) a pixel's last bit can depend on the grid's pixel
 count, as OpenBLAS picks its dgemm kernel by GEMM size (the CHANGES.md
 ``FOUND:`` note on tile row counts).  For the same reason a ``clam``
-pixel's last bit may depend on how many pixels of its tile hold each of
-its present labels, when that count is small: under 13 at d=96 and under
-26 at d=47 with OpenBLAS 0.3.31 on an AVX-512 Xeon.
+pixel's last bit may depend on how many distinct present values of each of
+its present labels its tile holds, when that count is small: under 13 at
+d=96 and under 26 at d=47 with OpenBLAS 0.3.31 on an AVX-512 Xeon.
 
 ``map_params`` walks every tensor of a ``MergerParams`` under its canonical
 name (``proj.<label>.A``, ``enc.<label>``, ``block<m>.`` plus the block's
@@ -358,20 +358,41 @@ def clam_graph(xs: list[Var], names: list[str], p: MergerParams, present: list, 
     """The ``clam`` merge for one pixel batch: (B, C_k) inputs -> (B, d).
 
     ``present[k]`` is a (B,) bool array of the rows where label k is present.
-    The label's projection and stack run on those rows only, and every other
-    row takes ``absent[names[k]]``, the chain's (d,) output for an absent
-    pixel; ``absent`` is read only for a label absent on some row.  The
-    tokens are written into one (B, N, d) array, so nothing is recorded.
+    The label's chain (projection and stack) is a function of a row's value
+    alone, so it runs once on each distinct value of those rows
+    (``_distinct_rows``), and not at all when there are none; each output
+    goes to every row that holds its value.  Every other row takes
+    ``absent[names[k]]``, the chain's (d,) output for an absent pixel;
+    ``absent`` is read only for a label absent on some row.  The tokens are
+    written into one (B, N, d) array, so nothing is recorded.
     """
     tokens = np.empty((len(xs[0].value), len(xs), p.d))
     for k, (x, name, rows) in enumerate(zip(xs, names, present)):
         if not rows.all():
             tokens[:, k] = absent[name]
-        v = as_var(x.value[rows])
+            if not rows.any():
+                continue
+        values, inverse = _distinct_rows(x.value[rows])
+        v = as_var(values)
         for proj in (p.projections[name], *p.clam_stacks[name]):
             v = tape.gelu(tape.matmul(v, tape.transpose(proj.A, (1, 0)), proj.b))
-        tokens[rows, k] = v.value
+        tokens[rows, k] = v.value if inverse is None else v.value[inverse]
     return _token_average(as_var(tokens))
+
+
+def _distinct_rows(x: np.ndarray):
+    """``(values, inverse)``: the distinct rows of the (B, C) array ``x``,
+    told apart by their bytes (so -0.0 and +0.0 differ), and the (B,) index
+    with ``values[inverse]`` equal to ``x``.  Equal rows give equal mixes
+    ``x @ m`` for any fixed m, so when the B mixes are distinct, as for most
+    continuous labels, so are the rows, and it returns ``(x, None)`` without
+    comparing bytes."""
+    mix = np.sort(x @ np.sqrt(np.arange(2.0, x.shape[1] + 2)))
+    if (mix[1:] != mix[:-1]).all():
+        return x, None
+    keys = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return x[first], inverse
 
 
 def _run_tiled(s: LabelSet, p: MergerParams, variant: str, threads: int) -> np.ndarray:
@@ -411,9 +432,10 @@ def tlam_merge(s: LabelSet, p: MergerParams, threads: int = 1) -> np.ndarray:
 
 def clam_merge(s: LabelSet, p: MergerParams, threads: int = 1) -> np.ndarray:
     """Stacked per-label affine+GeLU merging; returns H x W x d.  Each
-    label's projection and stack run on its present pixels only: every
-    absent pixel of a label leaves them as one vector, computed once per
-    merge."""
+    label's projection and stack run, per tile, once on each distinct value
+    of its present pixels: every pixel of a tile that holds the value takes
+    the one output, and every absent pixel of a label takes one vector,
+    computed once per merge."""
     return _run_tiled(s, p, CLAM, threads)
 
 

@@ -383,6 +383,8 @@ def train_toy_with_params(cfg: ToyTrainConfig):
         raise ValueError(f"iters must be >= 0, got {cfg.iters}")
     if not 0.0 <= cfg.sparsity <= 1.0:
         raise ValueError(f"sparsity must be in [0, 1], got {cfg.sparsity}")
+    if not 0.0 < cfg.lr < math.inf:  # every mode checks it, though only l2 steps by it
+        raise ValueError(f"lr must be a finite number > 0, got {cfg.lr}")
     labels, inst, target = synth_scene(cfg.height, cfg.width, cfg.regions, cfg.seed)
     target64 = target.astype(np.float64)
 

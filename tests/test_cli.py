@@ -578,6 +578,17 @@ class TestTrainToy:
         assert code == EXIT_NUMERIC
         assert json.loads(out.read_text())["diverged_at"] is not None
 
+    @pytest.mark.parametrize("mode", ["l2", "adv"])
+    @pytest.mark.parametrize("lr", ["-0.005", "0", "nan", "inf"])
+    def test_bad_lr_exits_1(self, tmp_path, capsys, lr, mode):
+        # a negative lr once trained by gradient ascent and exited 0; nan and
+        # inf exited 2 as a divergence at iteration 1
+        out = tmp_path / "r.json"
+        assert run("train-toy", "--mode", mode, "--size", "8x8", "--regions", "3", "--iters", "2",
+                   f"--lr={lr}", "--out", str(out), "--threads", "1") == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: lr must be a finite number > 0, got {float(lr)}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_divergence_under_warnings_as_errors_exits_2(self, tmp_path, threads):
         # a 32x32 grid is three spans at d=16; the overflow of a diverging

@@ -18,7 +18,7 @@ from labelfuse.fusion import (
     save_merger_params,
     tlam_merge,
 )
-from labelfuse.label_model import LabelSet, make_label, synth_scene
+from labelfuse.label_model import LabelSet, apply_masks, generate_sparse_masks, make_label, synth_scene
 from labelfuse.tensor_core import load_tensor, save_tensor
 from labelfuse.train_harness import make_random_label_set
 
@@ -39,6 +39,38 @@ def random_biases(p, seed):
         for layer in p.clam_stacks[name]:
             layer.b = rng.standard_normal(p.d)
     return p
+
+
+def sparse_scene(h, w, regions, seed, sparsity):
+    """A ``synth_scene`` label set under the region-wise sparsity protocol."""
+    labels, inst, _ = synth_scene(h, w, regions, seed)
+    return apply_masks(labels, generate_sparse_masks(inst, labels, sparsity, seed + 1))
+
+
+def count_chain_rows(monkeypatch, p):
+    """Per (label, "proj" | "stack"), the row count of each product that the
+    label's projection or one of its stack layers makes in later ``clam``
+    merges by ``p``, in call order."""
+    layer_of = {id(layer.b): (name, "stack") for name, stack in p.clam_stacks.items() for layer in stack}
+    layer_of.update({id(proj.b): (name, "proj") for name, proj in p.projections.items()})
+    rows = {key: [] for key in layer_of.values()}
+    matmul = tape.matmul
+
+    def counted(a, b, bias=None):
+        if bias is not None and id(bias.value) in layer_of:
+            rows[layer_of[id(bias.value)]].append(a.value.shape[0])
+        return matmul(a, b, bias)
+
+    monkeypatch.setattr(tape, "matmul", counted)
+    return rows
+
+
+def distinct_present_rows(lab, spans):
+    """Over the spans, the sum of each span's distinct present rows of
+    ``lab``, told apart by their bytes."""
+    values = lab.values.reshape(-1, lab.channels).astype(np.float64)
+    present = lab.mask.reshape(-1) != 0
+    return sum(len({row.tobytes() for row in values[p0:p1][present[p0:p1]]}) for p0, p1 in spans)
 
 
 def random_affine(p, seed):
@@ -577,6 +609,78 @@ class TestClamAndNaive:
             assert rows[lab.name, "proj"] == seen
             assert rows[lab.name, "stack"] == seen * 2
 
+    def test_chains_run_on_distinct_present_rows(self, monkeypatch):
+        # a scene's labels repeat (one-hot semantics, binary edges, per-region
+        # normals and curvature): per label, its projection and each of its
+        # stack layers see each tile's distinct present rows once and the one
+        # absent pixel pushed through per merge
+        labels = sparse_scene(16, 16, 4, 50, 0.5)
+        monkeypatch.setattr(fusion, "TILE_BYTES", 32 * fusion.pixel_bytes(fusion.CLAM, 5, 8))
+        spans = fusion.pixel_spans(16 * 16, fusion.pixel_bytes(fusion.CLAM, 5, 8))
+        assert len(spans) == 8
+        p = init_merger_params(labels, fusion.CLAM, d=8, n_blocks=2, seed=51)
+        rows = count_chain_rows(monkeypatch, p)
+        clam_merge(labels, p)
+        for lab in labels:
+            seen = distinct_present_rows(lab, spans) + 1
+            assert sum(rows[lab.name, "proj"]) == seen
+            assert sum(rows[lab.name, "stack"]) == seen * 2
+        for name in ("semantics", "edges"):
+            lab = labels.by_name(name)
+            assert sum(rows[name, "proj"]) - 1 < np.count_nonzero(lab.mask) / 4
+
+    def test_signed_zeros_run_as_two_rows(self, monkeypatch):
+        # -0.0 and +0.0 compare equal but differ in their bytes, so a tile
+        # holding both runs each of them
+        values = np.array([0.0, -0.0, 0.0, -0.0], dtype=np.float32).reshape(2, 2, 1)
+        labels = LabelSet(labels=[make_label("z", "continuous", values)])
+        p = random_biases(init_merger_params(labels, fusion.CLAM, d=4, n_blocks=1, seed=52), 53)
+        rows = count_chain_rows(monkeypatch, p)
+        out = clam_merge(labels, p).reshape(4, 4)
+        assert rows["z", "proj"] == rows["z", "stack"] == [1, 2]
+        assert out[0].tobytes() == out[2].tobytes() and out[1].tobytes() == out[3].tobytes()
+
+    def test_no_chain_runs_where_a_label_is_absent_on_every_pixel(self, monkeypatch):
+        # 4-pixel tiles of a 3x4 grid whose label is present in the middle row only
+        values = np.arange(12, dtype=np.float32).reshape(3, 4, 1)
+        mask = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0]], dtype=np.uint8)
+        labels = LabelSet(labels=[make_label("x", "continuous", values, mask)])
+        monkeypatch.setattr(fusion, "TILE_BYTES", 4 * fusion.pixel_bytes(fusion.CLAM, 1, 4))
+        p = random_biases(init_merger_params(labels, fusion.CLAM, d=4, n_blocks=1, seed=60), 61)
+        rows = count_chain_rows(monkeypatch, p)
+        out = clam_merge(labels, p).reshape(12, 4)
+        # the absent pixel pushed through once per merge, then the middle tile
+        assert rows["x", "proj"] == rows["x", "stack"] == [1, 4]
+        assert len({row.tobytes() for row in out[[0, 1, 2, 3, 8, 9, 10, 11]]}) == 1
+
+    @pytest.mark.parametrize("tile_pixels", [4, None], ids=["4-pixel", "default"])
+    @pytest.mark.parametrize("d", [8, 47])
+    @pytest.mark.parametrize("sparsity", [0.0, 0.5])
+    def test_clam_matches_per_pixel_oracle_on_a_scene(self, monkeypatch, sparsity, d, tile_pixels):
+        # a scene's repeated values, in tiles that hold a label on every pixel
+        # or on none, and in the default tiles, here one for the whole grid
+        if tile_pixels:
+            monkeypatch.setattr(fusion, "TILE_BYTES", tile_pixels * fusion.pixel_bytes(fusion.CLAM, 5, d))
+        labels = sparse_scene(6, 8, 3, 54, sparsity)
+        p = random_biases(init_merger_params(labels, fusion.CLAM, d=d, n_blocks=2, seed=55), 56)
+        want = clam_per_pixel(labels, p)
+        got = clam_merge(labels, p)
+        # within 2^12 ulps of the largest output
+        assert np.abs(got - want).max() <= 2**12 * np.spacing(np.abs(want).max())
+
+    def test_repeated_values_same_bits_at_any_thread_count(self, monkeypatch):
+        # a dense scene holds every label on every pixel, so semantics and
+        # edges repeat in each of its spans
+        labels, _, _ = synth_scene(16, 24, 6, 57)
+        monkeypatch.setattr(fusion, "TILE_BYTES", 40 * fusion.pixel_bytes(fusion.CLAM, 5, 8))
+        spans = fusion.pixel_spans(16 * 24, fusion.pixel_bytes(fusion.CLAM, 5, 8))
+        assert len(spans) >= 3
+        for name in ("semantics", "edges"):
+            assert distinct_present_rows(labels.by_name(name), spans) < 16 * 24 / 4
+        p = random_biases(init_merger_params(labels, fusion.CLAM, d=8, n_blocks=2, seed=58), 59)
+        outs = [clam_merge(labels, p, threads=threads).tobytes() for threads in (1, 2, 4)]
+        assert outs[0] == outs[1] == outs[2]
+
     def test_pixel_with_every_label_absent_same_bits_everywhere(self, monkeypatch):
         monkeypatch.setattr(fusion, "TILE_BYTES", 64 * fusion.pixel_bytes(fusion.CLAM, 3, 8))
         labels = tiny_set(h=32, w=16, seed=46, sparsity=0.5)
@@ -608,6 +712,39 @@ class TestClamAndNaive:
         out = naive_concat(LabelSet(labels=[make_label("a", "continuous", vals, mask)]))
         assert not out[0, 1].any()
         assert (out[1, 1] == 3.0).all()
+
+
+class TestDistinctRows:
+    @pytest.fixture
+    def unique_calls(self, monkeypatch):
+        """The arrays ``np.unique`` is called on, so a test can tell whether
+        rows were compared by their bytes."""
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda a, **kw: calls.append(a) or unique(a, **kw))
+        return calls
+
+    @pytest.mark.parametrize("x", [np.array([[1.0, 2.0], [2.0, 1.0], [0.5, 0.0]]), np.empty((0, 3))],
+                             ids=["three-rows", "no-rows"])
+    def test_distinct_mixes_skip_the_byte_comparison(self, unique_calls, x):
+        values, inverse = fusion._distinct_rows(x)
+        assert values is x and inverse is None
+        assert unique_calls == []
+
+    def test_equal_rows_run_once(self, unique_calls):
+        x = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [0.0, -0.0], [1.0, 2.0], [0.0, -0.0]])
+        values, inverse = fusion._distinct_rows(x)
+        assert len(unique_calls) == 1
+        assert len(values) == 3
+        assert values[inverse].tobytes() == x.tobytes()
+
+    def test_tied_mixes_of_different_rows_run_every_row(self, unique_calls):
+        # -0.0 and +0.0 mix to equal values, but their bytes differ
+        x = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 1.0]])
+        values, inverse = fusion._distinct_rows(x)
+        assert len(unique_calls) == 1
+        assert len(values) == 3
+        assert values[inverse].tobytes() == x.tobytes()
 
 
 class TestMacCounting:

@@ -577,6 +577,15 @@ class TestTrainToy:
         with pytest.raises(ValueError, match=re.escape(f"sparsity must be in [0, 1], got {sparsity}")):
             th.train_toy(self.small_cfg(iters=0, sparsity=sparsity))
 
+    @pytest.mark.parametrize("mode", ["l2", "adversarial"])
+    @pytest.mark.parametrize("lr", [-0.005, 0.0, float("nan"), float("inf")])
+    def test_lr_checked_without_iterations(self, lr, mode):
+        # a negative lr once ran gradient ascent, and nan or inf diverged at
+        # iteration 1; the adversarial mode steps by its own rates, yet the
+        # report would record the value
+        with pytest.raises(ValueError, match=re.escape(f"lr must be a finite number > 0, got {lr}")):
+            th.train_toy(self.small_cfg(iters=0, lr=lr, mode=mode))
+
 
 class TestEndToEndGradcheck:
     def test_merge_generate_l2_gradients(self):
